@@ -1,6 +1,6 @@
 // Google-benchmark suite for the serving layer (src/serve): FrozenPlan
-// forward replay at several batch sizes against the unfrozen
-// GraphNetwork::forward baseline, and end-to-end ServeEngine request
+// runs at several batch sizes against the allocating
+// GraphNetwork::forward wrapper, and end-to-end ServeEngine request
 // throughput through the micro-batching queue.
 //
 // The engine benchmarks measure a Table-II-scale architecture
@@ -66,9 +66,10 @@ Tensor3 random_batch(std::size_t batch, std::uint64_t seed) {
   return x;
 }
 
-// Frozen forward replay: the per-batch cost inside one stream. Compare
-// against BM_GraphForwardReference at the same batch for the freeze win
-// (no per-call graph walk, no workspace allocation).
+// Plan run: the per-batch cost inside one stream — forward_ref on the
+// plan's network copy, bound once at compile. BM_GraphForwardReference
+// at the same batch runs the same forward; the gap is the plan's
+// zero-copy result against the wrapper's copied output tensor.
 void BM_FrozenPlanRun(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   serve::FrozenPlan plan = table2_plan(batch);
@@ -82,8 +83,9 @@ void BM_FrozenPlanRun(benchmark::State& state) {
 }
 BENCHMARK(BM_FrozenPlanRun)->Arg(1)->Arg(8)->Arg(32);
 
-// The unfrozen baseline: GraphNetwork::forward on the same weights and
-// input (per-call topological walk + fresh workspaces).
+// The reference: GraphNetwork::forward on the same weights and input,
+// which binds on its first call and then returns a fresh copy of the
+// output each call.
 void BM_GraphForwardReference(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   nn::GraphNetwork net = table2_net();

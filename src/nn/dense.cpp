@@ -30,33 +30,34 @@ void Dense::init_params(Rng& rng) {
   b_.fill(0.0);
 }
 
-void Dense::bind_workspace(tensor::Arena& arena, std::size_t batch,
-                           std::size_t steps, std::size_t in_features) {
-  if (in_features != in_) {
+std::unique_ptr<Layer> Dense::clone() const {
+  auto copy = std::make_unique<Dense>(in_, out_, activation_, use_bias_);
+  copy->w_ = w_;
+  copy->b_ = b_;
+  return copy;
+}
+
+void Dense::bind_workspace(tensor::Arena& arena, const WorkspaceShape& shape) {
+  if (shape.features != in_) {
     throw std::invalid_argument("Dense: input feature dim " +
-                                std::to_string(in_features) + " != " +
+                                std::to_string(shape.features) + " != " +
                                 std::to_string(in_));
   }
-  if (activation_ != Activation::kIdentity) {
+  if (shape.training && activation_ != Activation::kIdentity) {
     // An identity Dense backpropagates through grad_output directly; only
     // a real activation needs the pre-/post-activation caches.
-    const std::size_t rows = batch * steps;
+    const std::size_t rows = shape.batch * shape.steps;
     preact_cache_.bind(arena, rows, out_);
     output_cache_.bind(arena, rows, out_);
     dz_.bind(arena, rows, out_);
   }
-  ws_batch_ = batch;
-  ws_steps_ = steps;
 }
 
 void Dense::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                          bool training) {
   const Tensor3& x = single_input(inputs, "Dense");
-  const std::size_t batch = x.dim0(), steps = x.dim1();
-  if (batch != ws_batch_ || steps != ws_steps_ || x.dim2() != in_) {
-    bind_workspace(self_arena(), batch, steps, x.dim2());
-  }
-  const std::size_t rows = batch * steps;
+  ensure_bound(x, training);
+  const std::size_t rows = x.dim0() * x.dim1();
 
   // Treat [B,T,F] as (B*T) x F; both tensors are contiguous row-major,
   // so the whole layer is one GEMM (against the prepacked weight panel,
@@ -106,10 +107,12 @@ void Dense::backward_into(const Tensor3& grad_output,
   // grad_output straight into the GEMMs without a copy.
   const double* dz = grad_output.flat().data();
   if (activation_ != Activation::kIdentity) {
+    const std::size_t n = rows * out_;
     std::copy(grad_output.flat().begin(), grad_output.flat().end(),
               dz_.flat().begin());
-    activation_grad_mul(activation_, dz_.flat(), preact_cache_.flat(),
-                        output_cache_.flat());
+    activation_grad_mul(activation_, dz_.flat().first(n),
+                        preact_cache_.flat().first(n),
+                        output_cache_.flat().first(n));
     dz = dz_.flat().data();
   }
 

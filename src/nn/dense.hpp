@@ -8,7 +8,8 @@
 //
 // The training forward caches the input by POINTER (the hot-path input
 // contract of layer.hpp) and the pre-/post-activation values in arena
-// workspaces, so a bound Dense allocates nothing per step.
+// workspaces carved by a training bind, so a bound Dense allocates
+// nothing per step; inference needs no workspace at all.
 #pragma once
 
 #include "nn/activations.hpp"
@@ -21,14 +22,13 @@ class Dense final : public Layer {
   Dense(std::size_t in_features, std::size_t out_features,
         Activation activation = Activation::kIdentity, bool use_bias = true);
 
-  void bind_workspace(tensor::Arena& arena, std::size_t batch,
-                      std::size_t steps, std::size_t in_features) override;
   void forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                     bool training) override;
   void backward_into(const Tensor3& grad_output,
                      std::span<Tensor3* const> input_grads) override;
   void init_params(Rng& rng) override;
   void repack_weights() override;
+  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   std::vector<Matrix*> parameters() override;
   std::vector<Matrix*> gradients() override;
   [[nodiscard]] std::string name() const override;
@@ -37,12 +37,14 @@ class Dense final : public Layer {
     return out_;
   }
 
-  [[nodiscard]] std::size_t in_features() const noexcept { return in_; }
-  [[nodiscard]] std::size_t out_features() const noexcept { return out_; }
-  [[nodiscard]] Activation activation() const noexcept { return activation_; }
-  [[nodiscard]] bool use_bias() const noexcept { return use_bias_; }
+  [[nodiscard]] std::size_t in_features() const noexcept override {
+    return in_;
+  }
 
  private:
+  void bind_workspace(tensor::Arena& arena,
+                      const WorkspaceShape& shape) override;
+
   std::size_t in_;
   std::size_t out_;
   Activation activation_;
@@ -61,11 +63,10 @@ class Dense final : public Layer {
   // pre-/post-activation copies live in the bound arena. For an identity
   // activation no activation caches are needed — dz is grad_output.
   const Tensor3* input_cache_ = nullptr;
+  // A forward at batch b uses the first b*T rows.
   tensor::ArenaMatrix preact_cache_;  // [B*T, out]
   tensor::ArenaMatrix output_cache_;  // [B*T, out]
   tensor::ArenaMatrix dz_;            // [B*T, out]
-  std::size_t ws_batch_ = 0;
-  std::size_t ws_steps_ = 0;
 };
 
 }  // namespace geonas::nn

@@ -11,12 +11,17 @@ Dropout::Dropout(double rate) : rate_(rate), rng_(0xD120) {
   }
 }
 
-void Dropout::bind_workspace(tensor::Arena& arena, std::size_t batch,
-                             std::size_t steps, std::size_t in_features) {
-  if (rate_ > 0.0) mask_.bind(arena, batch * steps, in_features);
-  ws_batch_ = batch;
-  ws_steps_ = steps;
-  ws_features_ = in_features;
+std::unique_ptr<Layer> Dropout::clone() const {
+  auto copy = std::make_unique<Dropout>(rate_);
+  copy->rng_ = rng_;
+  return copy;
+}
+
+void Dropout::bind_workspace(tensor::Arena& arena,
+                             const WorkspaceShape& shape) {
+  if (shape.training && rate_ > 0.0) {
+    mask_.bind(arena, shape.batch * shape.steps, shape.features);
+  }
 }
 
 void Dropout::forward_into(std::span<const Tensor3* const> inputs,
@@ -26,10 +31,7 @@ void Dropout::forward_into(std::span<const Tensor3* const> inputs,
     std::copy(x.flat().begin(), x.flat().end(), out.flat().begin());
     return;
   }
-  if (x.dim0() != ws_batch_ || x.dim1() != ws_steps_ ||
-      x.dim2() != ws_features_) {
-    bind_workspace(self_arena(), x.dim0(), x.dim1(), x.dim2());
-  }
+  ensure_bound(x, training);
   const double keep_scale = 1.0 / (1.0 - rate_);
   auto mf = mask_.flat();
   const auto xf = x.flat();
@@ -52,12 +54,12 @@ void Dropout::backward_into(const Tensor3& grad_output,
               dx.flat().begin());
     return;
   }
-  if (grad_output.size() != mask_.size()) {
+  if (grad_output.size() > mask_.size()) {
     throw std::invalid_argument("Dropout::backward: shape mismatch");
   }
   auto df = dx.flat();
   const auto gf = grad_output.flat();
-  const auto mf = mask_.flat();
+  const auto mf = mask_.flat().first(gf.size());
   for (std::size_t i = 0; i < df.size(); ++i) df[i] = gf[i] * mf[i];
 }
 

@@ -15,8 +15,7 @@ class Dropout final : public Layer {
  public:
   explicit Dropout(double rate);
 
-  void bind_workspace(tensor::Arena& arena, std::size_t batch,
-                      std::size_t steps, std::size_t in_features) override;
+  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   void forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                     bool training) override;
   void backward_into(const Tensor3& grad_output,
@@ -24,16 +23,15 @@ class Dropout final : public Layer {
   void init_params(Rng& rng) override { rng_ = rng.fork(); }
   [[nodiscard]] std::string name() const override;
 
-  [[nodiscard]] double rate() const noexcept { return rate_; }
-
  private:
+  void bind_workspace(tensor::Arena& arena,
+                      const WorkspaceShape& shape) override;
+
   double rate_;
   Rng rng_;
-  // Keep-scale factors from the latest training forward.
+  // Keep-scale factors from the latest training forward (first b*T rows
+  // at batch b); carved by a training bind.
   tensor::ArenaMatrix mask_;  // [B*T, features]
-  std::size_t ws_batch_ = 0;
-  std::size_t ws_steps_ = 0;
-  std::size_t ws_features_ = 0;
 };
 
 }  // namespace geonas::nn

@@ -6,7 +6,8 @@
 namespace geonas::nn {
 
 GraphNetwork::GraphNetwork() {
-  nodes_.emplace_back();  // node 0: the graph input placeholder
+  // geonas-lint: allow(hot-path-alloc) construction: node 0 placeholder
+  nodes_.emplace_back();
 }
 
 std::size_t GraphNetwork::add_node(std::unique_ptr<Layer> layer,
@@ -30,11 +31,27 @@ std::size_t GraphNetwork::add_node(std::unique_ptr<Layer> layer,
   Node node;
   node.layer = std::move(layer);
   node.inputs = std::move(input_ids);
+  // geonas-lint: allow(hot-path-alloc) graph construction
   nodes_.push_back(std::move(node));
   output_ = nodes_.size() - 1;
-  bound_batch_ = bound_steps_ = bound_features_ = 0;  // force a rebind
+  bound_ = {};  // force a rebind
   grad_cache_.clear();
   return output_;
+}
+
+GraphNetwork GraphNetwork::clone() const {
+  GraphNetwork copy;
+  for (std::size_t i = 1; i < nodes_.size(); ++i) {
+    std::unique_ptr<Layer> layer = nodes_[i].layer->clone();
+    if (!layer) {
+      throw std::invalid_argument("GraphNetwork::clone: layer '" +
+                                  nodes_[i].layer->name() + "' at node " +
+                                  std::to_string(i) + " cannot be cloned");
+    }
+    copy.add_node(std::move(layer), nodes_[i].inputs);
+  }
+  copy.set_output(output_);
+  return copy;
 }
 
 void GraphNetwork::set_output(std::size_t node_id) {
@@ -51,24 +68,39 @@ void GraphNetwork::init_params(std::uint64_t seed) {
   }
 }
 
-void GraphNetwork::bind(std::size_t batch, std::size_t steps,
-                        std::size_t features) {
+void GraphNetwork::bind(const WorkspaceShape& shape) {
+  // Cold path: runs once per grown shape, so the allocations below
+  // (arena slabs, buffer capacity, error text) never recur per batch.
+  bound_ = {};  // a throwing bind leaves the graph unbound
   if (!arena_) arena_ = std::make_unique<tensor::Arena>();
   arena_->reset();
-  nodes_[0].out_features = features;
+  nodes_[0].out_features = shape.features;
   for (std::size_t i = 1; i < nodes_.size(); ++i) {
     Node& node = nodes_[i];
     const std::size_t in_feat = nodes_[node.inputs[0]].out_features;
+    for (std::size_t id : node.inputs) {
+      if (nodes_[id].out_features != in_feat) {
+        throw std::invalid_argument(
+            "GraphNetwork: node " + std::to_string(i) +
+            " has inputs of different widths: node " +
+            std::to_string(node.inputs[0]) + " is " + std::to_string(in_feat) +
+            " wide, node " + std::to_string(id) + " is " +
+            std::to_string(nodes_[id].out_features));
+      }
+    }
     node.out_features = node.layer->output_features(in_feat);
-    node.layer->bind_workspace(*arena_, batch, steps, in_feat);
-    node.activation.ensure_shape(batch, steps, node.out_features);
+    WorkspaceShape layer_shape = shape;
+    layer_shape.features = in_feat;
+    node.layer->bind(*arena_, layer_shape);
+    node.activation.ensure_shape(shape.batch, shape.steps, node.out_features);
+    // geonas-lint: allow(hot-path-alloc) bind time, once per grown shape
     node.in_ptrs.reserve(node.inputs.size());
+    // geonas-lint: allow(hot-path-alloc) bind time, once per grown shape
     node.grad_ptrs.reserve(node.inputs.size());
+    // geonas-lint: allow(hot-path-alloc) bind time, once per grown shape
     node.grad_scratch.resize(node.inputs.size());
   }
-  bound_batch_ = batch;
-  bound_steps_ = steps;
-  bound_features_ = features;
+  bound_ = shape;
   arena_->export_stats();
 }
 
@@ -80,15 +112,17 @@ const Tensor3& GraphNetwork::forward_ref(const Tensor3& input, bool training) {
   if (nodes_.size() < 2 || output_ == 0) {
     throw std::logic_error("GraphNetwork: no computational nodes");
   }
-  if (input.dim0() != bound_batch_ || input.dim1() != bound_steps_ ||
-      input.dim2() != bound_features_) {
-    bind(input.dim0(), input.dim1(), input.dim2());
-  }
-  external_input_ = &input;
+  if (!bound_.fits(input, training)) bind(bound_.grown(input, training));
+  // Only a training forward's input must outlive the call.
+  external_input_ = training ? &input : nullptr;
   for (std::size_t i = 1; i < nodes_.size(); ++i) {
     Node& node = nodes_[i];
+    // Sized at the bound batch by bind(): a smaller batch reuses it.
+    node.activation.ensure_shape(input.dim0(), input.dim1(),
+                                 node.out_features);
     node.in_ptrs.clear();
     for (std::size_t id : node.inputs) {
+      // geonas-lint: allow(hot-path-alloc) capacity reserved at bind
       node.in_ptrs.push_back(id == 0 ? &input : &nodes_[id].activation);
     }
     node.layer->forward_into(node.in_ptrs, node.activation, training);
@@ -102,7 +136,8 @@ Tensor3 GraphNetwork::backward(const Tensor3& grad_output) {
 
 const Tensor3& GraphNetwork::backward_ref(const Tensor3& grad_output) {
   if (external_input_ == nullptr) {
-    throw std::logic_error("GraphNetwork: backward before forward");
+    throw std::logic_error("GraphNetwork: backward without a training "
+                           "forward");
   }
   for (auto& node : nodes_) node.grad_set = false;
 
@@ -124,11 +159,13 @@ const Tensor3& GraphNetwork::backward_ref(const Tensor3& grad_output) {
       if (!src.grad_set) {
         src.grad.ensure_shape(shape_of.dim0(), shape_of.dim1(),
                               shape_of.dim2());
+        // geonas-lint: allow(hot-path-alloc) capacity reserved at bind
         node.grad_ptrs.push_back(&src.grad);
         src.grad_set = true;
       } else {
         node.grad_scratch[k].ensure_shape(shape_of.dim0(), shape_of.dim1(),
                                           shape_of.dim2());
+        // geonas-lint: allow(hot-path-alloc) capacity reserved at bind
         node.grad_ptrs.push_back(&node.grad_scratch[k]);
       }
     }
@@ -169,6 +206,7 @@ std::vector<Matrix*> GraphNetwork::parameters() {
   std::vector<Matrix*> out;
   for (auto& node : nodes_) {
     if (!node.layer) continue;
+    // geonas-lint: allow(hot-path-alloc) cold: optimizer/serializer setup
     for (Matrix* p : node.layer->parameters()) out.push_back(p);
   }
   return out;
@@ -178,6 +216,7 @@ std::vector<Matrix*> GraphNetwork::gradients() {
   std::vector<Matrix*> out;
   for (auto& node : nodes_) {
     if (!node.layer) continue;
+    // geonas-lint: allow(hot-path-alloc) cold: cached by zero_grad
     for (Matrix* g : node.layer->gradients()) out.push_back(g);
   }
   return out;

@@ -8,13 +8,15 @@
 // construction.
 //
 // Memory model (DESIGN.md, "Memory model"): the graph owns one
-// tensor::Arena. Whenever the input batch shape changes, the arena is
-// reset and every layer rebinds its workspaces onto it in topological
-// order; per-node activation/gradient tensors are persistent members
-// that resize only on shape change. After the first step at a given
-// shape, forward_ref/backward_ref perform zero heap allocation.
-// Activations are retained between inference calls (they are reused
-// buffers, not per-call garbage).
+// tensor::Arena and binds every layer onto it in topological order for
+// a WorkspaceShape. Binds only grow: a forward rebinds only when its
+// batch exceeds the bound one, its steps or width differ, or it is the
+// first training forward after inference-only binds (which carve no
+// backward scratch); the batch of a rebind never shrinks. Smaller batches run on prefix rows of the bound
+// workspaces, so after the first step at the largest shape
+// forward_ref/backward_ref perform zero heap allocation. Activations are
+// retained between inference calls (they are reused buffers, not
+// per-call garbage).
 #pragma once
 
 #include <memory>
@@ -34,6 +36,11 @@ class GraphNetwork {
   GraphNetwork& operator=(const GraphNetwork&) = delete;
   GraphNetwork(GraphNetwork&&) = default;
   GraphNetwork& operator=(GraphNetwork&&) = default;
+
+  /// A copy of the structure and parameters, unbound (Layer::clone).
+  /// Throws std::invalid_argument naming the layer and its node id when a
+  /// layer cannot be cloned.
+  [[nodiscard]] GraphNetwork clone() const;
 
   /// Node id of the (single) graph input.
   [[nodiscard]] static constexpr std::size_t input_id() { return 0; }
@@ -62,16 +69,24 @@ class GraphNetwork {
   /// output node's activation buffer, valid until the next forward or
   /// shape rebind. `input` must stay alive and unmodified until the
   /// matching backward when `training` (layers cache input pointers).
+  /// Throws std::invalid_argument when a node's inputs differ in width.
   const Tensor3& forward_ref(const Tensor3& input, bool training = false);
 
-  /// Backward pass for the latest training forward; returns the gradient
-  /// with respect to the network input and accumulates parameter grads.
+  /// Backward pass for the latest forward, which must be a training one;
+  /// returns the gradient with respect to the network input and
+  /// accumulates parameter grads.
   /// Allocating wrapper around backward_ref (returns a copy).
   Tensor3 backward(const Tensor3& grad_output);
 
   /// Zero-copy backward: returns a reference to the input-gradient
   /// buffer, valid until the next backward or shape rebind.
   const Tensor3& backward_ref(const Tensor3& grad_output);
+
+  /// Resets the arena and binds every layer's workspaces for `shape`
+  /// now, instead of at the first forward that outgrows the current
+  /// bind; sizes the activation buffers at its batch. Forwards that fit
+  /// `shape` then run without rebinding.
+  void bind(const WorkspaceShape& shape);
 
   void zero_grad();
   /// Re-packs every layer's prepacked weight panels (Layer::
@@ -87,13 +102,9 @@ class GraphNetwork {
     return arena_.get();
   }
 
-  /// The layer computing node `id` (null for the input node 0). The
-  /// non-const overload exists for compilers that lower a trained graph
-  /// into another executor (serve::FrozenPlan reads parameters()).
+  /// The layer computing node `id` (null for the input node 0), for
+  /// inspecting a graph's structure (widths, names).
   [[nodiscard]] const Layer* node_layer(std::size_t id) const {
-    return nodes_.at(id).layer.get();
-  }
-  [[nodiscard]] Layer* node_layer(std::size_t id) {
     return nodes_.at(id).layer.get();
   }
   /// Input node ids of node `id` (empty for the input node 0).
@@ -124,10 +135,6 @@ class GraphNetwork {
     std::vector<Tensor3> grad_scratch;
   };
 
-  /// Resets the arena and rebinds every layer's workspaces for
-  /// (batch, steps, features); sizes activation/grad buffers.
-  void bind(std::size_t batch, std::size_t steps, std::size_t features);
-
   std::vector<Node> nodes_;
   std::size_t output_ = 0;
   // Cached gradients() result for zero_grad (rebuilt after add_node);
@@ -135,9 +142,7 @@ class GraphNetwork {
   std::vector<Matrix*> grad_cache_;
   std::unique_ptr<tensor::Arena> arena_;
   const Tensor3* external_input_ = nullptr;
-  std::size_t bound_batch_ = 0;
-  std::size_t bound_steps_ = 0;
-  std::size_t bound_features_ = 0;
+  WorkspaceShape bound_;
 };
 
 }  // namespace geonas::nn

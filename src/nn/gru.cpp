@@ -31,36 +31,46 @@ void GRU::init_params(Rng& rng) {
   b_.fill(0.0);
 }
 
-void GRU::bind_workspace(tensor::Arena& arena, std::size_t batch,
-                         std::size_t steps, std::size_t in_features) {
-  if (in_features != in_) {
+std::unique_ptr<Layer> GRU::clone() const {
+  auto copy = std::make_unique<GRU>(in_, units_);
+  copy->wx_ = wx_;
+  copy->wh_ = wh_;
+  copy->b_ = b_;
+  return copy;
+}
+
+void GRU::bind_workspace(tensor::Arena& arena, const WorkspaceShape& shape) {
+  if (shape.features != in_) {
     throw std::invalid_argument("GRU: input feature dim " +
-                                std::to_string(in_features) + " != " +
+                                std::to_string(shape.features) + " != " +
                                 std::to_string(in_));
   }
+  const std::size_t batch = shape.batch, steps = shape.steps;
   const std::size_t g3 = 3 * units_;
   const std::size_t rows = batch * steps;
   x_tm_.bind(arena, rows, in_);
   gates_.bind(arena, rows, g3);
   h_seq_.bind(arena, (steps + 1) * batch, units_);
   rh_.bind(arena, rows, units_);
-  da_.bind(arena, rows, g3);
-  dh_.bind(arena, batch, units_);
-  drh_.bind(arena, batch, units_);
-  dx_tm_.bind(arena, rows, in_);
-  ws_batch_ = batch;
-  ws_steps_ = steps;
+  if (shape.training) {
+    da_.bind(arena, rows, g3);
+    dh_.bind(arena, batch, units_);
+    drh_.bind(arena, batch, units_);
+    dx_tm_.bind(arena, rows, in_);
+  }
 }
 
 void GRU::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                        bool training) {
   const Tensor3& x = single_input(inputs, "GRU");
+  ensure_bound(x, training);
   const std::size_t batch = x.dim0(), steps = x.dim1();
-  if (batch != ws_batch_ || steps != ws_steps_ || x.dim2() != in_) {
-    bind_workspace(self_arena(), batch, steps, x.dim2());
-  }
   const std::size_t g3 = 3 * units_;
   const std::size_t rows = batch * steps;
+  batch_ = batch;
+
+  // Zero initial state h_0 = 0 for this batch (see LSTM::forward_into).
+  std::fill_n(h_seq_.flat().data(), batch * units_, 0.0);
 
   for (std::size_t bi = 0; bi < batch; ++bi) {
     const double* src = x.flat().data() + bi * steps * in_;
@@ -106,13 +116,14 @@ void GRU::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                               out.flat().data() + t * units_,
                               steps * units_);
   }
-
-  (void)training;  // the workspaces double as the BPTT caches
 }
 
 void GRU::backward_into(const Tensor3& grad_output,
                         std::span<Tensor3* const> input_grads) {
-  const std::size_t batch = ws_batch_, steps = ws_steps_;
+  if (!bound().training) {
+    throw std::logic_error("GRU::backward: no training forward");
+  }
+  const std::size_t batch = batch_, steps = bound().steps;
   if (grad_output.dim0() != batch || grad_output.dim1() != steps ||
       grad_output.dim2() != units_ || input_grads.size() != 1 ||
       input_grads[0] == nullptr) {
@@ -122,8 +133,8 @@ void GRU::backward_into(const Tensor3& grad_output,
   const std::size_t rows = batch * steps;
 
   // dh_ carries state across timesteps and must start the recursion at
-  // zero; every other workspace is fully overwritten below.
-  dh_.fill(0.0);
+  // zero; every other workspace row is fully overwritten below.
+  std::fill_n(dh_.flat().data(), batch * units_, 0.0);
 
   // Transposed weight panels for the input-gradient GEMMs (packed once;
   // transposition happened at pack time, so BPTT reads them forward).

@@ -29,14 +29,13 @@ class GRU final : public Layer {
  public:
   GRU(std::size_t in_features, std::size_t units);
 
-  void bind_workspace(tensor::Arena& arena, std::size_t batch,
-                      std::size_t steps, std::size_t in_features) override;
   void forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                     bool training) override;
   void backward_into(const Tensor3& grad_output,
                      std::span<Tensor3* const> input_grads) override;
   void init_params(Rng& rng) override;
   void repack_weights() override;
+  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   std::vector<Matrix*> parameters() override;
   std::vector<Matrix*> gradients() override;
   [[nodiscard]] std::string name() const override;
@@ -45,10 +44,14 @@ class GRU final : public Layer {
     return units_;
   }
 
-  [[nodiscard]] std::size_t units() const noexcept { return units_; }
-  [[nodiscard]] std::size_t in_features() const noexcept { return in_; }
+  [[nodiscard]] std::size_t in_features() const noexcept override {
+    return in_;
+  }
 
  private:
+  void bind_workspace(tensor::Arena& arena,
+                      const WorkspaceShape& shape) override;
+
   std::size_t in_;
   std::size_t units_;
 
@@ -70,9 +73,11 @@ class GRU final : public Layer {
   tensor::PackedPanels wh_h_t_pack_;   // op = Wh[:, h]^T
   tensor::PackedPanels wx_t_pack_;     // op = Wx^T
 
-  // Time-major workspaces (row t*batch + b) carved from the bound arena,
-  // reused across calls. Rows [0, B) of h_seq_ are h_0 = 0 — written
-  // only by the bind-time zero fill.
+  // Time-major workspaces carved from the bound arena for the bound
+  // batch B and reused across calls; a forward at batch b <= B uses the
+  // first rows, indexed t * b + row. Rows [0, b) of h_seq_ are h_0 = 0,
+  // re-zeroed by every forward. The last four exist only after a
+  // training bind.
   tensor::ArenaMatrix x_tm_;   // [T*B, in]
   tensor::ArenaMatrix gates_;  // [T*B, 3*units] pre-activations, [z, r, hh]
   tensor::ArenaMatrix h_seq_;  // [(T+1)*B, units]
@@ -81,8 +86,7 @@ class GRU final : public Layer {
   tensor::ArenaMatrix dh_;     // [B, units] running dL/dh_{t-1}
   tensor::ArenaMatrix drh_;    // [B, units] dL/d(r .* h_{t-1})
   tensor::ArenaMatrix dx_tm_;  // [T*B, in]
-  std::size_t ws_batch_ = 0;
-  std::size_t ws_steps_ = 0;
+  std::size_t batch_ = 0;      // batch of the latest forward
 };
 
 }  // namespace geonas::nn

@@ -9,12 +9,13 @@
 //
 // Hot-path contract (see DESIGN.md, "Memory model"): the core entry
 // points are forward_into / backward_into, which write into
-// caller-provided tensors, and bind_workspace, which carves all of a
-// layer's scratch out of a tensor::Arena for a fixed (batch, steps,
-// features) shape. A bound layer performs ZERO heap allocation in
-// forward_into/backward_into. Inputs passed to a training forward_into
-// must stay alive and unmodified until the matching backward_into
-// returns — layers cache input POINTERS instead of copying.
+// caller-provided tensors, and bind, which carves all of a layer's
+// scratch out of a tensor::Arena for a WorkspaceShape. A layer bound for
+// batch B runs any batch b <= B on the first b rows of its workspaces
+// with ZERO heap allocation in forward_into/backward_into; backward is
+// sized from the latest forward. Inputs passed to a training
+// forward_into must stay alive and unmodified until the matching
+// backward_into returns — layers cache input POINTERS instead of copying.
 //
 // The by-value forward()/backward() convenience wrappers keep the old
 // allocating call style for tests and examples; standalone layers
@@ -24,6 +25,7 @@
 // their inputs at once and fill one gradient per input in backward_into.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <memory>
@@ -37,6 +39,30 @@
 #include "tensor/random.hpp"
 
 namespace geonas::nn {
+
+/// The shape a layer's (or a graph's) workspaces are carved for. Binds
+/// only grow: a bound shape serves every batch up to its own at the same
+/// steps and width, and an inference bind (training false) carves only
+/// the forward workspaces, adding the backward scratch on the first
+/// training forward.
+struct WorkspaceShape {
+  std::size_t batch = 0;
+  std::size_t steps = 0;
+  std::size_t features = 0;
+  bool training = false;
+
+  /// True when workspaces bound for this shape serve a forward over `x`.
+  [[nodiscard]] bool fits(const Tensor3& x, bool train) const noexcept {
+    return x.dim0() <= batch && x.dim1() == steps && x.dim2() == features &&
+           (training || !train);
+  }
+  /// The shape to rebind for a forward over `x` that does not fit: x's
+  /// steps and width, the larger batch, and any carved backward scratch.
+  [[nodiscard]] WorkspaceShape grown(const Tensor3& x,
+                                     bool train) const noexcept {
+    return {std::max(batch, x.dim0()), x.dim1(), x.dim2(), training || train};
+  }
+};
 
 class Layer {
  public:
@@ -54,13 +80,25 @@ class Layer {
     return in_features;
   }
 
-  /// Carves every workspace this layer needs for shape (batch, steps,
-  /// in_features) out of `arena`. GraphNetwork rebinds all its layers on
-  /// one shared arena whenever the batch shape changes; standalone
-  /// layers self-bind lazily. Default: stateless layer, nothing to bind.
-  virtual void bind_workspace(tensor::Arena& /*arena*/, std::size_t /*batch*/,
-                              std::size_t /*steps*/,
-                              std::size_t /*in_features*/) {}
+  /// Input width this layer requires, or 0 when it accepts any width
+  /// and keeps it (Identity, Dropout, AddMerge).
+  [[nodiscard]] virtual std::size_t in_features() const noexcept { return 0; }
+
+  /// Carves this layer's workspaces for `shape` (shape.features is the
+  /// layer's input width) out of `arena`. GraphNetwork binds all its
+  /// layers on one shared arena; standalone layers self-bind lazily.
+  void bind(tensor::Arena& arena, const WorkspaceShape& shape) {
+    bound_ = {};  // a throwing carve leaves the layer unbound
+    bind_workspace(arena, shape);
+    bound_ = shape;
+  }
+
+  /// A copy of this layer's configuration and parameters, unbound, with
+  /// zeroed gradients. Null when the layer cannot be copied (the
+  /// default); GraphNetwork::clone rejects such a layer.
+  [[nodiscard]] virtual std::unique_ptr<Layer> clone() const {
+    return nullptr;
+  }
 
   /// Forward pass into `out`, pre-shaped by the caller to
   /// [batch, steps, output_features(in_features)]. `inputs.size()` must
@@ -142,16 +180,29 @@ class Layer {
  protected:
   Layer() = default;
 
-  /// Private arena for standalone (non-graph) use, created on demand and
+  /// Carves the workspaces for `shape`: only the forward ones unless
+  /// shape.training. Default: stateless layer, nothing to carve.
+  virtual void bind_workspace(tensor::Arena& /*arena*/,
+                              const WorkspaceShape& /*shape*/) {}
+
+  /// The shape bound by the latest bind().
+  [[nodiscard]] const WorkspaceShape& bound() const noexcept {
+    return bound_;
+  }
+
+  /// Standalone (non-graph) use: when the bound workspaces do not fit a
+  /// forward over `x`, rebinds on a private arena, created on demand and
   /// reset before each rebind so repeat shapes reuse its slabs.
-  tensor::Arena& self_arena() {
+  void ensure_bound(const Tensor3& x, bool training) {
+    if (bound_.fits(x, training)) return;
     if (!own_arena_) own_arena_ = std::make_unique<tensor::Arena>();
     own_arena_->reset();
-    return *own_arena_;
+    bind(*own_arena_, bound_.grown(x, training));
   }
 
  private:
   std::unique_ptr<tensor::Arena> own_arena_;
+  WorkspaceShape bound_;
   std::vector<std::array<std::size_t, 3>> wrapper_in_shapes_;
 };
 

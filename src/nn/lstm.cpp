@@ -36,36 +36,48 @@ void LSTM::init_params(Rng& rng) {
   for (std::size_t j = units_; j < 2 * units_; ++j) b_(0, j) = 1.0;
 }
 
-void LSTM::bind_workspace(tensor::Arena& arena, std::size_t batch,
-                          std::size_t steps, std::size_t in_features) {
-  if (in_features != in_) {
+std::unique_ptr<Layer> LSTM::clone() const {
+  auto copy = std::make_unique<LSTM>(in_, units_);
+  copy->wx_ = wx_;
+  copy->wh_ = wh_;
+  copy->b_ = b_;
+  return copy;
+}
+
+void LSTM::bind_workspace(tensor::Arena& arena, const WorkspaceShape& shape) {
+  if (shape.features != in_) {
     throw std::invalid_argument("LSTM: input feature dim " +
-                                std::to_string(in_features) + " != " +
+                                std::to_string(shape.features) + " != " +
                                 std::to_string(in_));
   }
+  const std::size_t batch = shape.batch, steps = shape.steps;
   const std::size_t g4 = 4 * units_;
   const std::size_t rows = batch * steps;
   x_tm_.bind(arena, rows, in_);
   gates_.bind(arena, rows, g4);
   h_seq_.bind(arena, (steps + 1) * batch, units_);
   c_seq_.bind(arena, (steps + 1) * batch, units_);
-  dz_.bind(arena, rows, g4);
-  dh_.bind(arena, batch, units_);
-  dc_.bind(arena, batch, units_);
-  dx_tm_.bind(arena, rows, in_);
-  ws_batch_ = batch;
-  ws_steps_ = steps;
+  if (shape.training) {
+    dz_.bind(arena, rows, g4);
+    dh_.bind(arena, batch, units_);
+    dc_.bind(arena, batch, units_);
+    dx_tm_.bind(arena, rows, in_);
+  }
 }
 
 void LSTM::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                         bool training) {
   const Tensor3& x = single_input(inputs, "LSTM");
+  ensure_bound(x, training);
   const std::size_t batch = x.dim0(), steps = x.dim1();
-  if (batch != ws_batch_ || steps != ws_steps_ || x.dim2() != in_) {
-    bind_workspace(self_arena(), batch, steps, x.dim2());
-  }
   const std::size_t g4 = 4 * units_;
   const std::size_t rows = batch * steps;
+  batch_ = batch;
+
+  // Zero initial state h_0 = c_0 = 0 for this batch: a larger earlier
+  // batch left its t=0 state in these rows.
+  std::fill_n(h_seq_.flat().data(), batch * units_, 0.0);
+  std::fill_n(c_seq_.flat().data(), batch * units_, 0.0);
 
   // Gather the batch-major input into time-major rows t*B + b so each
   // timestep's slab is contiguous.
@@ -106,13 +118,14 @@ void LSTM::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                                    out.flat().data() + t * units_,
                                    steps * units_);
   }
-
-  (void)training;  // the workspaces double as the BPTT caches
 }
 
 void LSTM::backward_into(const Tensor3& grad_output,
                          std::span<Tensor3* const> input_grads) {
-  const std::size_t batch = ws_batch_, steps = ws_steps_;
+  if (!bound().training) {
+    throw std::logic_error("LSTM::backward: no training forward");
+  }
+  const std::size_t batch = batch_, steps = bound().steps;
   if (grad_output.dim0() != batch || grad_output.dim1() != steps ||
       grad_output.dim2() != units_ || input_grads.size() != 1 ||
       input_grads[0] == nullptr) {
@@ -122,9 +135,9 @@ void LSTM::backward_into(const Tensor3& grad_output,
   const std::size_t rows = batch * steps;
 
   // dh_/dc_ carry state across timesteps and must start the recursion at
-  // zero; every other workspace is fully overwritten below.
-  dh_.fill(0.0);
-  dc_.fill(0.0);
+  // zero; every other workspace row is fully overwritten below.
+  std::fill_n(dh_.flat().data(), batch * units_, 0.0);
+  std::fill_n(dc_.flat().data(), batch * units_, 0.0);
 
   // Transposed weight panels for the input-gradient GEMMs (packed once;
   // transposition happened at pack time, so BPTT reads them forward).

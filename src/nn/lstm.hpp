@@ -25,14 +25,13 @@ class LSTM final : public Layer {
  public:
   LSTM(std::size_t in_features, std::size_t units);
 
-  void bind_workspace(tensor::Arena& arena, std::size_t batch,
-                      std::size_t steps, std::size_t in_features) override;
   void forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                     bool training) override;
   void backward_into(const Tensor3& grad_output,
                      std::span<Tensor3* const> input_grads) override;
   void init_params(Rng& rng) override;
   void repack_weights() override;
+  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   std::vector<Matrix*> parameters() override;
   std::vector<Matrix*> gradients() override;
   [[nodiscard]] std::string name() const override;
@@ -41,10 +40,14 @@ class LSTM final : public Layer {
     return units_;
   }
 
-  [[nodiscard]] std::size_t units() const noexcept { return units_; }
-  [[nodiscard]] std::size_t in_features() const noexcept { return in_; }
+  [[nodiscard]] std::size_t in_features() const noexcept override {
+    return in_;
+  }
 
  private:
+  void bind_workspace(tensor::Arena& arena,
+                      const WorkspaceShape& shape) override;
+
   std::size_t in_;
   std::size_t units_;
 
@@ -66,10 +69,12 @@ class LSTM final : public Layer {
   tensor::PackedPanels wh_t_pack_;  // op = Wh^T
   tensor::PackedPanels wx_t_pack_;  // op = Wx^T
 
-  // Time-major workspaces carved from the bound arena, valid between a
-  // training forward and its backward; any forward (training or not)
-  // reuses and overwrites them. Rows [0, B) of h_seq_/c_seq_ are the
-  // zero initial state — written only by the bind-time zero fill.
+  // Time-major workspaces carved from the bound arena for the bound
+  // batch B; a forward at batch b <= B uses the first rows, indexed
+  // t * b + row. They stay valid between a training forward and its
+  // backward; any forward (training or not) reuses and overwrites them.
+  // Rows [0, b) of h_seq_/c_seq_ are the zero initial state, re-zeroed
+  // by every forward. The last four exist only after a training bind.
   tensor::ArenaMatrix x_tm_;   // [T*B, in] time-major input copy
   tensor::ArenaMatrix gates_;  // [T*B, 4*units] pre-activations, then gates
   tensor::ArenaMatrix h_seq_;  // [(T+1)*B, units]
@@ -78,8 +83,7 @@ class LSTM final : public Layer {
   tensor::ArenaMatrix dh_;     // [B, units] running dL/dh_{t-1}
   tensor::ArenaMatrix dc_;     // [B, units] running dL/dc_{t-1}
   tensor::ArenaMatrix dx_tm_;  // [T*B, in]
-  std::size_t ws_batch_ = 0;
-  std::size_t ws_steps_ = 0;
+  std::size_t batch_ = 0;      // batch of the latest forward
 };
 
 }  // namespace geonas::nn

@@ -12,12 +12,15 @@ AddMerge::AddMerge(std::size_t arity, bool relu_after)
   if (arity_ < 1) throw std::invalid_argument("AddMerge: arity must be >= 1");
 }
 
-void AddMerge::bind_workspace(tensor::Arena& arena, std::size_t batch,
-                              std::size_t steps, std::size_t in_features) {
-  if (relu_) sum_cache_.bind(arena, batch * steps, in_features);
-  ws_batch_ = batch;
-  ws_steps_ = steps;
-  ws_features_ = in_features;
+std::unique_ptr<Layer> AddMerge::clone() const {
+  return std::make_unique<AddMerge>(arity_, relu_);
+}
+
+void AddMerge::bind_workspace(tensor::Arena& arena,
+                              const WorkspaceShape& shape) {
+  if (shape.training && relu_) {
+    sum_cache_.bind(arena, shape.batch * shape.steps, shape.features);
+  }
 }
 
 void AddMerge::forward_into(std::span<const Tensor3* const> inputs,
@@ -26,10 +29,7 @@ void AddMerge::forward_into(std::span<const Tensor3* const> inputs,
     throw std::invalid_argument("AddMerge: wrong number of inputs");
   }
   const Tensor3& first = *inputs[0];
-  if (first.dim0() != ws_batch_ || first.dim1() != ws_steps_ ||
-      first.dim2() != ws_features_) {
-    bind_workspace(self_arena(), first.dim0(), first.dim1(), first.dim2());
-  }
+  ensure_bound(first, training);
   std::copy(first.flat().begin(), first.flat().end(), out.flat().begin());
   for (std::size_t i = 1; i < inputs.size(); ++i) {
     const Tensor3& in = *inputs[i];
@@ -65,10 +65,10 @@ void AddMerge::backward_into(const Tensor3& grad_output,
             dsum.flat().begin());
   if (relu_) {
     auto df = dsum.flat();
-    const auto sf = sum_cache_.flat();
-    if (df.size() != sf.size()) {
+    if (df.size() > sum_cache_.size()) {
       throw std::invalid_argument("AddMerge::backward: shape mismatch");
     }
+    const auto sf = sum_cache_.flat().first(df.size());
     activation_grad_mul(Activation::kReLU, df, sf, sf);
   }
   for (std::size_t i = 1; i < input_grads.size(); ++i) {

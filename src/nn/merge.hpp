@@ -17,9 +17,7 @@ class AddMerge final : public Layer {
   explicit AddMerge(std::size_t arity, bool relu_after = true);
 
   [[nodiscard]] std::size_t arity() const override { return arity_; }
-  [[nodiscard]] bool relu_after() const noexcept { return relu_; }
-  void bind_workspace(tensor::Arena& arena, std::size_t batch,
-                      std::size_t steps, std::size_t in_features) override;
+  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   void forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                     bool training) override;
   void backward_into(const Tensor3& grad_output,
@@ -27,19 +25,23 @@ class AddMerge final : public Layer {
   [[nodiscard]] std::string name() const override;
 
  private:
+  void bind_workspace(tensor::Arena& arena,
+                      const WorkspaceShape& shape) override;
+
   std::size_t arity_;
   bool relu_;
-  // Pre-ReLU sum, for the backward mask; carved from the bound arena.
+  // Pre-ReLU sum, for the backward mask; carved by a training bind, and
+  // a forward at batch b uses its first b*T rows.
   tensor::ArenaMatrix sum_cache_;  // [B*T, features]
-  std::size_t ws_batch_ = 0;
-  std::size_t ws_steps_ = 0;
-  std::size_t ws_features_ = 0;
 };
 
 /// Shape-preserving passthrough.
 class Identity final : public Layer {
  public:
   Identity() = default;
+  [[nodiscard]] std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<Identity>();
+  }
   void forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                     bool training) override;
   void backward_into(const Tensor3& grad_output,

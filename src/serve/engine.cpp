@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -41,6 +42,7 @@ ServeEngine::ServeEngine(FrozenPlan plan, ServeConfig config)
     reg->counter("serve.requests");
     reg->counter("serve.batches");
     reg->counter("serve.rejected");
+    reg->counter("serve.rejected_nonfinite");
     reg->histogram("serve.queue_wait_seconds");
     reg->histogram("serve.batch_size");
     reg->histogram("serve.e2e_seconds");
@@ -64,6 +66,18 @@ std::future<Forecast> ServeEngine::submit(std::span<const double> window) {
         " values, expected steps * input_features = " +
         std::to_string(steps_) + " * " + std::to_string(in_features_) + " = " +
         std::to_string(steps_ * in_features_));
+  }
+  const auto bad = std::find_if(window.begin(), window.end(),
+                                [](double v) { return !std::isfinite(v); });
+  if (bad != window.end()) {
+    if (obs::MetricsRegistry* reg = obs::registry()) {
+      reg->counter("serve.rejected").add();
+      reg->counter("serve.rejected_nonfinite").add();
+    }
+    throw std::invalid_argument(
+        "ServeEngine::submit: window value at index " +
+        std::to_string(bad - window.begin()) + " is " + std::to_string(*bad) +
+        "; forecasts need finite inputs");
   }
   Request req;
   req.input.assign(window.begin(), window.end());

@@ -9,8 +9,8 @@
 // max_batch requests per pass, waiting at most max_delay_seconds for
 // stragglers before flushing (the classic latency/throughput knob).
 //
-// Each stream owns a FrozenPlan clone (private workspaces, shared
-// weights) and a named hpc::PoolShard, so concurrent streams never
+// Each stream owns a FrozenPlan clone (a private network copy) and a
+// named hpc::PoolShard, so concurrent streams never
 // contend on each other's kernel pools; the plan's per-example bitwise
 // independence makes coalescing transparent — a request's forecast is
 // identical whether it ran alone or packed into a full batch.
@@ -22,7 +22,8 @@
 //
 // Telemetry (when an obs registry is installed): serve.queue_wait_seconds,
 // serve.batch_size and serve.e2e_seconds histograms plus serve.requests /
-// serve.batches / serve.rejected counters, exported through
+// serve.batches / serve.rejected counters (serve.rejected_nonfinite
+// breaks out the NaN/inf windows among the rejections), exported through
 // telemetry.json like every other subsystem.
 #pragma once
 
@@ -74,7 +75,8 @@ class ServeEngine {
   /// Enqueues one window (flattened [steps * input_features]) and
   /// returns a future for its forecast. Copies the window; blocks while
   /// the queue is at capacity. Throws std::invalid_argument on a wrong
-  /// size and std::runtime_error after shutdown().
+  /// size or a NaN/inf value (naming the first bad index) and
+  /// std::runtime_error after shutdown().
   std::future<Forecast> submit(std::span<const double> window)
       GEONAS_EXCLUDES(mutex_);
 

@@ -1,26 +1,27 @@
 #include "serve/frozen_plan.hpp"
 
-#include <algorithm>
-#include <sstream>
 #include <stdexcept>
-
-#include "nn/dense.hpp"
-#include "nn/dropout.hpp"
-#include "nn/gru.hpp"
-#include "nn/lstm.hpp"
-#include "nn/merge.hpp"
-#include "tensor/blas.hpp"
-#include "tensor/vmath.hpp"
+#include <utility>
 
 namespace geonas::serve {
 
 namespace {
 
-constexpr std::size_t kUnknown = static_cast<std::size_t>(-1);
+/// The graph input's width. Every node before the first width-pinning
+/// layer (LSTM/GRU/Dense) keeps its input's width, so that layer's input
+/// width is node 0's.
+std::size_t input_width(const nn::GraphNetwork& net) {
+  for (std::size_t i = 1; i < net.node_count(); ++i) {
+    const std::size_t width = net.node_layer(i)->in_features();
+    if (width != 0) return width;
+  }
+  throw std::invalid_argument(
+      "FrozenPlan: cannot infer the input width (no layer pins it)");
+}
 
 }  // namespace
 
-FrozenPlan FrozenPlan::compile(nn::GraphNetwork& net, std::size_t steps,
+FrozenPlan FrozenPlan::compile(const nn::GraphNetwork& net, std::size_t steps,
                                std::size_t max_batch) {
   if (steps == 0 || max_batch == 0) {
     throw std::invalid_argument("FrozenPlan: steps and max_batch must be > 0");
@@ -29,211 +30,24 @@ FrozenPlan FrozenPlan::compile(nn::GraphNetwork& net, std::size_t steps,
     throw std::invalid_argument("FrozenPlan: network has no computational "
                                 "nodes");
   }
-  FrozenPlan plan;
-  plan.steps_ = steps;
-  plan.max_batch_ = max_batch;
-  plan.output_node_ = net.output_id();
+  return {net.clone(), steps, max_batch};
+}
 
-  auto weights = std::make_shared<std::vector<Matrix>>();
-  const std::size_t n = net.node_count();
-
-  for (std::size_t i = 1; i < n; ++i) {
-    nn::Layer* layer = net.node_layer(i);
-    Op op;
-    op.node = i;
-    op.inputs = net.node_inputs(i);
-    // One weight copy per parameter matrix; the pool is shared read-only
-    // across every stream clone. (All of compile() is cold: it runs once
-    // per model load, never per request.)
-    auto copy_params = [&weights](nn::Layer& l) {
-      std::vector<std::size_t> slots;
-      for (Matrix* p : l.parameters()) {
-        slots.push_back(weights->size());  // geonas-lint: allow(hot-path-alloc) cold path: plan compile time
-        weights->push_back(*p);  // geonas-lint: allow(hot-path-alloc) cold path: plan compile time
-      }
-      return slots;
-    };
-    if (auto* lstm = dynamic_cast<nn::LSTM*>(layer)) {
-      op.kind = OpKind::kLSTM;
-      op.in_features = lstm->in_features();
-      op.out_features = lstm->units();
-      const auto slots = copy_params(*lstm);  // {wx, wh, b}
-      op.w0 = slots[0];
-      op.w1 = slots[1];
-      op.w2 = slots[2];
-    } else if (auto* gru = dynamic_cast<nn::GRU*>(layer)) {
-      op.kind = OpKind::kGRU;
-      op.in_features = gru->in_features();
-      op.out_features = gru->units();
-      const auto slots = copy_params(*gru);  // {wx, wh, b}
-      op.w0 = slots[0];
-      op.w1 = slots[1];
-      op.w2 = slots[2];
-    } else if (auto* dense = dynamic_cast<nn::Dense*>(layer)) {
-      op.kind = OpKind::kDense;
-      op.in_features = dense->in_features();
-      op.out_features = dense->out_features();
-      op.activation = dense->activation();
-      op.use_bias = dense->use_bias();
-      const auto slots = copy_params(*dense);  // {w} or {w, b}
-      op.w0 = slots[0];
-      if (op.use_bias) op.w1 = slots[1];
-    } else if (auto* merge = dynamic_cast<nn::AddMerge*>(layer)) {
-      op.kind = OpKind::kAddMerge;
-      op.relu = merge->relu_after();
-    } else if (dynamic_cast<nn::Identity*>(layer) != nullptr ||
-               dynamic_cast<nn::Dropout*>(layer) != nullptr) {
-      // Dropout is a plain copy at inference regardless of rate, so it
-      // lowers to the same op as Identity.
-      op.kind = OpKind::kIdentity;
-    } else {
-      throw std::invalid_argument("FrozenPlan: unsupported layer '" +
-                                  layer->name() + "' at node " +
-                                  std::to_string(i));
-    }
-    plan.ops_.push_back(std::move(op));  // geonas-lint: allow(hot-path-alloc) cold path: plan compile time
-  }
-
-  // Feature-width fixpoint. LSTM/GRU/Dense pin their input and output
-  // widths; Identity and AddMerge equate theirs with their inputs'. The
-  // loop propagates until stable so identity chains hanging off the
-  // graph input still resolve node 0's width.
-  std::vector<std::size_t> feat(n, kUnknown);
-  auto unify = [&feat](std::size_t id, std::size_t width, bool& changed) {
-    if (feat[id] == kUnknown) {
-      feat[id] = width;
-      changed = true;
-    } else if (feat[id] != width) {
-      throw std::invalid_argument(
-          "FrozenPlan: inconsistent feature width at node " +
-          std::to_string(id) + " (" + std::to_string(feat[id]) + " vs " +
-          std::to_string(width) + ")");
-    }
-  };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Op& op : plan.ops_) {
-      if (op.kind == OpKind::kLSTM || op.kind == OpKind::kGRU ||
-          op.kind == OpKind::kDense) {
-        unify(op.inputs[0], op.in_features, changed);
-        unify(op.node, op.out_features, changed);
-      } else {
-        std::size_t known = feat[op.node];
-        for (std::size_t id : op.inputs) {
-          if (feat[id] != kUnknown) known = feat[id];
-        }
-        if (known == kUnknown) continue;
-        unify(op.node, known, changed);
-        for (std::size_t id : op.inputs) unify(id, known, changed);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (feat[i] == kUnknown) {
-      throw std::invalid_argument(
-          "FrozenPlan: cannot infer the feature width of node " +
-          std::to_string(i) +
-          " (no LSTM/GRU/Dense constrains it, directly or transitively)");
-    }
-  }
-  // Pass-through ops pick their widths up from the fixpoint.
-  for (Op& op : plan.ops_) {
-    if (op.kind == OpKind::kAddMerge || op.kind == OpKind::kIdentity) {
-      op.in_features = feat[op.inputs[0]];
-      op.out_features = feat[op.node];
-    }
-  }
-
-  plan.node_features_ = std::move(feat);
-  plan.in_features_ = plan.node_features_[0];
-  plan.out_features_ = plan.node_features_[plan.output_node_];
-  plan.weights_ = std::move(weights);
-
-  // Pack every weight GEMM operand exactly once, from the now-final
-  // weight pool (the pool is never mutated again, so these packs stay
-  // fresh for the plan's lifetime and are shared across stream clones).
-  // run() then never touches a raw weight pointer for a GEMM.
-  auto packs = std::make_shared<std::vector<tensor::PackedPanels>>();
-  const std::vector<Matrix>& pool = *plan.weights_;
-  auto add_pack = [&packs, &pool](std::size_t slot, std::size_t col0,
-                                  std::size_t ncols) {
-    packs->emplace_back();  // geonas-lint: allow(hot-path-alloc) cold path: plan compile time
-    packs->back().ensure_block(pool[slot], Trans::kNone, col0, ncols);
-    return packs->size() - 1;
-  };
-  for (Op& op : plan.ops_) {
-    const std::size_t u = op.out_features;
-    switch (op.kind) {
-      case OpKind::kLSTM:
-        op.p0 = add_pack(op.w0, 0, 4 * u);  // wx: [in, 4u]
-        op.p1 = add_pack(op.w1, 0, 4 * u);  // wh: [u, 4u]
-        break;
-      case OpKind::kGRU:
-        op.p0 = add_pack(op.w0, 0, 3 * u);      // wx: [in, 3u]
-        op.p1 = add_pack(op.w1, 0, 2 * u);      // wh z/r block
-        op.p2 = add_pack(op.w1, 2 * u, u);      // wh candidate block
-        break;
-      case OpKind::kDense:
-        op.p0 = add_pack(op.w0, 0, u);  // w: [in, out]
-        break;
-      case OpKind::kAddMerge:
-      case OpKind::kIdentity:
-        break;  // no weights
-    }
-  }
-  plan.packs_ = std::move(packs);
-  plan.bind_workspaces();
-  return plan;
+FrozenPlan::FrozenPlan(nn::GraphNetwork net, std::size_t steps,
+                       std::size_t max_batch)
+    : net_(std::move(net)),
+      steps_(steps),
+      max_batch_(max_batch),
+      in_features_(input_width(net_)) {
+  net_.bind({max_batch_, steps_, in_features_, /*training=*/false});
+  // A batch-1 forward packs the forward weight panels, so the first
+  // run() is already warm.
+  const Tensor3 window(1, steps_, in_features_);
+  out_features_ = net_.forward_ref(window, /*training=*/false).dim2();
 }
 
 FrozenPlan FrozenPlan::clone_stream() const {
-  FrozenPlan copy;
-  copy.weights_ = weights_;  // shared, read-only at inference
-  copy.packs_ = packs_;      // packed once at compile, shared likewise
-  copy.ops_ = ops_;  // geonas-lint: allow(hot-path-alloc) cold path: stream clone (workspace views rebound below)
-  copy.node_features_ = node_features_;
-  copy.output_node_ = output_node_;
-  copy.steps_ = steps_;
-  copy.max_batch_ = max_batch_;
-  copy.in_features_ = in_features_;
-  copy.out_features_ = out_features_;
-  copy.bind_workspaces();
-  return copy;
-}
-
-void FrozenPlan::bind_workspaces() {
-  arena_ = std::make_unique<tensor::Arena>();
-  const std::size_t t = steps_;
-  const std::size_t b = max_batch_;
-  const std::size_t rows = b * t;
-  for (Op& op : ops_) {
-    const std::size_t u = op.out_features;
-    switch (op.kind) {
-      case OpKind::kLSTM:
-        op.x_tm.bind(*arena_, rows, op.in_features);
-        op.gates.bind(*arena_, rows, 4 * u);
-        op.h_seq.bind(*arena_, (t + 1) * b, u);
-        op.c_seq.bind(*arena_, (t + 1) * b, u);
-        break;
-      case OpKind::kGRU:
-        op.x_tm.bind(*arena_, rows, op.in_features);
-        op.gates.bind(*arena_, rows, 3 * u);
-        op.h_seq.bind(*arena_, (t + 1) * b, u);
-        op.rh.bind(*arena_, rows, u);
-        break;
-      case OpKind::kDense:
-      case OpKind::kAddMerge:
-      case OpKind::kIdentity:
-        break;  // no workspace: pure GEMM/elementwise over activations
-    }
-  }
-  // Activation buffers sized at capacity once; ensure_shape in run()
-  // then never allocates for b <= max_batch.
-  activations_.assign(node_features_.size(), Tensor3());  // geonas-lint: allow(hot-path-alloc) cold path: construction/clone
-  for (const Op& op : ops_) {
-    activations_[op.node].resize(b, t, node_features_[op.node]);  // geonas-lint: allow(hot-path-alloc) cold path: construction/clone
-  }
+  return {net_.clone(), steps_, max_batch_};
 }
 
 const Tensor3& FrozenPlan::run(const Tensor3& input) {
@@ -247,206 +61,14 @@ const Tensor3& FrozenPlan::run(const Tensor3& input) {
         ", " + std::to_string(steps_) + ", " + std::to_string(in_features_) +
         "]");
   }
-  for (Op& op : ops_) {
-    Tensor3& out = activations_[op.node];
-    out.ensure_shape(batch, steps_, node_features_[op.node]);
-    const Tensor3& x =
-        op.inputs[0] == 0 ? input : activations_[op.inputs[0]];
-    switch (op.kind) {
-      case OpKind::kLSTM:
-        run_lstm(op, x, out, batch);
-        break;
-      case OpKind::kGRU:
-        run_gru(op, x, out, batch);
-        break;
-      case OpKind::kDense:
-        run_dense(op, x, out, batch);
-        break;
-      case OpKind::kIdentity:
-        std::copy(x.flat().begin(), x.flat().end(), out.flat().begin());
-        break;
-      case OpKind::kAddMerge: {
-        std::copy(x.flat().begin(), x.flat().end(), out.flat().begin());
-        auto of = out.flat();
-        for (std::size_t i = 1; i < op.inputs.size(); ++i) {
-          const Tensor3& xi =
-              op.inputs[i] == 0 ? input : activations_[op.inputs[i]];
-          const auto inf = xi.flat();
-          for (std::size_t k = 0; k < of.size(); ++k) of[k] += inf[k];
-        }
-        if (op.relu) nn::apply_activation(nn::Activation::kReLU, of);
-        break;
-      }
-    }
-  }
-  return activations_[output_node_];
-}
-
-// The three kernel bodies below replay LSTM/GRU/Dense::forward_into
-// line for line (same gemm_raw arguments, same fused tensor::vmath
-// calls, same loop order) with the runtime batch in place of the bound
-// batch — the bitwise-equivalence contract of the header depends on
-// this, so any change here must mirror the training layer exactly.
-
-void FrozenPlan::run_lstm(Op& op, const Tensor3& x, Tensor3& out,
-                          std::size_t batch) {
-  const std::size_t units = op.out_features;
-  const std::size_t in = op.in_features;
-  const std::size_t steps = steps_;
-  const std::size_t g4 = 4 * units;
-  const std::size_t rows = batch * steps;
-  const std::vector<Matrix>& w = *weights_;
-  const tensor::PackedPanels& wx_pack = (*packs_)[op.p0];
-  const tensor::PackedPanels& wh_pack = (*packs_)[op.p1];
-  wx_pack.assert_fresh(w[op.w0]);
-  wh_pack.assert_fresh(w[op.w1]);
-  const double* bias = w[op.w2].flat().data();
-
-  // Rows [0, batch) of h_seq/c_seq are the zero initial state. The
-  // training layer gets them from its bind-time zero fill; the plan
-  // reuses buffers across runs of varying batch size, and a batch-1 run
-  // writes row 1 of h_seq (its t=0 state) which a later batch-4 run
-  // would read as part of h_0 — so re-establish the bind invariant for
-  // the first `batch` rows on every run. Bitwise-neutral: the layer
-  // reads exactly these zeros.
-  double* h0 = op.h_seq.flat().data();
-  double* c0 = op.c_seq.flat().data();
-  for (std::size_t i = 0; i < batch * units; ++i) {
-    h0[i] = 0.0;
-    c0[i] = 0.0;
-  }
-
-  for (std::size_t bi = 0; bi < batch; ++bi) {
-    const double* src = x.flat().data() + bi * steps * in;
-    for (std::size_t t = 0; t < steps; ++t) {
-      std::copy(src + t * in, src + (t + 1) * in,
-                op.x_tm.row_span(t * batch + bi).begin());
-    }
-  }
-
-  gemm_raw(Trans::kNone, rows, 1.0, op.x_tm.flat().data(), in, wx_pack, 0.0,
-           op.gates.flat().data(), g4);
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* zrow = op.gates.flat().data() + r * g4;
-    for (std::size_t j = 0; j < g4; ++j) zrow[j] += bias[j];
-  }
-
-  for (std::size_t t = 0; t < steps; ++t) {
-    double* z = op.gates.flat().data() + t * batch * g4;
-    const double* h_prev = op.h_seq.flat().data() + t * batch * units;
-    gemm_raw(Trans::kNone, batch, 1.0, h_prev, units, wh_pack, 1.0, z, g4);
-    const double* c_prev = op.c_seq.flat().data() + t * batch * units;
-    double* c_new = op.c_seq.flat().data() + (t + 1) * batch * units;
-    double* h_new = op.h_seq.flat().data() + (t + 1) * batch * units;
-    tensor::lstm_pointwise_forward(batch, units, z, c_prev, c_new, h_new,
-                                   out.flat().data() + t * units,
-                                   steps * units);
-  }
-}
-
-void FrozenPlan::run_gru(Op& op, const Tensor3& x, Tensor3& out,
-                         std::size_t batch) {
-  const std::size_t units = op.out_features;
-  const std::size_t in = op.in_features;
-  const std::size_t steps = steps_;
-  const std::size_t g3 = 3 * units;
-  const std::size_t rows = batch * steps;
-  const std::vector<Matrix>& w = *weights_;
-  const tensor::PackedPanels& wx_pack = (*packs_)[op.p0];
-  const tensor::PackedPanels& wh_zr_pack = (*packs_)[op.p1];
-  const tensor::PackedPanels& wh_h_pack = (*packs_)[op.p2];
-  wx_pack.assert_fresh(w[op.w0]);
-  wh_zr_pack.assert_fresh(w[op.w1]);
-  wh_h_pack.assert_fresh(w[op.w1]);
-  const double* bias = w[op.w2].flat().data();
-
-  // Zero initial state rows [0, batch) — see run_lstm.
-  double* h0 = op.h_seq.flat().data();
-  for (std::size_t i = 0; i < batch * units; ++i) h0[i] = 0.0;
-
-  for (std::size_t bi = 0; bi < batch; ++bi) {
-    const double* src = x.flat().data() + bi * steps * in;
-    for (std::size_t t = 0; t < steps; ++t) {
-      std::copy(src + t * in, src + (t + 1) * in,
-                op.x_tm.row_span(t * batch + bi).begin());
-    }
-  }
-
-  gemm_raw(Trans::kNone, rows, 1.0, op.x_tm.flat().data(), in, wx_pack, 0.0,
-           op.gates.flat().data(), g3);
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* arow = op.gates.flat().data() + r * g3;
-    for (std::size_t j = 0; j < g3; ++j) arow[j] += bias[j];
-  }
-
-  for (std::size_t t = 0; t < steps; ++t) {
-    double* a = op.gates.flat().data() + t * batch * g3;
-    const double* h_prev = op.h_seq.flat().data() + t * batch * units;
-    gemm_raw(Trans::kNone, batch, 1.0, h_prev, units, wh_zr_pack, 1.0, a, g3);
-    double* rh = op.rh.flat().data() + t * batch * units;
-    tensor::gru_pointwise_zr(batch, units, a, h_prev, rh);
-    gemm_raw(Trans::kNone, batch, 1.0, rh, units, wh_h_pack, 1.0,
-             a + 2 * units, g3);
-    double* h_new = op.h_seq.flat().data() + (t + 1) * batch * units;
-    tensor::gru_pointwise_out(batch, units, a, h_prev, h_new,
-                              out.flat().data() + t * units, steps * units);
-  }
-}
-
-void FrozenPlan::run_dense(const Op& op, const Tensor3& x, Tensor3& out,
-                           std::size_t batch) {
-  const std::size_t in = op.in_features;
-  const std::size_t width = op.out_features;
-  const std::size_t rows = batch * steps_;
-  const std::vector<Matrix>& w = *weights_;
-  const tensor::PackedPanels& w_pack = (*packs_)[op.p0];
-  w_pack.assert_fresh(w[op.w0]);
-
-  gemm_raw(Trans::kNone, rows, 1.0, x.flat().data(), in, w_pack, 0.0,
-           out.flat().data(), width);
-  if (op.use_bias) {
-    const double* bias = w[op.w1].flat().data();
-    double* op_ = out.flat().data();
-    for (std::size_t r = 0; r < rows; ++r) {
-      double* orow = op_ + r * width;
-      for (std::size_t j = 0; j < width; ++j) orow[j] += bias[j];
-    }
-  }
-  if (op.activation != nn::Activation::kIdentity) {
-    nn::apply_activation(op.activation, out.flat());
-  }
+  return net_.forward_ref(input, /*training=*/false);
 }
 
 std::string FrozenPlan::describe() const {
-  std::ostringstream os;
-  os << "FrozenPlan: steps=" << steps_ << " max_batch=" << max_batch_
-     << " in=" << in_features_ << " out=" << out_features_ << "\n";
-  for (const Op& op : ops_) {
-    os << "  node " << op.node << ": ";
-    switch (op.kind) {
-      case OpKind::kLSTM:
-        os << "LSTM(" << op.out_features << ")";
-        break;
-      case OpKind::kGRU:
-        os << "GRU(" << op.out_features << ")";
-        break;
-      case OpKind::kDense:
-        os << "Dense(" << op.out_features << ")";
-        break;
-      case OpKind::kAddMerge:
-        os << "Add[" << op.inputs.size() << "]" << (op.relu ? "+ReLU" : "");
-        break;
-      case OpKind::kIdentity:
-        os << "Identity";
-        break;
-    }
-    os << " <- (";
-    for (std::size_t k = 0; k < op.inputs.size(); ++k) {
-      os << op.inputs[k] << (k + 1 < op.inputs.size() ? ", " : "");
-    }
-    os << ")" << (op.node == output_node_ ? "  [output]" : "") << "\n";
-  }
-  return os.str();
+  return "FrozenPlan: steps=" + std::to_string(steps_) +
+         " max_batch=" + std::to_string(max_batch_) +
+         " in=" + std::to_string(in_features_) +
+         " out=" + std::to_string(out_features_) + "\n" + net_.describe();
 }
 
 }  // namespace geonas::serve

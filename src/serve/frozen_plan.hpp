@@ -1,58 +1,40 @@
-// FrozenPlan: a trained GraphNetwork lowered to a forward-only
-// execution plan for serving.
+// FrozenPlan: a trained GraphNetwork frozen into a forward-only serving
+// handle.
 //
-// The freeze-then-infer split (RoseNNa / CodeJeNN, PAPERS.md): training
-// and inference want different executors. GraphNetwork carries gradient
-// matrices, backward workspaces and rebind machinery; a serving stream
-// needs none of it. compile() walks the trained graph's topological node
-// schedule once and emits a flat op list (LSTM / GRU / Dense / AddMerge
-// / Identity — Dropout lowers to Identity at inference) whose execution
-// replays the layers' exact forward kernel sequences: the same gemm_raw
-// calls, the same fused tensor::vmath pointwise kernels, the same loop
-// order. That makes a FrozenPlan's output BITWISE identical to
-// GraphNetwork::forward for the same weights (tests/serve_plan_test.cpp
-// pins this at kernel_threads 1/2/8 and across batch sizes).
+// The deployed artifact is derived from the model definition (RoseNNa /
+// CodeJeNN, PAPERS.md), not from a second inference path: compile()
+// clones the trained graph (Layer::clone) and run() is that copy's
+// GraphNetwork::forward_ref in inference mode. A FrozenPlan's output is
+// therefore BITWISE identical to GraphNetwork::forward for the same
+// weights by construction (tests/serve_plan_test.cpp pins this at
+// kernel_threads 1/2/8 and across batch sizes).
 //
-// Memory model: one tensor::Arena per plan. Workspaces are carved once
-// at construction for the plan's capacity (max_batch x steps) and runs
-// at any batch b <= max_batch reuse them — run() performs zero heap
-// allocation (lint rule hot-path-alloc covers this file). Only the
-// forward workspaces exist: the backward scratch a training layer binds
-// (dz/dh/dc/dx for LSTM, da/dh/drh/dx for GRU, activation caches for
-// Dense) is never carved, so a plan's working set is roughly half a
-// bound training graph's.
-//
-// Weights are copied out of the source network once and shared
-// read-only (shared_ptr) across stream clones: clone_stream() gives a
-// serving stream its own workspaces and activation buffers — layer
-// forwards mutate internal state, so streams must not share them — at
-// the cost of only the arena, not another weight copy. compile() also
-// packs every weight GEMM operand into tensor::PackedPanels exactly
-// once at freeze time; run() consumes only the packed panels (plus the
-// raw bias rows, which feed broadcasts, not GEMMs), never a raw weight
-// pointer, and the pack pool is shared across clones like the weights.
+// Memory model: the copy is bound once at compile for (max_batch, steps,
+// input width) for inference, which carves only the forward workspaces,
+// and one batch-1 forward packs only the forward weight panels. Runs at
+// any batch b <= max_batch use prefix rows of those workspaces, so run()
+// performs zero heap allocation (tests/alloc_audit_test.cpp counts it).
+// Each serving stream owns a private copy — clone_stream() clones the
+// network again — because layer forwards mutate their workspaces; a
+// stream costs its own weights, gradient matrices, forward packs and
+// arena.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "nn/activations.hpp"
 #include "nn/graph.hpp"
-#include "tensor/arena.hpp"
 #include "tensor/matrix.hpp"
-#include "tensor/prepack.hpp"
 
 namespace geonas::serve {
 
 class FrozenPlan {
  public:
-  /// Lowers `net` into a plan able to serve batches of up to `max_batch`
-  /// windows of `steps` timesteps. `net` is read (structure + weights)
-  /// and not retained; it is non-const only because Layer::parameters()
-  /// is non-const. Throws on an unsupported layer type or zero sizes.
-  static FrozenPlan compile(nn::GraphNetwork& net, std::size_t steps,
+  /// Freezes a copy of `net` able to serve batches of up to `max_batch`
+  /// windows of `steps` timesteps; `net` is not retained. Throws
+  /// std::invalid_argument on zero sizes, a graph without computational
+  /// nodes, or a layer that cannot be cloned (named with its node id).
+  static FrozenPlan compile(const nn::GraphNetwork& net, std::size_t steps,
                             std::size_t max_batch);
 
   FrozenPlan(FrozenPlan&&) = default;
@@ -60,8 +42,8 @@ class FrozenPlan {
   FrozenPlan(const FrozenPlan&) = delete;
   FrozenPlan& operator=(const FrozenPlan&) = delete;
 
-  /// A new plan for another serving stream: shares this plan's weights,
-  /// owns fresh workspaces/activations.
+  /// A new plan for another serving stream: a fresh copy of this plan's
+  /// network with its own workspaces.
   [[nodiscard]] FrozenPlan clone_stream() const;
 
   /// Runs the plan on [b, steps, input_features] with b in
@@ -80,65 +62,22 @@ class FrozenPlan {
   [[nodiscard]] std::size_t output_features() const noexcept {
     return out_features_;
   }
-  [[nodiscard]] std::size_t op_count() const noexcept { return ops_.size(); }
+  /// Computational nodes in the frozen graph.
+  [[nodiscard]] std::size_t op_count() const noexcept {
+    return net_.node_count() - 1;
+  }
   /// Bytes of forward workspace carved from the plan's arena.
   [[nodiscard]] std::size_t workspace_bytes() const noexcept {
-    return arena_->bytes_in_use();
+    return net_.arena()->bytes_in_use();
   }
-  /// One line per op (debugging / CLI banner).
+  /// One line per node (debugging / CLI banner).
   [[nodiscard]] std::string describe() const;
 
  private:
-  enum class OpKind { kLSTM, kGRU, kDense, kAddMerge, kIdentity };
+  /// Takes ownership of an unbound copy and binds it at capacity.
+  FrozenPlan(nn::GraphNetwork net, std::size_t steps, std::size_t max_batch);
 
-  /// One lowered node. Weight slots index into the shared weight pool;
-  /// workspace views are carved from the owning plan's arena at capacity
-  /// (max_batch) and indexed with the runtime batch inside run().
-  struct Op {
-    OpKind kind = OpKind::kIdentity;
-    std::size_t node = 0;               // output buffer id
-    std::vector<std::size_t> inputs;    // source node ids (0 = external)
-    std::size_t in_features = 0;
-    std::size_t out_features = 0;       // == units for LSTM/GRU
-    // Dense
-    nn::Activation activation = nn::Activation::kIdentity;
-    bool use_bias = false;
-    // AddMerge
-    bool relu = false;
-    // Weight slots: {wx, wh, b} for LSTM/GRU, {w, b?} for Dense.
-    std::size_t w0 = 0, w1 = 0, w2 = 0;
-    // Prepacked-panel slots into the shared pack pool: {wx, wh} for
-    // LSTM, {wx, wh[:,0:2u), wh[:,2u:3u)} for GRU, {w} for Dense.
-    std::size_t p0 = 0, p1 = 0, p2 = 0;
-    // Forward workspaces (layouts mirror the training layers).
-    tensor::ArenaMatrix x_tm;   // [T*B, in]
-    tensor::ArenaMatrix gates;  // [T*B, 4u] (LSTM) / [T*B, 3u] (GRU)
-    tensor::ArenaMatrix h_seq;  // [(T+1)*B, u]
-    tensor::ArenaMatrix c_seq;  // [(T+1)*B, u] (LSTM only)
-    tensor::ArenaMatrix rh;     // [T*B, u] (GRU only)
-  };
-
-  FrozenPlan() = default;
-
-  /// Carves every op's workspaces from a fresh arena and sizes the
-  /// activation buffers at capacity (cold path: construction/clone).
-  void bind_workspaces();
-
-  void run_lstm(Op& op, const Tensor3& x, Tensor3& out, std::size_t batch);
-  void run_gru(Op& op, const Tensor3& x, Tensor3& out, std::size_t batch);
-  void run_dense(const Op& op, const Tensor3& x, Tensor3& out,
-                 std::size_t batch);
-
-  std::shared_ptr<const std::vector<Matrix>> weights_;
-  // Panels packed once at compile() from the frozen weight pool; the
-  // pool above is immutable afterwards, so the packs can never go stale
-  // (run_* pins this with PackedPanels::assert_fresh in debug builds).
-  std::shared_ptr<const std::vector<tensor::PackedPanels>> packs_;
-  std::vector<Op> ops_;
-  std::vector<std::size_t> node_features_;  // indexed by node id
-  std::vector<Tensor3> activations_;        // indexed by node id; 0 unused
-  std::unique_ptr<tensor::Arena> arena_;
-  std::size_t output_node_ = 0;
+  nn::GraphNetwork net_;
   std::size_t steps_ = 0;
   std::size_t max_batch_ = 0;
   std::size_t in_features_ = 0;

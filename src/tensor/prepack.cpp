@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "tensor/arena.hpp"
 #include "tensor/gemm_kernel.hpp"
 
 namespace geonas::tensor {
@@ -22,15 +21,12 @@ void PackedPanels::ensure_block(const Matrix& w, Trans trans,
   }
 
   const std::size_t need = detail::packed_b_doubles(k, n);
-  if (arena_bound_) {
-    assert(need <= capacity_ && "PackedPanels: arena carve too small");
-  } else if (owned_.size() < need) {
+  if (owned_.size() < need) {
     // First pack (or a genuine weight-shape change, which never happens
     // in steady state): same-shape re-packs after optimizer steps write
     // in place and stay heap-free.
     owned_.resize(need);  // geonas-lint: allow(hot-path-alloc) cold first-pack / shape change only
     storage_ = owned_.data();
-    capacity_ = owned_.size();
   }
 
   detail::pack_b_full(storage_, src + col0, w.cols(), transpose, k, n);
@@ -41,14 +37,6 @@ void PackedPanels::ensure_block(const Matrix& w, Trans trans,
   source_data_ = src;
   source_version_ = w.version();
   ++repacks_;
-}
-
-void PackedPanels::bind_arena(Arena& arena, std::size_t k, std::size_t n) {
-  const std::size_t need = detail::packed_b_doubles(k, n);
-  storage_ = arena.alloc_doubles(need);
-  capacity_ = need;
-  arena_bound_ = true;
-  source_data_ = nullptr;  // force the next ensure to pack into the carve
 }
 
 void PackedPanels::assert_fresh([[maybe_unused]] const Matrix& w) const noexcept {

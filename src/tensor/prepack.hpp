@@ -25,15 +25,11 @@
 
 namespace geonas::tensor {
 
-class Arena;
-
 /// One weight matrix (or column block of one), packed as a GEMM B
 /// operand. A PackedPanels instance serves exactly one role — one
 /// (matrix, trans, column-block) combination; layers keep one instance
-/// per weight-GEMM site. Storage is owned by default (repacking in
-/// place, so steady-state re-packs after optimizer steps allocate
-/// nothing); bind_arena() carves it from an arena instead for plans
-/// that want all serve state in one slab.
+/// per weight-GEMM site. Storage is owned and repacked in place, so
+/// steady-state re-packs after optimizer steps allocate nothing.
 class PackedPanels {
  public:
   PackedPanels() = default;
@@ -54,12 +50,6 @@ class PackedPanels {
   void ensure_block(const Matrix& w, Trans trans, std::size_t col0,
                     std::size_t ncols);
 
-  /// Pre-carves storage for a k x n pack from `arena` instead of the
-  /// internal vector. Call before the first ensure(); later re-packs
-  /// reuse the carve. The carve must outlive the pack, and subsequent
-  /// ensures must not need more than the carved capacity.
-  void bind_arena(Arena& arena, std::size_t k, std::size_t n);
-
   /// True when the pack holds the current contents of w (same storage,
   /// no mutable access since packing). The layers re-ensure before
   /// every use, so this only returns false between a weight mutation
@@ -69,8 +59,8 @@ class PackedPanels {
            source_version_ == w.version();
   }
   /// Debug-asserts fresh_for(w): consuming a stale pack is a logic
-  /// error that silently computes with outdated weights, so call sites
-  /// that skip the lazy ensure (the frozen serve plan) pin it here.
+  /// error that silently computes with outdated weights, so a call site
+  /// that skips the lazy ensure can pin it here.
   void assert_fresh(const Matrix& w) const noexcept;
 
   /// Packed panel base pointer (layout documented at pack_b_full).
@@ -91,9 +81,7 @@ class PackedPanels {
 
  private:
   std::vector<double> owned_;
-  double* storage_ = nullptr;     // owned_.data() or the arena carve
-  std::size_t capacity_ = 0;      // doubles available at storage_
-  bool arena_bound_ = false;
+  double* storage_ = nullptr;     // owned_.data() once packed
   std::size_t k_ = 0;
   std::size_t n_ = 0;
   Trans trans_ = Trans::kNone;

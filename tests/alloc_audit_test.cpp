@@ -1,7 +1,8 @@
 // Heap-allocation audit for the hot paths (DESIGN.md "Memory model").
 //
 // The arena/workspace design claims the steady-state training step and
-// the memoizer's cache-hit path touch the heap exactly zero times. This
+// epoch, the frozen serve plan's run, and the memoizer's cache-hit path
+// touch the heap exactly zero times. This
 // binary replaces global operator new/delete with counting wrappers and
 // asserts that claim literally: after a warm-up pass that binds every
 // workspace and sizes every persistent buffer, N further steps must
@@ -13,8 +14,10 @@
 // and must see their own operator new.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
@@ -31,8 +34,10 @@
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/trainer.hpp"
 #include "obs/metrics.hpp"
 #include "searchspace/architecture.hpp"
+#include "serve/frozen_plan.hpp"
 #include "tensor/random.hpp"
 
 #ifndef GEONAS_SANITIZE_BUILD
@@ -185,6 +190,120 @@ TEST(AllocAudit, LstmTrainStepSteadyStateIsHeapFree) {
   const tensor::Arena* arena = net.arena();
   ASSERT_NE(arena, nullptr);
   EXPECT_GT(arena->high_water_bytes(), 0u);
+#endif
+}
+
+TEST(AllocAudit, TrainEpochWithShortBatchAndValidationIsHeapFree) {
+#ifdef GEONAS_SANITIZE_BUILD
+  GTEST_SKIP() << "allocator overrides disabled under sanitizers";
+#else
+  obs::set_registry(nullptr);
+  KernelThreadsGuard serial(1);
+
+  // 12 training examples at batch 8 leave a short batch of 4; the 10
+  // validation examples run as one wider inference batch. After the
+  // first epoch the graph is bound at the widest of these, and every
+  // later pass runs on its prefix rows without rebinding.
+  constexpr std::size_t kB = 8, kT = 4, kF = 6, kUnits = 16, kN = 12,
+                        kVal = 10;
+  nn::GraphNetwork net;
+  const std::size_t lstm =
+      net.add_node(std::make_unique<nn::LSTM>(kF, kUnits), {0});
+  net.add_node(std::make_unique<nn::Dense>(kUnits, kF), {lstm});
+  net.init_params(4);
+
+  Tensor3 x(kN, kT, kF), y(kN, kT, kF), x_val(kVal, kT, kF),
+      y_val(kVal, kT, kF);
+  Rng rng(6);
+  for (Tensor3* t : {&x, &y, &x_val, &y_val}) {
+    for (double& v : t->flat()) v = rng.uniform(-1.0, 1.0);
+  }
+  const nn::TensorPairSource train(x, y);
+  const nn::TensorPairSource val(x_val, y_val);
+
+  nn::Adam optimizer(net.parameters(), net.gradients(),
+                     {.learning_rate = 1e-3});
+  const std::vector<Matrix*> grad_list = net.gradients();
+
+  // The exact Trainer::fit epoch over persistent buffers.
+  Tensor3 xb, yb, grad, val_pred, val_scratch;
+  double loss_sink = 0.0;
+  const auto epoch = [&] {
+    for (std::size_t start = 0; start < kN; start += kB) {
+      const std::size_t b = std::min(kB, kN - start);
+      xb.ensure_shape(b, kT, kF);
+      yb.ensure_shape(b, kT, kF);
+      for (std::size_t i = 0; i < b; ++i) {
+        train.gather_x(start + i, xb.block(i));
+        train.gather_y(start + i, yb.block(i));
+      }
+      net.zero_grad();
+      const Tensor3& pred = net.forward_ref(xb, /*training=*/true);
+      loss_sink += nn::mse_loss(yb, pred);
+      nn::mse_grad_into(yb, pred, grad);
+      net.backward_ref(grad);
+      nn::clip_gradients_by_norm(grad_list, 10.0);
+      optimizer.step();
+      net.repack_weights();
+    }
+    nn::predict_into(net, val, val_pred, val_scratch);
+  };
+
+  epoch();  // binds at the widest batch and sizes every buffer
+  const std::size_t capacity = net.arena()->capacity_bytes();
+  std::size_t allocations = 0;
+  {
+    const AllocCountScope audit;
+    epoch();
+    epoch();
+    allocations = audit.count();
+  }
+  EXPECT_EQ(allocations, 0u) << "steady-state epoch touched the heap";
+  EXPECT_EQ(net.arena()->capacity_bytes(), capacity);
+  EXPECT_GT(loss_sink, 0.0);
+
+  // Nor does any pass of a steady-state epoch rebind the graph.
+  obs::MetricsRegistry registry;
+  obs::set_registry(&registry);
+  epoch();
+  obs::set_registry(nullptr);
+  EXPECT_EQ(registry.counter("arena.binds").value(), 0u);
+#endif
+}
+
+TEST(AllocAudit, FrozenPlanRunIsHeapFreeAcrossBatchSizes) {
+#ifdef GEONAS_SANITIZE_BUILD
+  GTEST_SKIP() << "allocator overrides disabled under sanitizers";
+#else
+  obs::set_registry(nullptr);
+  KernelThreadsGuard serial(1);
+
+  constexpr std::size_t kMax = 8, kT = 6, kF = 5;
+  nn::GraphNetwork net;
+  const std::size_t lstm =
+      net.add_node(std::make_unique<nn::LSTM>(kF, 16), {0});
+  net.add_node(std::make_unique<nn::Dense>(16, kF), {lstm});
+  net.init_params(9);
+  serve::FrozenPlan plan = serve::FrozenPlan::compile(net, kT, kMax);
+
+  constexpr std::array<std::size_t, 4> kBatches = {kMax, 1, 2, kMax};
+  std::vector<Tensor3> inputs;
+  Rng rng(10);
+  for (const std::size_t b : kBatches) {
+    inputs.emplace_back(b, kT, kF);
+    for (double& v : inputs.back().flat()) v = rng.uniform(-2.0, 2.0);
+  }
+
+  // No warm-up run: compile() leaves the plan bound and its panels packed.
+  double sink = 0.0;
+  std::size_t allocations = 0;
+  {
+    const AllocCountScope audit;
+    for (const Tensor3& in : inputs) sink += plan.run(in).flat()[0];
+    allocations = audit.count();
+  }
+  EXPECT_EQ(allocations, 0u) << "FrozenPlan::run touched the heap";
+  EXPECT_TRUE(std::isfinite(sink));
 #endif
 }
 

@@ -1,13 +1,17 @@
 // GraphNetwork: DAG wiring, skip-connection semantics (Dense projection +
-// add + ReLU), fan-out gradient accumulation, and whole-graph gradient
-// checks against finite differences.
+// add + ReLU), fan-out gradient accumulation, whole-graph gradient
+// checks against finite differences, and the grow-only workspace binds
+// (prefix batches, inference-only binds).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "gradient_check.hpp"
 #include "nn/dense.hpp"
 #include "nn/graph.hpp"
+#include "nn/gru.hpp"
 #include "nn/lstm.hpp"
 #include "nn/merge.hpp"
 
@@ -198,6 +202,95 @@ TEST(GraphNetwork, ToDotRendersNodesAndEdges) {
   EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
   EXPECT_NE(dot.find("n3 -> n4"), std::string::npos);
   EXPECT_NE(dot.find("lightblue"), std::string::npos);  // output highlight
+}
+
+TEST(GraphNetwork, BindRejectsInputsOfDifferentWidths) {
+  GraphNetwork net;
+  const auto a =
+      net.add_node(std::make_unique<Dense>(3, 4), {GraphNetwork::input_id()});
+  const auto b =
+      net.add_node(std::make_unique<Dense>(3, 5), {GraphNetwork::input_id()});
+  net.add_node(std::make_unique<AddMerge>(2, true), {a, b});
+  const Tensor3 x(2, 2, 3);
+  try {
+    (void)net.forward(x);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("node 3 "), std::string::npos) << what;
+    EXPECT_NE(what.find("node 1 is 4 wide"), std::string::npos) << what;
+    EXPECT_NE(what.find("node 2 is 5"), std::string::npos) << what;
+  }
+}
+
+/// LSTM -> GRU merged (ReLU) with a tanh-Dense projection of the input,
+/// then a tanh-Dense head: every layer kind that carves workspaces.
+GraphNetwork prefix_net() {
+  GraphNetwork net;
+  const auto in = GraphNetwork::input_id();
+  const auto lstm = net.add_node(std::make_unique<LSTM>(3, 6), {in});
+  const auto gru = net.add_node(std::make_unique<GRU>(6, 5), {lstm});
+  const auto proj =
+      net.add_node(std::make_unique<Dense>(3, 5, Activation::kTanh), {in});
+  const auto merge =
+      net.add_node(std::make_unique<AddMerge>(2, true), {gru, proj});
+  net.add_node(std::make_unique<Dense>(5, 2, Activation::kTanh), {merge});
+  net.init_params(31);
+  return net;
+}
+
+void expect_bitwise(const Tensor3& got, const Tensor3& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got.flat()[i], want.flat()[i]) << "flat index " << i;
+  }
+}
+
+TEST(GraphNetwork, PrefixBatchAfterPoisonedBoundBatchMatchesFreshBind) {
+  // A smaller batch runs on prefix rows of workspaces last written by a
+  // larger, NaN-filled pass; nothing of that pass may leak into its
+  // output or gradients, and it must not rebind.
+  constexpr std::size_t kBound = 6, kBatch = 3, kT = 4;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  GraphNetwork poisoned = prefix_net();
+  const Tensor3 nan_x(kBound, kT, 3, nan);
+  (void)poisoned.forward_ref(nan_x, true);
+  (void)poisoned.backward_ref(Tensor3(kBound, kT, 2, nan));
+  const std::size_t capacity = poisoned.arena()->capacity_bytes();
+  const std::size_t carved = poisoned.arena()->bytes_in_use();
+
+  Rng rng(8);
+  const Tensor3 x = random_tensor(kBatch, kT, 3, rng);
+  const Tensor3 g = random_tensor(kBatch, kT, 2, rng);
+  GraphNetwork fresh = prefix_net();
+  for (GraphNetwork* net : {&poisoned, &fresh}) net->zero_grad();
+  expect_bitwise(poisoned.forward(x, true), fresh.forward(x, true));
+  expect_bitwise(poisoned.backward(g), fresh.backward(g));
+  const auto got = poisoned.gradients();
+  const auto want = fresh.gradients();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t p = 0; p < got.size(); ++p) {
+    EXPECT_EQ(*got[p], *want[p]) << "gradient " << p;
+  }
+  expect_bitwise(poisoned.forward(x, false), fresh.forward(x, false));
+  EXPECT_EQ(poisoned.arena()->capacity_bytes(), capacity);
+  EXPECT_EQ(poisoned.arena()->bytes_in_use(), carved);
+}
+
+TEST(GraphNetwork, InferenceBindCarvesOnlyForwardWorkspaces) {
+  GraphNetwork net = prefix_net();
+  Rng rng(9);
+  const Tensor3 x = random_tensor(4, 5, 3, rng);
+  (void)net.forward_ref(x, false);
+  const std::size_t inference = net.arena()->bytes_in_use();
+  (void)net.forward_ref(x, true);
+  const std::size_t training = net.arena()->bytes_in_use();
+  EXPECT_GT(training, inference);
+  // Binds only grow: inference and smaller batches keep the training bind.
+  const Tensor3 small = random_tensor(2, 5, 3, rng);
+  (void)net.forward_ref(x, false);
+  (void)net.forward_ref(small, true);
+  EXPECT_EQ(net.arena()->bytes_in_use(), training);
 }
 
 TEST(GraphNetwork, DeterministicInit) {

@@ -5,6 +5,7 @@
 // stresses the queue/stream handoff under the race detector.
 #include <cstddef>
 #include <future>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -138,6 +139,42 @@ TEST(ServeEngine, SubmitRejectsWrongWindowSize) {
               std::string::npos);
     EXPECT_NE(what.find(std::to_string(kSteps * kModes)), std::string::npos);
   }
+}
+
+TEST(ServeEngine, SubmitRejectsNonFiniteWindows) {
+  obs::MetricsRegistry registry;
+  obs::set_registry(&registry);
+  {
+    ServeEngine engine(small_plan(), {.streams = 1});
+    bool preregistered = false;
+    for (const auto& [name, counter] : registry.counters()) {
+      preregistered |= name == "serve.rejected_nonfinite";
+    }
+    EXPECT_TRUE(preregistered);
+    Rng rng(6);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      std::vector<double> window = random_window(rng);
+      window[5] = bad;
+      window[7] = bad;
+      try {
+        (void)engine.submit(window);
+        ADD_FAILURE() << "expected invalid_argument for " << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("index 5 "), std::string::npos)
+            << e.what();
+      }
+    }
+    // Finite windows are still served after the rejections.
+    EXPECT_EQ(engine.submit(random_window(rng)).get().size(),
+              kSteps * kModes);
+    engine.shutdown();
+  }
+  obs::set_registry(nullptr);
+  EXPECT_EQ(registry.counter("serve.rejected_nonfinite").value(), 3u);
+  EXPECT_EQ(registry.counter("serve.rejected").value(), 3u);
+  EXPECT_EQ(registry.counter("serve.requests").value(), 1u);
 }
 
 TEST(ServeEngine, ConcurrentSubmittersAllAnswered) {

@@ -49,9 +49,10 @@ Rules (see DESIGN.md "Correctness tooling"):
 
   hot-path-alloc       Heap allocation tokens (new, malloc, or growing a
                        std::vector via push_back/emplace_back/resize/
-                       reserve/assign) in the kernel and recurrent-layer
-                       hot-path translation units (src/tensor/vmath.cpp
-                       and the src/nn/ layer .cpps). Forward/backward
+                       reserve/assign) in the kernel, recurrent-layer and
+                       graph-executor hot-path translation units
+                       (src/tensor/vmath.cpp, the src/nn/ layer .cpps and
+                       src/nn/graph.cpp). Forward/backward
                        scratch lives in arena workspaces bound once per
                        shape (DESIGN.md "Memory model"); an allocation
                        here lands on every training batch and is exactly
@@ -132,7 +133,7 @@ HOT_PATH_FILES = {
     "src/nn/dense.cpp",
     "src/nn/merge.cpp",
     "src/nn/dropout.cpp",
-    "src/serve/frozen_plan.cpp",
+    "src/nn/graph.cpp",
 }
 HOT_PATH_ALLOC_RE = re.compile(
     r"\bnew\b|\bmalloc\s*\("
