@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "hpc/parallel_for.hpp"
 #include "tensor/random.hpp"
 
 namespace geonas::data {
@@ -12,10 +13,19 @@ namespace geonas::data {
 namespace {
 constexpr double kDeg2Rad = std::numbers::pi / 180.0;
 
-/// Hash a (seed, week, lat-cell, lon-cell) tuple into a standard normal.
-double hash_normal(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                   std::uint64_t c) {
-  std::uint64_t h = hash_combine(hash_combine(seed, a), hash_combine(b, c));
+/// The chaotic indices are standardized over the first this-many weeks of
+/// the Lorenz record, and the teleconnection index reads its y samples a
+/// quarter of that span later.
+constexpr std::size_t kChaosWindow = 3000;
+constexpr std::size_t kTeleOffset = kChaosWindow / 4;
+
+/// Rough cost of one libm sin/cos/log call (~20 ns), in blocked-GEMM
+/// flops of the same duration; one value() makes about eddy_waves + 5 such
+/// calls per (cell, week). Sizes the parallel_for threshold test.
+constexpr double kFlopsPerLibmCall = 100.0;
+
+/// Standard normal from a 64-bit hash key.
+double unit_normal(std::uint64_t h) {
   std::uint64_t s1 = splitmix64(h);
   std::uint64_t s2 = splitmix64(h);
   double u1 = static_cast<double>(s1 >> 11) * 0x1.0p-53;
@@ -24,7 +34,98 @@ double hash_normal(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * std::numbers::pi * u2);
 }
+
+/// Hash a (seed, week, lat-cell, lon-cell) tuple into a standard normal.
+double hash_normal(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+                   std::uint64_t c) {
+  return unit_normal(hash_combine(hash_combine(seed, a), hash_combine(b, c)));
+}
+
+/// The location's half of the noise hash (the week's half is
+/// hash_combine(seed, week)).
+std::uint64_t noise_cell_key(double lat, double lon) {
+  const auto qlat = static_cast<std::uint64_t>((lat + 90.0) * 16.0);
+  const auto qlon = static_cast<std::uint64_t>(lon * 16.0);
+  return hash_combine(qlat, qlon);
+}
+
+/// The measurement-noise term from the week's and the location's halves of
+/// its hash: hash_normal(seed, week, lat-cell, lon-cell), scaled.
+double noise_at(const SSTOptions& o, std::uint64_t week_key,
+                std::uint64_t cell_key) {
+  return o.noise_sigma * unit_normal(hash_combine(week_key, cell_key));
+}
+
+/// Per-location factors of the seasonal cycle.
+struct SeasonalCell {
+  double amp, lag, semi;
+};
+
+SeasonalCell seasonal_cell(const SSTOptions& o, double lat, double lon) {
+  const double lat_rad = lat * kDeg2Rad;
+  const double lon_rad = lon * kDeg2Rad;
+  SeasonalCell cell{};
+  // Hemisphere-antisymmetric amplitude, modulated in longitude (western
+  // boundary regions respond more strongly than ocean interiors).
+  cell.amp = o.seasonal_amplitude * std::sin(lat_rad) *
+             (1.0 + 0.28 * std::sin(lon_rad + 2.2));
+  // Longitude-dependent seasonal lag (+-4 weeks): continental coasts lead,
+  // maritime interiors trail. This puts the annual cycle's sine AND cosine
+  // quadratures into the spatial field, spreading periodic variance over
+  // several POD modes exactly as in the observed SST record.
+  cell.lag = 4.0 * std::sin(lon_rad + 1.0);
+  cell.semi = o.semiannual_amplitude * std::abs(std::sin(lat_rad)) *
+              (1.0 + 0.3 * std::cos(lon_rad - 0.7));
+  return cell;
+}
+
+double seasonal_at(const SeasonalCell& cell, double week_time) {
+  const double phase =
+      2.0 * std::numbers::pi * (week_time + cell.lag) / kWeeksPerYear;
+  // Week 0 is late October; peak NH warmth sits in late August, i.e. about
+  // 8.5 weeks before the epoch.
+  const double annual = cell.amp * std::cos(phase + 2.0 * std::numbers::pi *
+                                                        8.5 / kWeeksPerYear);
+  const double semi = cell.semi * std::cos(2.0 * phase + 0.9);
+  return annual + semi;
+}
+
+double trend_scale(const SSTOptions& o, double week_time) {
+  const double per_week = o.trend_per_decade / (10.0 * kWeeksPerYear);
+  return per_week * week_time;
+}
+
+double trend_weight(double lat) {
+  return 0.4 + 0.6 * std::cos(lat * kDeg2Rad);
+}
+
+double eddy_envelope(double lat) {
+  // Eddy kinetic energy concentrates along mid-latitude boundary currents.
+  return 0.35 + 0.65 * std::pow(std::sin(2.0 * (lat * kDeg2Rad)), 2);
+}
 }  // namespace
+
+struct SyntheticSST::CellTerms {
+  double climatology;
+  SeasonalCell seasonal;
+  double trend_weight, enso_pattern, tele_pattern, eddy_envelope;
+  std::uint64_t noise_key;
+};
+
+struct SyntheticSST::WeekTerms {
+  double time, trend, enso, tele;  // enso, tele: amplitude x index
+  std::uint64_t noise_key;
+};
+
+/// One eddy wave at one week time: its AR(1)-modulated amplitude a(t)·amp
+/// and its phase advance ω·t.
+struct SyntheticSST::WaveWeek {
+  double amp, advance;
+};
+
+struct SyntheticSST::LatLon {
+  double lat, lon;
+};
 
 SyntheticSST::SyntheticSST(SSTOptions options) : opts_(options) {}
 
@@ -36,42 +137,24 @@ double SyntheticSST::climatology(double lat) const noexcept {
 
 double SyntheticSST::seasonal(double lat, double lon, double week_time,
                               double phase_shift_weeks) const noexcept {
-  const double lat_rad = lat * kDeg2Rad;
-  const double lon_rad = lon * kDeg2Rad;
-  // Hemisphere-antisymmetric amplitude, modulated in longitude (western
-  // boundary regions respond more strongly than ocean interiors).
-  const double amp = opts_.seasonal_amplitude * std::sin(lat_rad) *
-                     (1.0 + 0.28 * std::sin(lon_rad + 2.2));
-  // Longitude-dependent seasonal lag (+-4 weeks): continental coasts lead,
-  // maritime interiors trail. This puts the annual cycle's sine AND cosine
-  // quadratures into the spatial field, spreading periodic variance over
-  // several POD modes exactly as in the observed SST record.
-  const double lag = 4.0 * std::sin(lon_rad + 1.0);
-  const double phase = 2.0 * std::numbers::pi *
-                       (week_time + phase_shift_weeks + lag) / kWeeksPerYear;
-  // Week 0 is late October; peak NH warmth sits in late August, i.e. about
-  // 8.5 weeks before the epoch.
-  const double annual = amp * std::cos(phase + 2.0 * std::numbers::pi * 8.5 /
-                                                   kWeeksPerYear);
-  const double semi = opts_.semiannual_amplitude * std::abs(std::sin(lat_rad)) *
-                      (1.0 + 0.3 * std::cos(lon_rad - 0.7)) *
-                      std::cos(2.0 * phase + 0.9);
-  return annual + semi;
+  return seasonal_at(seasonal_cell(opts_, lat, lon),
+                     week_time + phase_shift_weeks);
 }
 
 double SyntheticSST::trend(double lat, double week_time) const noexcept {
-  const double per_week = opts_.trend_per_decade / (10.0 * kWeeksPerYear);
-  const double lat_weight = 0.4 + 0.6 * std::cos(lat * kDeg2Rad);
-  return per_week * week_time * lat_weight;
+  return trend_scale(opts_, week_time) * trend_weight(lat);
 }
 
 void SyntheticSST::ensure_chaos_series(std::size_t weeks) const {
-  if (enso_series_.size() >= weeks) return;
+  ChaosRecord& rec = chaos_;
+  if (rec.tele.size() >= weeks) return;
   // Lorenz-63 (sigma=10, rho=28, beta=8/3) integrated with RK4 at fine
-  // steps; weekly samples of x become the ENSO index and of y (offset by a
-  // quarter of the record) the teleconnection index, each standardized.
-  // Deterministic: fixed initial condition and step size.
-  const std::size_t horizon = std::max<std::size_t>(weeks, 2400) + 600;
+  // steps; weekly samples of x become the ENSO index and of y (offset by
+  // kTeleOffset) the teleconnection index, each standardized with the
+  // moments of the first kChaosWindow weeks. Later calls continue the same
+  // integration under that normalization, so a sample never depends on
+  // which weeks were asked for first. Deterministic: fixed initial
+  // condition and step size.
   const double dt_natural = 0.004;
   const double week_natural = opts_.chaos_rate;
   const auto steps_per_week =
@@ -97,39 +180,59 @@ void SyntheticSST::ensure_chaos_series(std::size_t weeks) const {
       s[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     }
   };
-
-  std::array<double, 3> state{1.0, 1.0, 20.0};
-  // Burn onto the attractor.
-  for (std::size_t s = 0; s < 200 * steps_per_week; ++s) rk4_step(state);
-
-  std::vector<double> xs, ys;
-  xs.reserve(horizon);
-  ys.reserve(horizon);
-  for (std::size_t w = 0; w < horizon; ++w) {
-    xs.push_back(state[0]);
-    ys.push_back(state[1]);
-    for (std::size_t s = 0; s < steps_per_week; ++s) rk4_step(state);
-  }
-
-  auto standardize = [](std::vector<double>& v) {
-    double m = 0.0;
-    for (double x : v) m += x;
-    m /= static_cast<double>(v.size());
-    double var = 0.0;
-    for (double x : v) var += (x - m) * (x - m);
-    const double sd = std::sqrt(var / static_cast<double>(v.size()));
-    for (double& x : v) x = (x - m) / (sd > 1e-12 ? sd : 1.0);
+  // The state at the next weekly sample; advances the integrator a week.
+  auto next_sample = [&] {
+    const std::array<double, 3> sample = rec.state;
+    for (std::size_t s = 0; s < steps_per_week; ++s) rk4_step(rec.state);
+    return sample;
   };
-  standardize(xs);
-  standardize(ys);
-  // Offset the teleconnection series so the two indices decorrelate.
-  const std::size_t offset = horizon / 4;
-  std::vector<double> tele(horizon);
-  for (std::size_t w = 0; w < horizon; ++w) {
-    tele[w] = ys[(w + offset) % horizon];
+  auto push_standardized = [&](double x, double y) {
+    rec.enso.push_back((x - rec.x_mean) / rec.x_scale);
+    rec.y.push_back((y - rec.y_mean) / rec.y_scale);
+  };
+
+  if (rec.y.empty()) {
+    rec.state = {1.0, 1.0, 20.0};
+    // Burn onto the attractor.
+    for (std::size_t s = 0; s < 200 * steps_per_week; ++s) rk4_step(rec.state);
+    std::vector<double> xs, ys;
+    xs.reserve(kChaosWindow);
+    ys.reserve(kChaosWindow);
+    for (std::size_t w = 0; w < kChaosWindow; ++w) {
+      const auto sample = next_sample();
+      xs.push_back(sample[0]);
+      ys.push_back(sample[1]);
+    }
+    auto moments = [](const std::vector<double>& v, double& mean,
+                      double& scale) {
+      double m = 0.0;
+      for (double x : v) m += x;
+      m /= static_cast<double>(v.size());
+      double var = 0.0;
+      for (double x : v) var += (x - m) * (x - m);
+      const double sd = std::sqrt(var / static_cast<double>(v.size()));
+      mean = m;
+      scale = sd > 1e-12 ? sd : 1.0;
+    };
+    moments(xs, rec.x_mean, rec.x_scale);
+    moments(ys, rec.y_mean, rec.y_scale);
+    for (std::size_t w = 0; w < kChaosWindow; ++w) {
+      push_standardized(xs[w], ys[w]);
+    }
+    // Inside the first window the offset wraps around, which decorrelates
+    // the two indices there as well.
+    for (std::size_t w = 0; w < kChaosWindow; ++w) {
+      rec.tele.push_back(rec.y[(w + kTeleOffset) % kChaosWindow]);
+    }
   }
-  enso_series_ = std::move(xs);
-  tele_series_ = std::move(tele);
+  while (rec.tele.size() < weeks) {
+    const std::size_t sample_week = rec.tele.size() + kTeleOffset;
+    while (rec.y.size() <= sample_week) {
+      const auto sample = next_sample();
+      push_standardized(sample[0], sample[1]);
+    }
+    rec.tele.push_back(rec.y[sample_week]);
+  }
 }
 
 double SyntheticSST::enso_index(double week_time) const {
@@ -138,7 +241,7 @@ double SyntheticSST::enso_index(double week_time) const {
   const auto i0 = static_cast<std::size_t>(t);
   const double frac = t - static_cast<double>(i0);
   const double lorenz =
-      (1.0 - frac) * enso_series_[i0] + frac * enso_series_[i0 + 1];
+      (1.0 - frac) * chaos_.enso[i0] + frac * chaos_.enso[i0 + 1];
   // ENSO blend: a recurrent quasi-periodic backbone (a ~3.7-year cycle
   // amplitude-modulated on a decadal scale plus a ~2.2-year overtone — the
   // part an emulator trained on 8 years can learn) with a chaotic Lorenz
@@ -164,7 +267,7 @@ double SyntheticSST::tele_index(double week_time) const {
   const auto i0 = static_cast<std::size_t>(t);
   const double frac = t - static_cast<double>(i0);
   const double lorenz =
-      (1.0 - frac) * tele_series_[i0] + frac * tele_series_[i0 + 1];
+      (1.0 - frac) * chaos_.tele[i0] + frac * chaos_.tele[i0 + 1];
   // Same blend philosophy (and ~unit variance) as the ENSO index, with
   // its own periods.
   const double qp =
@@ -240,68 +343,157 @@ void SyntheticSST::ensure_amp_series(const WaveBank& bank,
   }
 }
 
-double SyntheticSST::eddy(double lat, double lon, double week_time,
-                          std::uint64_t realization_seed) const {
-  const WaveBank& bank = waves_for(realization_seed);
+void SyntheticSST::wave_weeks(const WaveBank& bank, double week_time,
+                              std::span<WaveWeek> out) const {
   const double t = std::max(0.0, week_time);
   const auto i0 = static_cast<std::size_t>(t);
   const double frac = t - static_cast<double>(i0);
   ensure_amp_series(bank, i0 + 3);
-
-  const double lat_rad = lat * kDeg2Rad;
-  // Eddy kinetic energy concentrates along mid-latitude boundary currents.
-  const double envelope = 0.35 + 0.65 * std::pow(std::sin(2.0 * lat_rad), 2);
-  const double u = lat / 180.0;   // [-0.5, 0.5]
-  const double v = lon / 360.0;   // [0, 1]
-  double acc = 0.0;
   for (std::size_t m = 0; m < bank.waves.size(); ++m) {
     const Wave& w = bank.waves[m];
     const double a = (1.0 - frac) * bank.amp_series[m][i0] +
                      frac * bank.amp_series[m][i0 + 1];
-    acc += a * w.amp *
-           std::sin(2.0 * std::numbers::pi * (w.klat * u + w.klon * v) -
-                    w.omega * week_time + w.phase);
+    out[m] = {a * w.amp, w.omega * week_time};
   }
-  return envelope * acc;
+}
+
+void SyntheticSST::wave_phases(const WaveBank& bank, double lat, double lon,
+                               std::span<double> out) noexcept {
+  const double u = lat / 180.0;  // [-0.5, 0.5]
+  const double v = lon / 360.0;  // [0, 1]
+  for (std::size_t m = 0; m < bank.waves.size(); ++m) {
+    const Wave& w = bank.waves[m];
+    out[m] = 2.0 * std::numbers::pi * (w.klat * u + w.klon * v);
+  }
+}
+
+double SyntheticSST::eddy_sum(const WaveBank& bank,
+                              std::span<const double> phases,
+                              std::span<const WaveWeek> waves) noexcept {
+  double acc = 0.0;
+  for (std::size_t m = 0; m < bank.waves.size(); ++m) {
+    acc += waves[m].amp *
+           std::sin(phases[m] - waves[m].advance + bank.waves[m].phase);
+  }
+  return acc;
+}
+
+double SyntheticSST::eddy(double lat, double lon, double week_time,
+                          std::uint64_t realization_seed) const {
+  const WaveBank& bank = waves_for(realization_seed);
+  std::vector<WaveWeek> waves(bank.waves.size());
+  std::vector<double> phases(bank.waves.size());
+  wave_weeks(bank, week_time, waves);
+  wave_phases(bank, lat, lon, phases);
+  return eddy_envelope(lat) * eddy_sum(bank, phases, waves);
 }
 
 double SyntheticSST::noise(double lat, double lon, std::size_t week) const {
-  const auto qlat = static_cast<std::uint64_t>((lat + 90.0) * 16.0);
-  const auto qlon = static_cast<std::uint64_t>(lon * 16.0);
-  return opts_.noise_sigma * hash_normal(opts_.seed, week, qlat, qlon);
+  return noise_at(opts_, hash_combine(opts_.seed, week),
+                  noise_cell_key(lat, lon));
 }
 
-double SyntheticSST::value(double lat, double lon, std::size_t week) const {
+SyntheticSST::CellTerms SyntheticSST::cell_terms(double lat,
+                                                 double lon) const noexcept {
+  return {.climatology = climatology(lat),
+          .seasonal = seasonal_cell(opts_, lat, lon),
+          .trend_weight = trend_weight(lat),
+          .enso_pattern = enso_pattern(lat, lon),
+          .tele_pattern = tele_pattern(lat, lon),
+          .eddy_envelope = eddy_envelope(lat),
+          .noise_key = noise_cell_key(lat, lon)};
+}
+
+SyntheticSST::WeekTerms SyntheticSST::week_terms(
+    const WaveBank& bank, std::size_t week, std::span<WaveWeek> waves) const {
   const auto t = static_cast<double>(week);
-  double temp = climatology(lat) + seasonal(lat, lon, t) + trend(lat, t) +
-                opts_.enso_amplitude * enso_index(t) * enso_pattern(lat, lon) +
-                opts_.tele_amplitude * tele_index(t) * tele_pattern(lat, lon) +
-                eddy(lat, lon, t, opts_.seed) + noise(lat, lon, week);
+  const WeekTerms terms{.time = t,
+                        .trend = trend_scale(opts_, t),
+                        .enso = opts_.enso_amplitude * enso_index(t),
+                        .tele = opts_.tele_amplitude * tele_index(t),
+                        .noise_key = hash_combine(opts_.seed, week)};
+  wave_weeks(bank, t, waves);
+  return terms;
+}
+
+double SyntheticSST::combine(const WaveBank& bank, const CellTerms& cell,
+                             std::span<const double> phases,
+                             const WeekTerms& week,
+                             std::span<const WaveWeek> waves) const noexcept {
+  const double temp =
+      cell.climatology + seasonal_at(cell.seasonal, week.time) +
+      week.trend * cell.trend_weight + week.enso * cell.enso_pattern +
+      week.tele * cell.tele_pattern +
+      cell.eddy_envelope * eddy_sum(bank, phases, waves) +
+      noise_at(opts_, week.noise_key, cell.noise_key);
   // Sea water cannot cool much below the freezing point of brine.
   return std::max(temp, -1.9);
 }
 
+void SyntheticSST::evaluate(std::span<const LatLon> points, std::size_t week0,
+                            std::size_t count, std::span<double> out) const {
+  // The week terms first, on this thread and in week order: this is where
+  // the lazy caches grow.
+  const WaveBank& bank = waves_for(opts_.seed);
+  const std::size_t nw = bank.waves.size();
+  std::vector<WeekTerms> weeks;
+  weeks.reserve(count);
+  std::vector<WaveWeek> waves(count * nw);
+  const std::span<WaveWeek> all_waves(waves);
+  for (std::size_t c = 0; c < count; ++c) {
+    weeks.push_back(week_terms(bank, week0 + c, all_waves.subspan(c * nw, nw)));
+  }
+  // Then the points, split over the kernel pool; workers only read the
+  // terms above, the wave bank and the options.
+  const double cost = static_cast<double>(points.size() * count) *
+                      static_cast<double>(nw + 5) * kFlopsPerLibmCall;
+  hpc::parallel_for(
+      0, points.size(), cost, [&](std::size_t lo, std::size_t hi) {
+        std::vector<double> phases(nw);
+        for (std::size_t r = lo; r < hi; ++r) {
+          const CellTerms cell = cell_terms(points[r].lat, points[r].lon);
+          wave_phases(bank, points[r].lat, points[r].lon, phases);
+          const std::span<double> row = out.subspan(r * count, count);
+          for (std::size_t c = 0; c < count; ++c) {
+            row[c] = combine(bank, cell, phases, weeks[c],
+                             all_waves.subspan(c * nw, nw));
+          }
+        }
+      });
+}
+
+double SyntheticSST::value(double lat, double lon, std::size_t week) const {
+  const LatLon point{lat, lon};
+  double out = 0.0;
+  evaluate({&point, 1}, week, 1, {&out, 1});
+  return out;
+}
+
 std::vector<double> SyntheticSST::field(const Grid& grid,
                                         std::size_t week) const {
-  std::vector<double> out(grid.cells());
+  std::vector<LatLon> points;
+  points.reserve(grid.cells());
   for (std::size_t i = 0; i < grid.nlat; ++i) {
-    const double lat = grid.lat_of(i);
     for (std::size_t j = 0; j < grid.nlon; ++j) {
-      out[grid.index(i, j)] = value(lat, grid.lon_of(j), week);
+      points.push_back({grid.lat_of(i), grid.lon_of(j)});
     }
   }
+  std::vector<double> out(grid.cells());
+  evaluate(points, week, 1, out);
   return out;
 }
 
 Matrix SyntheticSST::snapshots(const LandMask& mask, std::size_t week0,
                                std::size_t count) const {
   const Grid& grid = mask.grid();
-  Matrix s(mask.ocean_count(), count);
-  for (std::size_t c = 0; c < count; ++c) {
-    const std::vector<double> full = field(grid, week0 + c);
-    const std::vector<double> ocean = mask.flatten(full);
-    s.set_col(c, ocean);
+  std::vector<LatLon> points;
+  points.reserve(mask.ocean_count());
+  for (const std::size_t cell : mask.ocean_cells()) {
+    points.push_back(
+        {grid.lat_of(cell / grid.nlon), grid.lon_of(cell % grid.nlon)});
   }
+  Matrix s(mask.ocean_count(), count);
+  evaluate(points, week0, count, s.flat());
   return s;
 }
 

@@ -15,9 +15,16 @@
 //   * hash-based white measurement noise.
 // The deterministic components are low-rank, so ~5 POD modes capture
 // ~90 % of the centered variance — matching the paper's Nr = 5 setting.
+//
+// Every path evaluates one split of the field into per-location terms
+// (CellTerms) and per-week terms (WeekTerms): value(), field(),
+// snapshots() and the component functions below compose the same terms,
+// so a (cell, week) gets the same bits whichever path asks for it.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/grid.hpp"
@@ -58,12 +65,25 @@ class SyntheticSST {
   [[nodiscard]] double value(double lat, double lon, std::size_t week) const;
 
   /// Full-grid field at `week`, row-major [nlat x nlon] (land cells get
-  /// ordinary values; apply a LandMask to discard them).
+  /// ordinary values; apply a LandMask to discard them). Each entry is
+  /// bitwise equal to value() at that cell's centre.
+  ///
+  /// Threading: as snapshots() — the grid rows are split over the kernel
+  /// pool after the caches have grown on the calling thread.
   [[nodiscard]] std::vector<double> field(const Grid& grid,
                                           std::size_t week) const;
 
   /// Ocean-flattened snapshot matrix S in R^{Nh x count} for weeks
-  /// [week0, week0 + count) — the paper's eq. (1) layout.
+  /// [week0, week0 + count) — the paper's eq. (1) layout. Entry (k, c) is
+  /// bitwise equal to this instance's value() at ocean cell k in week
+  /// week0 + c.
+  ///
+  /// Threading: the lazy caches (wave bank, chaotic indices, eddy
+  /// amplitude series) grow on the calling thread, week by week; then the
+  /// ocean rows are split over the kernel pool (hpc::parallel_for), whose
+  /// workers only read. The result is the same at every kernel thread
+  /// count. Like every member, it must not run concurrently with another
+  /// call on the same instance: the caches are unsynchronized state.
   [[nodiscard]] Matrix snapshots(const LandMask& mask, std::size_t week0,
                                  std::size_t count) const;
 
@@ -110,15 +130,54 @@ class SyntheticSST {
     // Weekly AR(1) amplitude factors, one series per wave (lazily grown).
     std::vector<std::vector<double>> amp_series;
   };
+  /// The Lorenz-63 record behind the chaotic indices (lazily grown).
+  struct ChaosRecord {
+    std::array<double, 3> state{};  // the integrator, at the next sample
+    double x_mean = 0.0, x_scale = 1.0, y_mean = 0.0, y_scale = 1.0;
+    std::vector<double> enso;  // standardized weekly x samples
+    std::vector<double> y;     // standardized weekly y samples
+    std::vector<double> tele;  // y samples, offset in time
+  };
+  // The split of value() into terms; defined in sst.cpp.
+  struct CellTerms;  // the terms that depend on the location only
+  struct WeekTerms;  // the terms that depend on the week only
+  struct WaveWeek;   // one eddy wave's amplitude and phase advance at a week
+  struct LatLon;
+
   [[nodiscard]] const WaveBank& waves_for(std::uint64_t realization_seed) const;
   void ensure_amp_series(const WaveBank& bank, std::size_t weeks) const;
   /// Lazily integrates the Lorenz system out to at least `weeks`.
   void ensure_chaos_series(std::size_t weeks) const;
 
+  /// Each wave's WaveWeek at `week_time`; grows the bank's amplitude
+  /// series as far as that needs.
+  void wave_weeks(const WaveBank& bank, double week_time,
+                  std::span<WaveWeek> out) const;
+  /// Spatial phase 2π(k·x) of each wave at a location.
+  static void wave_phases(const WaveBank& bank, double lat, double lon,
+                          std::span<double> out) noexcept;
+  /// The unscaled eddy field: Σ a(t)·amp·sin(2π(k·x) − ω·t + phase).
+  [[nodiscard]] static double eddy_sum(const WaveBank& bank,
+                                       std::span<const double> phases,
+                                       std::span<const WaveWeek> waves) noexcept;
+
+  [[nodiscard]] CellTerms cell_terms(double lat, double lon) const noexcept;
+  /// Fills `waves` too; grows the lazy caches as far as `week` needs.
+  [[nodiscard]] WeekTerms week_terms(const WaveBank& bank, std::size_t week,
+                                     std::span<WaveWeek> waves) const;
+  /// value() from its terms.
+  [[nodiscard]] double combine(const WaveBank& bank, const CellTerms& cell,
+                               std::span<const double> phases,
+                               const WeekTerms& week,
+                               std::span<const WaveWeek> waves) const noexcept;
+  /// The one evaluation path: value() of every point at weeks
+  /// [week0, week0 + count) into `out`, row-major [points x count].
+  void evaluate(std::span<const LatLon> points, std::size_t week0,
+                std::size_t count, std::span<double> out) const;
+
   SSTOptions opts_;
   mutable std::vector<std::pair<std::uint64_t, WaveBank>> wave_cache_;
-  mutable std::vector<double> enso_series_;  // weekly samples, normalized
-  mutable std::vector<double> tele_series_;
+  mutable ChaosRecord chaos_;
 };
 
 }  // namespace geonas::data

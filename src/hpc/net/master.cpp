@@ -367,17 +367,19 @@ struct NetMaster::Impl {
   }
 
   /// One poll round: wait for socket events (or the timeout), then
-  /// accept/read/flush as indicated.
+  /// accept/read/flush as indicated. Only the connections that were
+  /// polled are serviced; ones accepted this round are polled next round.
   void poll_round(int timeout_ms) {
-    std::vector<PollEntry> entries(conns.size() + 1);
+    const std::size_t polled = conns.size();
+    std::vector<PollEntry> entries(polled + 1);
     entries[0].fd = listener.fd();
-    for (std::size_t i = 0; i < conns.size(); ++i) {
+    for (std::size_t i = 0; i < polled; ++i) {
       entries[i + 1].fd = conns[i].socket.fd();
       entries[i + 1].want_write = !conns[i].outbuf.empty();
     }
     poll_sockets(entries, timeout_ms);
     if (entries[0].readable) accept_new_conns();
-    for (std::size_t i = 0; i < conns.size(); ++i) {
+    for (std::size_t i = 0; i < polled; ++i) {
       PollEntry& e = entries[i + 1];
       if (e.error) conns[i].dead = true;
       if (!conns[i].dead && e.readable) service_conn(conns[i]);

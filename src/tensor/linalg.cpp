@@ -21,6 +21,18 @@ double offdiag_norm(const Matrix& a) {
   return std::sqrt(acc);
 }
 
+/// Rotates the pairs (x[k·stride], y[k·stride]), k < n, by (c, s):
+/// x ← c·x − s·y and y ← s·x + c·y.
+void rotate(double* x, double* y, std::size_t n, std::size_t stride, double c,
+            double s) noexcept {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double xk = x[k * stride];
+    const double yk = y[k * stride];
+    x[k * stride] = c * xk - s * yk;
+    y[k * stride] = s * xk + c * yk;
+  }
+}
+
 }  // namespace
 
 EigenResult eigen_symmetric(const Matrix& input, double tol, int max_sweeps) {
@@ -29,18 +41,22 @@ EigenResult eigen_symmetric(const Matrix& input, double tol, int max_sweeps) {
   }
   const std::size_t n = input.rows();
   Matrix a = input;
-  Matrix v = Matrix::identity(n);
+  // V is kept transposed while sweeping (row i holds eigenvector i), so a
+  // rotation of V's columns p and q runs over two contiguous rows.
+  Matrix vt = Matrix::identity(n);
   const double scale = std::max(a.frobenius_norm(), 1e-300);
+  double* const ad = a.flat().data();
+  double* const vd = vt.flat().data();
 
   int sweep = 0;
   for (; sweep < max_sweeps; ++sweep) {
     if (offdiag_norm(a) <= tol * scale) break;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
+        const double apq = ad[p * n + q];
         if (std::abs(apq) <= 1e-300) continue;
-        const double app = a(p, p);
-        const double aqq = a(q, q);
+        const double app = ad[p * n + p];
+        const double aqq = ad[q * n + q];
         // Stable rotation angle computation (Golub & Van Loan 8.4).
         const double theta = (aqq - app) / (2.0 * apq);
         const double t = (theta >= 0.0 ? 1.0 : -1.0) /
@@ -48,24 +64,11 @@ EigenResult eigen_symmetric(const Matrix& input, double tol, int max_sweeps) {
         const double c = 1.0 / std::sqrt(t * t + 1.0);
         const double s = t * c;
 
-        for (std::size_t k = 0; k < n; ++k) {
-          const double akp = a(k, p);
-          const double akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double apk = a(p, k);
-          const double aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = s * apk + c * aqk;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
+        // Columns p and q of A, then its rows p and q. After rotations A
+        // is no longer bitwise symmetric, so both updates stay.
+        rotate(ad + p, ad + q, n, n, c, s);
+        rotate(ad + p * n, ad + q * n, n, 1, c, s);
+        rotate(vd + p * n, vd + q * n, n, 1, c, s);
       }
     }
   }
@@ -73,9 +76,9 @@ EigenResult eigen_symmetric(const Matrix& input, double tol, int max_sweeps) {
   EigenResult result;
   result.sweeps = sweep;
   result.eigenvalues.resize(n);
-  for (std::size_t i = 0; i < n; ++i) result.eigenvalues[i] = a(i, i);
+  for (std::size_t i = 0; i < n; ++i) result.eigenvalues[i] = ad[i * n + i];
 
-  // Sort eigenpairs by descending eigenvalue.
+  // Sort eigenpairs by descending eigenvalue, transposing V back.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
@@ -85,7 +88,8 @@ EigenResult eigen_symmetric(const Matrix& input, double tol, int max_sweeps) {
   Matrix sorted_vecs(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     sorted_vals[i] = result.eigenvalues[order[i]];
-    for (std::size_t r = 0; r < n; ++r) sorted_vecs(r, i) = v(r, order[i]);
+    const double* vec = vd + order[i] * n;
+    for (std::size_t r = 0; r < n; ++r) sorted_vecs(r, i) = vec[r];
   }
   result.eigenvalues = std::move(sorted_vals);
   result.eigenvectors = std::move(sorted_vecs);

@@ -2,16 +2,35 @@
 // windowed dataset machinery of paper §II-B.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "data/comparators.hpp"
 #include "data/sst.hpp"
 #include "data/windowing.hpp"
+#include "io/binary.hpp"
 #include "pod/pod.hpp"
 #include "tensor/stats.hpp"
 
 namespace geonas::data {
 namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+std::vector<std::uint64_t> bits(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  out.reserve(values.size());
+  for (const double x : values) out.push_back(bits(x));
+  return out;
+}
+
+/// io's CRC-32 of a matrix's row-major bytes.
+std::uint32_t crc_of(const Matrix& m) {
+  return io::crc32_update(0, m.flat().data(), m.size() * sizeof(double));
+}
 
 TEST(SST, DeterministicForSeed) {
   const SyntheticSST a, b;
@@ -114,10 +133,42 @@ TEST(SST, SnapshotMatrixLayout) {
   const Matrix snaps = sst.snapshots(mask, 3, 4);
   EXPECT_EQ(snaps.rows(), mask.ocean_count());
   EXPECT_EQ(snaps.cols(), 4u);
-  // Column c is week 3 + c.
-  const auto week5 = mask.flatten(sst.field(grid, 5));
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(snaps(i, 2), week5[i]);
+  // Column c is the ocean part of week 3 + c's field, bit for bit.
+  Matrix expected(mask.ocean_count(), 4);
+  for (std::size_t c = 0; c < 4; ++c) {
+    expected.set_col(c, mask.flatten(sst.field(grid, 3 + c)));
+  }
+  EXPECT_EQ(bits(snaps.flat()), bits(expected.flat()));
+}
+
+TEST(SST, SnapshotBytesPinned) {
+  // CRC-32 of the row-major snapshot bytes, pinned when the generator
+  // moved to per-cell/per-week terms on the kernel pool. These bytes feed
+  // the POD basis, both pipeline R² values and every campaign digest, so
+  // a change here is a change to all of them. The digests hold this
+  // libm's sin/cos/exp/log results (glibc, x86-64).
+  const LandMask mask(Grid{45, 90}, 7);
+  EXPECT_EQ(crc_of(SyntheticSST().snapshots(mask, 0, 427)), 0x7f994f14u);
+  EXPECT_EQ(crc_of(SyntheticSST().snapshots(mask, 1850, 64)), 0x5b827c18u);
+}
+
+TEST(SST, ValueIndependentOfQueryHistory) {
+  // Regression: a query past the Lorenz record's horizon used to
+  // re-integrate and re-standardize the whole record, so week 10 read
+  // differently once an instance had answered a query for week 2500 or
+  // 5000.
+  const SyntheticSST fresh, after_2500, after_5000;
+  (void)after_2500.value(10.0, 200.0, 2500);
+  (void)after_5000.value(10.0, 200.0, 5000);
+  const double week10 = fresh.value(10.0, 200.0, 10);
+  EXPECT_DOUBLE_EQ(week10, 28.292463632961084);
+  EXPECT_EQ(bits(after_2500.value(10.0, 200.0, 10)), bits(week10));
+  EXPECT_EQ(bits(after_5000.value(10.0, 200.0, 10)), bits(week10));
+  // Weeks past the first window do not depend on the path to them either.
+  const SyntheticSST direct;
+  for (const double t : {2998.5, 3400.25, 4999.0}) {
+    EXPECT_EQ(bits(direct.enso_index(t)), bits(after_2500.enso_index(t)));
+    EXPECT_EQ(bits(direct.tele_index(t)), bits(after_2500.tele_index(t)));
   }
 }
 

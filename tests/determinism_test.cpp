@@ -3,14 +3,21 @@
 // exactly one task with a fixed k-summation order, so GEMM and the
 // batched-GEMM recurrent layers must produce bitwise-identical results
 // at every kernel thread count — not merely close ones. A tolerance
-// here would hide partition bugs that silently perturb NAS rewards.
+// here would hide partition bugs that silently perturb NAS rewards. The
+// SST generator's row split (DESIGN.md §5 "Data generation") is held to
+// the same contract.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "data/landmask.hpp"
+#include "data/sst.hpp"
 #include "hpc/parallel_for.hpp"
 #include "nn/dense.hpp"
 #include "nn/graph.hpp"
@@ -246,6 +253,79 @@ TEST(Determinism, TrainerFitBitwiseIdenticalAcrossThreadCounts) {
     const FitResult fit = run_trainer_fit(threads);
     ASSERT_EQ(fit.train_loss, reference.train_loss);
     ASSERT_EQ(fit.params, reference.params);
+  }
+}
+
+/// Raw bit patterns, so equality is bitwise rather than numeric.
+std::vector<std::uint64_t> bits(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  out.reserve(values.size());
+  for (const double x : values) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+TEST(Determinism, SstSnapshotsBitwiseAcrossThreadCounts) {
+  // snapshots() grows its caches on the calling thread, then splits the
+  // ocean rows over the kernel pool. Every entry must equal value() for
+  // its cell and week at every thread count, on a fresh instance and on
+  // a warm one that has already answered other queries, one of them past
+  // the first window of the Lorenz record. On this grid one week of ocean
+  // cells already clears the parallel_for threshold.
+  const data::Grid grid{20, 40};
+  const data::LandMask mask(grid, 7);
+  const std::size_t rows = mask.ocean_count();
+  constexpr std::size_t kWeek0 = 1500;
+  constexpr std::size_t kMaxCount = 427;
+
+  // value() of every ocean cell at weeks [kWeek0, kWeek0 + kMaxCount),
+  // row-major, asked week by week from kWeek0 on.
+  auto value_table = [&](const data::SyntheticSST& sst) {
+    std::vector<double> table(rows * kMaxCount);
+    for (std::size_t k = 0; k < rows; ++k) {
+      const std::size_t cell = mask.ocean_cells()[k];
+      const double lat = grid.lat_of(cell / grid.nlon);
+      const double lon = grid.lon_of(cell % grid.nlon);
+      for (std::size_t c = 0; c < kMaxCount; ++c) {
+        table[k * kMaxCount + c] = sst.value(lat, lon, kWeek0 + c);
+      }
+    }
+    return table;
+  };
+  // A fresh instance grows its caches from kWeek0 on in week order,
+  // whichever of these calls asks first, so one fresh instance's table
+  // stands for them all. The warm instance's caches already reach past
+  // every week asked for below, so its table is fixed as well.
+  const std::vector<double> fresh_table = value_table(data::SyntheticSST());
+  const data::SyntheticSST warm;
+  (void)warm.snapshots(mask, 0, 8);
+  (void)warm.value(10.0, 200.0, 3500);
+  const std::vector<double> warm_table = value_table(warm);
+
+  auto leading_weeks = [&](const std::vector<double>& table,
+                           std::size_t count) {
+    std::vector<double> out;
+    for (std::size_t k = 0; k < rows; ++k) {
+      const auto row = std::span(table).subspan(k * kMaxCount, count);
+      out.insert(out.end(), row.begin(), row.end());
+    }
+    return out;
+  };
+  for (const std::size_t threads : kThreadCounts) {
+    KernelThreadsGuard guard(threads);
+    for (const std::size_t count : {std::size_t{1}, std::size_t{64}, kMaxCount}) {
+      const data::SyntheticSST fresh;
+      for (const data::SyntheticSST* sst : {&fresh, &warm}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "kernel_threads=" << threads << " count=" << count
+                     << (sst == &warm ? " warm" : " fresh"));
+        const Matrix s = sst->snapshots(mask, kWeek0, count);
+        ASSERT_EQ(s.rows(), rows);
+        ASSERT_EQ(s.cols(), count);
+        ASSERT_EQ(bits(s.flat()),
+                  bits(leading_weeks(sst == &warm ? warm_table : fresh_table,
+                                     count)));
+      }
+    }
   }
 }
 

@@ -135,9 +135,11 @@ if [[ $quick -eq 1 ]]; then
   # MPSC queue/stream handoff (multi-producer backpressure + drain);
   # Prepack* covers packed-panel consumption from pool workers (the
   # panels are shared read-only across GEMM worker threads); Net* runs
-  # the master poll loop against concurrent in-process worker threads.
+  # the master poll loop against concurrent in-process worker threads;
+  # SST* covers snapshot generation, whose pool workers read the caches
+  # the calling thread grew.
   run_flavor tsan \
-    '^(Determinism|Vmath|ParallelFor|ThreadPool|Obs|Memoizer|Serve|Prepack|Net)'
+    '^(Determinism|Vmath|ParallelFor|ThreadPool|Obs|Memoizer|Serve|Prepack|Net|SST)'
   run_analyze_smoke
 else
   run_flavor tsan
