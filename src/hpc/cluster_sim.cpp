@@ -1,96 +1,13 @@
 #include "hpc/cluster_sim.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <set>
-#include <stdexcept>
 
-#include "obs/metrics.hpp"
+#include "hpc/async_campaign.hpp"
 #include "tensor/random.hpp"
 #include "tensor/stats.hpp"
 
 namespace geonas::hpc {
-
-namespace {
-
-constexpr double kCurveDt = 60.0;
-
-/// What became of one launched evaluation under the failure model.
-enum class EvalFate : std::uint8_t { kOk, kCrashed, kStraggler, kLost };
-
-/// Draws the fate of an evaluation. Every probability is guarded so a
-/// zero-rate model consumes no RNG draws at all — the contract that keeps
-/// failure-free configs bitwise identical to the pre-failure simulator.
-/// `busy_end` (node occupied until) and `resume_at` (worker available
-/// again) are updated in place from the failure semantics.
-EvalFate draw_fate(const FailureModel& model, Rng& rng, double start,
-                   double expected_duration, double& busy_end,
-                   double& resume_at) {
-  busy_end = start + expected_duration;
-  resume_at = busy_end;
-  if (model.crash_prob > 0.0 && rng.bernoulli(model.crash_prob)) {
-    // The node dies a uniform fraction into the evaluation and needs a
-    // restart before it can request work again.
-    busy_end = start + rng.uniform() * expected_duration;
-    resume_at = busy_end + model.restart_penalty_seconds;
-    return EvalFate::kCrashed;
-  }
-  if (model.straggler_prob > 0.0 && rng.bernoulli(model.straggler_prob)) {
-    // The evaluation hangs; the coordinator cuts it at the timeout
-    // multiple and discards the partial result.
-    busy_end = start + model.straggler_timeout_multiple * expected_duration;
-    resume_at = busy_end;
-    return EvalFate::kStraggler;
-  }
-  if (model.lost_result_prob > 0.0 &&
-      rng.bernoulli(model.lost_result_prob)) {
-    return EvalFate::kLost;  // full duration burned, result never arrives
-  }
-  return EvalFate::kOk;
-}
-
-void count_fate(FailureCounts& counts, EvalFate fate) {
-  switch (fate) {
-    case EvalFate::kCrashed: ++counts.worker_crashes; break;
-    case EvalFate::kStraggler: ++counts.stragglers_killed; break;
-    case EvalFate::kLost: ++counts.lost_results; break;
-    case EvalFate::kOk: break;
-  }
-}
-
-/// Exports one finished simulation into the obs registry under `prefix`
-/// (e.g. "sim.async.ae"): the paper's utilization curve as a real data
-/// series (x = simulated seconds), the best-reward-so-far timeline, and
-/// the failure/eval tallies. The simulation itself never reads these.
-void export_sim_telemetry(const std::string& prefix, const SimResult& result) {
-  obs::MetricsRegistry* reg = obs::registry();
-  if (reg == nullptr) return;
-  reg->counter(prefix + ".evals").add(result.evals.size());
-  reg->counter(prefix + ".worker_crashes")
-      .add(result.failures.worker_crashes);
-  reg->counter(prefix + ".stragglers_killed")
-      .add(result.failures.stragglers_killed);
-  reg->counter(prefix + ".lost_results").add(result.failures.lost_results);
-  reg->gauge(prefix + ".utilization_auc").set(result.utilization);
-  obs::Series& curve = reg->series(prefix + ".busy_fraction");
-  for (std::size_t i = 0; i < result.busy_curve.size(); ++i) {
-    curve.append(static_cast<double>(i) * kCurveDt, result.busy_curve[i]);
-  }
-  obs::Series& best = reg->series(prefix + ".best_reward");
-  double cur = -1e300;
-  for (const CompletedEval& eval : result.evals) {
-    if (eval.reward > cur) {
-      cur = eval.reward;
-      best.append(eval.completed_at, cur);
-    }
-  }
-  obs::Histogram& durations = reg->histogram(prefix + ".eval_seconds");
-  for (const CompletedEval& eval : result.evals) {
-    durations.observe(eval.duration);
-  }
-}
-
-}  // namespace
 
 std::pair<std::vector<double>, std::vector<double>>
 SimResult::reward_trajectory(std::size_t window) const {
@@ -135,80 +52,16 @@ std::vector<std::size_t> SimResult::unique_high_performer_curve(
 SimResult simulate_async(search::SearchMethod& method,
                          ArchitectureEvaluator& evaluator,
                          const ClusterConfig& config) {
-  const ThetaPartition part = async_partition(config.nodes);
-  UtilizationTracker tracker(part.total_nodes, config.wall_time_seconds);
-  Rng rng(hash_combine(config.seed, 0xA51ULL));
-
-  // Event-driven loop. Each worker cycles: request -> (coordinator queue)
-  // -> launch overhead -> evaluate -> report. The coordinator serves
-  // requests FIFO with a fixed service time; ask()/tell() are invoked in
-  // simulated-time order so the search method sees exactly the information
-  // a real asynchronous campaign would provide.
-  struct Pending {
-    double completion;   // when the node frees up (or dies)
-    double resume_at;    // when the worker may request again
-    std::size_t worker;
-    searchspace::Architecture arch;
-    EvalOutcome outcome;
-    EvalFate fate;
-    bool operator>(const Pending& other) const {
-      return completion > other.completion;
+  // The in-process source: every launch is evaluated the moment it is
+  // made, in seq order, so each pop is admissible as soon as it is next.
+  AsyncCampaign campaign(method, config);
+  campaign.start();
+  do {
+    while (const AsyncCampaign::Launch* l = campaign.take_launch()) {
+      campaign.apply_outcome(*l, evaluator.evaluate(l->arch, l->eval_seed));
     }
-  };
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> running;
-
-  SimResult result;
-  double coordinator_free = 0.0;
-  std::uint64_t eval_counter = 0;
-
-  auto launch = [&](std::size_t worker, double request_time) {
-    const double service_start = std::max(request_time, coordinator_free);
-    const double ask_done = service_start + config.coordinator_service;
-    coordinator_free = ask_done;
-    const double overhead =
-        config.launch_overhead_mean > 0.0
-            ? rng.exponential(1.0 / config.launch_overhead_mean)
-            : 0.0;
-    const double start = ask_done + overhead;
-    if (start >= config.wall_time_seconds) return;  // wall reached
-
-    searchspace::Architecture arch = method.ask();
-    const EvalOutcome outcome =
-        evaluator.evaluate(arch, hash_combine(config.seed, eval_counter++));
-    double busy_end = 0.0, resume_at = 0.0;
-    const EvalFate fate = draw_fate(config.failures, rng, start,
-                                    outcome.duration_seconds, busy_end,
-                                    resume_at);
-    // Busy until the node frees (completion, crash, or straggler cut) or
-    // the wall, whichever first; evaluations cut by the wall still
-    // occupied the node but return no result.
-    tracker.add_busy(start, busy_end);
-    if (busy_end <= config.wall_time_seconds) {
-      running.push({busy_end, resume_at, worker, std::move(arch), outcome,
-                    fate});
-    }
-  };
-
-  for (std::size_t w = 0; w < part.workers; ++w) launch(w, 0.0);
-
-  while (!running.empty()) {
-    Pending done = running.top();
-    running.pop();
-    if (done.fate == EvalFate::kOk) {
-      method.tell(done.arch, done.outcome.reward);
-      result.evals.push_back({done.completion, done.outcome.reward,
-                              done.outcome.duration_seconds,
-                              done.outcome.params, done.arch.key()});
-    } else {
-      // Failed evaluations never reach tell(); the asynchronous design
-      // shrugs — only this worker's slot is affected.
-      count_fate(result.failures, done.fate);
-    }
-    launch(done.worker, done.resume_at);
-  }
-
-  result.utilization = tracker.utilization_auc();
-  result.busy_curve = tracker.busy_fraction_curve(kCurveDt);
+  } while (campaign.try_pop());
+  SimResult result = std::move(campaign).result();
   export_sim_telemetry("sim.async." + method.name(), result);
   return result;
 }
@@ -249,17 +102,16 @@ SimResult simulate_rl(const searchspace::StackedLSTMSpace& space,
         searchspace::Architecture arch = agents[a].ask();
         const EvalOutcome outcome =
             evaluator.evaluate(arch, hash_combine(config.seed, eval_counter++));
-        double busy_end = 0.0, resume_at = 0.0;
-        const EvalFate fate = draw_fate(config.failures, rng, start,
-                                        outcome.duration_seconds, busy_end,
-                                        resume_at);
+        const DrawnFate fate = draw_fate(config.failures, rng);
+        const auto [busy_end, resume_at] = busy_span(
+            config.failures, fate, start, outcome.duration_seconds);
         tracker.add_busy(start, busy_end);
         // The synchronous barrier gates on every worker: a straggler cut
         // late holds the whole round, and a crashed node must restart
         // before the next round can use it.
         round_max_completion = std::max(round_max_completion, resume_at);
         if (busy_end <= config.wall_time_seconds) {
-          if (fate == EvalFate::kOk) {
+          if (fate.kind == EvalFate::kOk) {
             result.evals.push_back({busy_end, outcome.reward,
                                     outcome.duration_seconds, outcome.params,
                                     arch.key()});
@@ -269,7 +121,7 @@ SimResult simulate_rl(const searchspace::StackedLSTMSpace& space,
             // A failed evaluation shrinks (or empties) its agent's batch;
             // an agent whose whole batch died contributes no gradient
             // this round, and the all-reduce proceeds over the survivors.
-            count_fate(result.failures, fate);
+            count_fate(result.failures, fate.kind);
           }
         }
       }
@@ -299,10 +151,8 @@ SimResult simulate_rl(const searchspace::StackedLSTMSpace& space,
     ++result.rounds;
   }
 
-  std::sort(result.evals.begin(), result.evals.end(),
-            [](const CompletedEval& a, const CompletedEval& b) {
-              return a.completed_at < b.completed_at;
-            });
+  // Stable: evaluations completing at one instant keep eval-index order.
+  std::ranges::stable_sort(result.evals, {}, &CompletedEval::completed_at);
   result.utilization = tracker.utilization_auc();
   result.busy_curve = tracker.busy_fraction_curve(kCurveDt);
   export_sim_telemetry("sim.rl", result);

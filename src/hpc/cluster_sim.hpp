@@ -8,14 +8,17 @@
 //    the search method for an architecture through a central coordinator
 //    (FIFO service queue, modeling the DeepHyper/Balsam master), evaluates
 //    it for the duration the evaluator reports, tells the result back, and
-//    immediately asks again. No barriers; utilization stays high.
+//    immediately asks again. No barriers; utilization stays high. This is
+//    the campaign core (async_campaign.hpp), shared with the TCP master;
+//    completions at one instant are told in launch order.
 //
 //  * Synchronous RL: 11 agents x W workers. Each round, every worker of
 //    every agent evaluates one policy sample; agents wait for their whole
 //    batch (intra-agent barrier), then all agents all-reduce policy
 //    gradients (inter-agent barrier) before the next round starts. The
 //    slowest evaluation in the whole cluster gates every node — the
-//    mechanism behind RL's ~0.5 node utilization (Table III).
+//    mechanism behind RL's ~0.5 node utilization (Table III). Ties keep
+//    eval-index order here too.
 //
 // Simulated time is wholly decoupled from wall time: a 3-hour, 512-node
 // campaign with tens of thousands of surrogate evaluations replays in

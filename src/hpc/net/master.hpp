@@ -1,42 +1,15 @@
 // NetMaster: the real multi-process campaign coordinator.
 //
-// The discrete-event simulator (hpc/cluster_sim.cpp, simulate_async) is
-// this master's specification: a campaign run over TCP sockets must
-// produce the *identical* best-architecture trajectory — same completed
-// evaluations, same simulated completion times, same failure accounting —
-// as simulate_async with the same ClusterConfig. The tests enforce this
-// oracle equivalence bitwise.
-//
-// How a real transport can be deterministic: the master re-derives every
-// scheduling decision in *virtual* time. Remote workers are pure function
-// evaluators — evaluate(arch, eval_seed) is deterministic — so the only
-// thing the network supplies is outcomes; WHEN they arrive and WHICH
-// worker computed them is irrelevant. The master mirrors simulate_async's
-// launch loop draw-for-draw:
-//
-//  * launch(slot, t): coordinator FIFO bookkeeping, one exponential
-//    overhead draw, wall check, method.ask(), eval_seed from the shared
-//    counter, then the failure-fate draws — the exact RNG order of the
-//    simulator. The evaluation itself is shipped to any remote worker.
-//  * An outstanding launch's busy_end becomes known once its outcome
-//    arrives. Completed launches are "popped" in (busy_end, seq) order,
-//    but only when the next pop is *admissible*: its busy_end must not
-//    exceed the start time of any launch whose outcome is still in
-//    flight (an evaluation can never finish before it starts, so no
-//    in-flight launch can beat an admissible pop). Each pop performs
-//    the simulator's tell/record/count step and immediately launches
-//    the slot's next evaluation.
-//
-// Worker death is therefore trivially safe: a connection that dies with
-// an assigned task gets its task re-dispatched to any other worker —
-// deterministic evaluation means the retry is bitwise the original.
-// Elastic join/leave only changes real wall time, never the trajectory.
-//
-// Campaign checkpoints (magic "GEONASNC") capture the complete master
-// state — RNG, coordinator clock, eval counter, completed evaluations,
-// failure counts, utilization intervals, outstanding launches, and the
-// search method's own state — so a SIGKILLed or paused campaign resumes
-// to the bitwise-identical final result.
+// NetMaster is the asynchronous campaign core (hpc/async_campaign.hpp)
+// plus sockets. The core owns every rule that decides the trajectory;
+// the master accepts workers, ships each launch to an idle one, hands
+// results back to the core and pops what the core finds admissible.
+// Workers are pure evaluators (evaluate(arch, eval_seed) is
+// deterministic), so arrival order, worker count, joins, deaths and
+// re-dispatches change only real time: a campaign matches simulate_async
+// with the same ClusterConfig bitwise. Checkpoints (GEONASNC v2) are the
+// core's block plus the master's three transport counters, so a paused
+// or SIGKILLed campaign resumes to the identical result.
 #pragma once
 
 #include <atomic>

@@ -30,9 +30,10 @@ class UtilizationTracker {
   [[nodiscard]] std::size_t nodes() const noexcept { return nodes_; }
   [[nodiscard]] double wall_time() const noexcept { return wall_; }
 
-  /// Recorded (already clipped) busy intervals, in insertion order. The
-  /// net master serializes these into campaign checkpoints so a resumed
-  /// campaign reports the same utilization as an uninterrupted one.
+  /// Recorded (already clipped) busy intervals, in insertion order.
+  /// AsyncCampaign serializes these into campaign checkpoints so a
+  /// resumed campaign reports the same utilization as an uninterrupted
+  /// one.
   [[nodiscard]] const std::vector<std::pair<double, double>>& intervals()
       const noexcept {
     return intervals_;

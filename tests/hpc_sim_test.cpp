@@ -7,6 +7,7 @@
 #include "hpc/cluster_sim.hpp"
 #include "search/aging_evolution.hpp"
 #include "search/random_search.hpp"
+#include "tied_campaign.hpp"
 
 namespace geonas::hpc {
 namespace {
@@ -101,6 +102,38 @@ TEST(ClusterSim, EvaluationsScaleWithNodes) {
     EXPECT_GT(r.num_evaluations(), prev);
     prev = r.num_evaluations();
   }
+}
+
+TEST(ClusterSim, TiedCompletionsCommitInLaunchOrder) {
+  // Every round's five evaluations complete at one instant; (time, seq)
+  // must commit them in launch order, so evals[i] is eval index i.
+  const StackedLSTMSpace space;
+  TiedDurationEvaluator oracle;
+  RandomSearch rs(space, 3);
+  const ClusterConfig cfg = tied_cluster();
+  const SimResult r = simulate_async(rs, oracle, cfg);
+  ASSERT_EQ(r.evals.size(), 50u);
+  std::size_t out_of_order = 0;
+  for (std::size_t i = 0; i < r.evals.size(); ++i) {
+    out_of_order += r.evals[i].reward != tied_reward(cfg, i) ? 1 : 0;
+  }
+  EXPECT_EQ(out_of_order, 0u);
+}
+
+TEST(ClusterSim, RLTiedCompletionsKeepLaunchOrder) {
+  // 110 workers per round, all completing at one instant: the completion
+  // sort must keep ties in eval-index order.
+  const StackedLSTMSpace space;
+  TiedDurationEvaluator oracle;
+  ClusterConfig cfg = tied_cluster();
+  cfg.nodes = 128;
+  const SimResult r = simulate_rl(space, {.seed = 4}, oracle, cfg);
+  ASSERT_GE(r.evals.size(), 110u);
+  std::size_t out_of_order = 0;
+  for (std::size_t i = 0; i < r.evals.size(); ++i) {
+    out_of_order += r.evals[i].reward != tied_reward(cfg, i) ? 1 : 0;
+  }
+  EXPECT_EQ(out_of_order, 0u);
 }
 
 TEST(SimResult, TrajectoryAndHelpers) {

@@ -23,6 +23,7 @@
 #include "hpc/net/worker.hpp"
 #include "search/aging_evolution.hpp"
 #include "search/random_search.hpp"
+#include "tied_campaign.hpp"
 
 namespace geonas::hpc::net {
 namespace {
@@ -66,7 +67,8 @@ MasterOptions master_options(const ClusterConfig& cluster) {
 
 /// The oracle contract: identical evaluation sequence (bitwise times,
 /// rewards, keys), identical failure accounting, identical busy curve
-/// (an integer event sweep), utilization equal up to FP summation order.
+/// (an integer event sweep), and bitwise-identical utilization (both
+/// paths record the same busy intervals in the same pop order).
 void expect_matches_sim(const SimResult& net, const SimResult& sim) {
   ASSERT_EQ(net.evals.size(), sim.evals.size());
   for (std::size_t i = 0; i < net.evals.size(); ++i) {
@@ -79,7 +81,7 @@ void expect_matches_sim(const SimResult& net, const SimResult& sim) {
   EXPECT_EQ(net.failures.worker_crashes, sim.failures.worker_crashes);
   EXPECT_EQ(net.failures.stragglers_killed, sim.failures.stragglers_killed);
   EXPECT_EQ(net.failures.lost_results, sim.failures.lost_results);
-  EXPECT_NEAR(net.utilization, sim.utilization, 1e-9);
+  EXPECT_EQ(net.utilization, sim.utilization);
   ASSERT_EQ(net.busy_curve.size(), sim.busy_curve.size());
   for (std::size_t i = 0; i < net.busy_curve.size(); ++i) {
     ASSERT_DOUBLE_EQ(net.busy_curve[i], sim.busy_curve[i]);
@@ -171,6 +173,22 @@ TEST(NetTransport, MatchesSimulatorUnderFailureInjection) {
   const MasterResult got =
       run_campaign(net_method, oracle, master_options(cluster), 2);
 
+  expect_matches_sim(got.sim, expected);
+}
+
+TEST(NetTransport, MatchesSimulatorWithTiedCompletions) {
+  SKIP_WITHOUT_LOOPBACK();
+  const StackedLSTMSpace space;
+  TiedDurationEvaluator oracle;
+  const ClusterConfig cluster = tied_cluster();
+
+  RandomSearch sim_method(space, 3);
+  const SimResult expected = simulate_async(sim_method, oracle, cluster);
+  ASSERT_EQ(expected.evals.size(), 50u);
+
+  RandomSearch net_method(space, 3);
+  const MasterResult got =
+      run_campaign(net_method, oracle, master_options(cluster), 2);
   expect_matches_sim(got.sim, expected);
 }
 
@@ -273,6 +291,71 @@ TEST(NetTransport, AbandonedTaskIsRedispatchedAfterDisconnect) {
   });
   const MasterResult got = master.run(net_method);
   saboteur_then_honest.join();
+
+  EXPECT_GE(got.worker_deaths, 1u);
+  EXPECT_GE(got.redispatches, 1u);
+  expect_matches_sim(got.sim, expected);
+}
+
+TEST(NetTransport, RefusedOutcomeCondemnsWorkerAndIsRedispatched) {
+  SKIP_WITHOUT_LOOPBACK();
+  const StackedLSTMSpace space;
+  SurrogateEvaluator oracle(space);
+  const ClusterConfig cluster = small_cluster(4, 30);
+
+  RandomSearch sim_method(space, 18);
+  const SimResult expected = simulate_async(sim_method, oracle, cluster);
+
+  RandomSearch net_method(space, 18);
+  NetMaster master(master_options(cluster));
+  const std::uint16_t port = master.port();
+
+  // A faulty worker answers its first task with a negative duration,
+  // which the campaign refuses. The master must drop that worker and
+  // hand the task to the honest worker, which joins only once the
+  // master has closed the faulty connection.
+  std::thread faulty_then_honest([&oracle, port] {
+    {
+      Socket conn = connect_tcp("127.0.0.1", port);
+      auto send = [&conn](const Message& message) {
+        const std::string frame = encode_frame(message);
+        std::size_t sent = 0;
+        while (sent < frame.size()) {
+          const std::ptrdiff_t n =
+              conn.write_some(frame.data() + sent, frame.size() - sent);
+          if (n <= 0) return;
+          sent += static_cast<std::size_t>(n);
+        }
+      };
+      send(make_hello("faulty"));
+      FrameAssembler assembler;
+      std::string payload;
+      char buf[1024];
+      bool answered = false;
+      for (;;) {
+        const std::ptrdiff_t n = conn.read_some(buf, sizeof(buf));
+        if (n == 0) break;  // the master closed us
+        if (n > 0) assembler.feed(buf, static_cast<std::size_t>(n));
+        while (!answered && assembler.next(payload)) {
+          const Message m = decode_payload(payload);
+          if (m.type == MsgType::kTask) {
+            send(make_result(m.seq, {.reward = 0.5,
+                                     .duration_seconds = -1.0}));
+            answered = true;
+          }
+        }
+      }
+    }
+    WorkerOptions wo;
+    wo.port = port;
+    wo.name = "honest";
+    try {
+      (void)run_worker(oracle, wo);
+    } catch (const std::exception&) {
+    }
+  });
+  const MasterResult got = master.run(net_method);
+  faulty_then_honest.join();
 
   EXPECT_GE(got.worker_deaths, 1u);
   EXPECT_GE(got.redispatches, 1u);

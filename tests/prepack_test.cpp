@@ -301,7 +301,7 @@ TEST(PrepackDeathTest, ConsumingAStalePackAssertsInDebug) {
 #ifdef NDEBUG
   GTEST_SKIP() << "assert() compiled out in NDEBUG builds";
 #else
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   Rng rng(110);
   Matrix w = random_matrix(8, 8, rng);
   tensor::PackedPanels pack;
