@@ -1,9 +1,9 @@
 #include "core/nas_driver.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 
 #include "core/thread_annotations.hpp"
@@ -282,28 +282,30 @@ LocalSearchResult run_local_search_parallel(
   if (reg != nullptr) {
     reg->gauge("driver.workers").set(static_cast<double>(workers));
   }
-  // Optional per-worker kernel pool shards (declared before the worker
-  // pool so every dispatched kernel drains before the shards die).
+  // One private kernel pool shard per worker, sized to the worker's
+  // share of the kernel budget (declared before the worker pool so every
+  // dispatched kernel drains before the shards die). With as many
+  // workers as kernel threads every shard has one participant and every
+  // campaign kernel runs inline on its worker.
+  const std::size_t shard_threads =
+      std::max<std::size_t>(1, hpc::kernel_threads() / workers);
   std::vector<std::unique_ptr<hpc::PoolShard>> shards;
-  if (options.worker_shard_threads > 0) {
-    shards.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      std::string shard_name = "w";
-      shard_name += std::to_string(w);
-      shards.push_back(std::make_unique<hpc::PoolShard>(
-          std::move(shard_name), options.worker_shard_threads));
-      shards.back()->register_metrics();
-    }
+  shards.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    std::string shard_name = "w";
+    shard_name += std::to_string(w);
+    shards.push_back(
+        std::make_unique<hpc::PoolShard>(std::move(shard_name), shard_threads));
+    shards.back()->register_metrics();
   }
   hpc::ThreadPool pool(workers);
   std::vector<std::future<void>> futures;
   futures.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     futures.push_back(pool.submit([&, w] {
-      // Bind this worker's shard (if sharding is on): every parallel_for
-      // under an evaluation dispatches on the private pool.
-      std::optional<hpc::ScopedPoolShard> shard_scope;
-      if (!shards.empty()) shard_scope.emplace(*shards[w]);
+      // Every parallel_for under an evaluation dispatches on the
+      // worker's private shard.
+      const hpc::ScopedPoolShard shard_scope(*shards[w]);
       const obs::ScopedTimer worker_span(reg, "search.worker");
       obs::StopWatch busy_watch;
       double busy_seconds = 0.0;

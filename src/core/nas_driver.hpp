@@ -65,14 +65,6 @@ struct SearchRunOptions {
   /// would. Off by default — memoized rewards are seed-independent,
   /// which changes trajectories relative to the re-training baseline.
   bool memoize = false;
-  /// Parallel campaigns only: give every worker a private kernel pool
-  /// shard of this many participants (hpc::PoolShard, bound for the
-  /// worker's lifetime), so concurrent evaluations never queue their
-  /// GEMM chunks behind each other on the global kernel pool. Each shard
-  /// exports "kernel.shard.w<idx>.*" queue-depth/latency metrics. 0
-  /// (default) keeps all workers on the global pool; serial campaigns
-  /// ignore the flag.
-  std::size_t worker_shard_threads = 0;
 };
 
 /// Runs `evaluations` sequential ask/evaluate/tell cycles.
@@ -84,6 +76,11 @@ struct SearchRunOptions {
 /// Same, with `workers` concurrent evaluations (evaluator must be
 /// thread_safe()). ask/tell are serialized; evaluations overlap — the
 /// shared-memory equivalent of the paper's asynchronous AE/RS campaigns.
+/// Every worker runs its kernels on a private hpc::PoolShard of
+/// max(1, kernel_threads() / workers) participants, bound for the
+/// worker's lifetime, so concurrent evaluations split the kernel budget
+/// instead of queueing their chunks behind each other on the global
+/// pool; each shard exports "kernel.shard.w<idx>.*" metrics.
 /// Checkpoint/resume works here too, but completion order (and therefore
 /// the resumed trajectory) depends on thread timing; only the serial
 /// driver guarantees bitwise-identical resumption.

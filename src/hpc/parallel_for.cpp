@@ -31,9 +31,27 @@ KernelPoolState& state() {
   return s;
 }
 
-// Set while a kernel-pool worker runs a chunk, so nested parallel_for
-// calls degrade to serial instead of deadlocking on a full pool.
-thread_local bool t_in_kernel_worker = false;
+// Set while a thread runs a chunk of a dispatched parallel_for, pool
+// worker and dispatching caller alike, so nested parallel_for calls run
+// inline: a worker would deadlock waiting on its own full pool, and the
+// caller would queue behind the sibling chunks that occupy it.
+thread_local bool t_in_kernel_chunk = false;
+
+/// Marks the current thread as running a dispatched chunk for the
+/// scope's duration, restoring the previous mark afterwards.
+class ChunkScope {
+ public:
+  ChunkScope() noexcept : previous_(t_in_kernel_chunk) {
+    t_in_kernel_chunk = true;
+  }
+  ~ChunkScope() { t_in_kernel_chunk = previous_; }
+
+  ChunkScope(const ChunkScope&) = delete;
+  ChunkScope& operator=(const ChunkScope&) = delete;
+
+ private:
+  bool previous_;
+};
 
 // Shard bound by ScopedPoolShard; dispatches without an explicit shard
 // resolve through this before falling back to the global pool.
@@ -127,7 +145,7 @@ void parallel_for(std::size_t begin, std::size_t end, double cost_flops,
   ThreadPool* pool = nullptr;
   std::shared_ptr<ThreadPool> global_pool;  // keeps a retiring pool alive
   MetricViews metrics = kGlobalMetrics;
-  if (cost_flops >= kParallelMinFlops && !t_in_kernel_worker) {
+  if (cost_flops >= kParallelMinFlops && !t_in_kernel_chunk) {
     if (shard == nullptr) shard = t_bound_shard;
     if (shard != nullptr) {
       participants = shard->participants();
@@ -169,10 +187,7 @@ void parallel_for(std::size_t begin, std::size_t end, double cost_flops,
     const std::size_t my_grains = grains_per_chunk + (c < extra ? 1 : 0);
     const std::size_t hi = std::min(end, lo + my_grains * grain);
     pending.push_back(pool->submit([body, lo, hi, metrics, reg] {
-      struct WorkerFlag {
-        WorkerFlag() { t_in_kernel_worker = true; }
-        ~WorkerFlag() { t_in_kernel_worker = false; }
-      } flag;
+      const ChunkScope chunk;
       if (reg == nullptr) {
         body(lo, hi);
         return;
@@ -191,6 +206,7 @@ void parallel_for(std::size_t begin, std::size_t end, double cost_flops,
   std::exception_ptr error;
   const obs::StopWatch caller_watch;
   try {
+    const ChunkScope chunk;
     body(lo, end);
   } catch (...) {
     error = std::current_exception();

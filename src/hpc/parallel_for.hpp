@@ -14,10 +14,12 @@
 // pool. Resolution order per dispatch: explicit `shard` argument, then
 // the thread-bound shard (ScopedPoolShard), then the global pool.
 //
-// Re-entrancy: a parallel_for issued from inside a kernel-pool worker
-// runs serially in that worker. This makes nested kernels (e.g. a
-// parallel evaluator whose trainings call parallel GEMMs) deadlock-free
-// by construction.
+// Re-entrancy: a parallel_for issued from inside any chunk of a
+// dispatched parallel_for (on a pool worker or on the dispatching
+// caller) runs serially in that chunk. This makes nested kernels (e.g. a
+// recurrent layer's batch-slice chunks that each call GEMMs)
+// deadlock-free by construction, and keeps the caller's chunk from
+// queueing its nested work behind the sibling chunks on the same pool.
 //
 // The body is taken by FunctionRef, not std::function: std::function's
 // construction heap-allocates for captures beyond the small-buffer
@@ -71,9 +73,10 @@ using KernelBody = FunctionRef<void(std::size_t, std::size_t)>;
 
 /// Minimum loop cost (in floating-point operations) before parallel_for
 /// engages the kernel pool. Below this, thread dispatch costs more than
-/// it saves: a per-timestep recurrent matmul at paper scale
-/// (batch 32 x 4*units 160 x units 40 ~ 0.4 MFLOP) stays serial while a
-/// 128^3 GEMM (4.2 MFLOP) is split.
+/// it saves: a 0.4 MFLOP loop (one paper-scale recurrent timestep,
+/// batch 32 x 4*units 160 x units 40) stays serial while a 128^3 GEMM
+/// (4.2 MFLOP) is split. Recurrent layers state the cost of a whole
+/// pass, every timestep at once, so they dispatch once per pass.
 inline constexpr double kParallelMinFlops = 1.0e6;
 
 /// Number of participants a kernel-level parallel_for uses: the
@@ -94,10 +97,11 @@ void set_kernel_threads(std::size_t threads);
 ///
 /// `cost_flops` is the arithmetic cost of the whole range; when it is
 /// below kParallelMinFlops, the resolved participant count is 1, or the
-/// call is issued from a kernel-pool worker, the body runs inline as
-/// body(begin, end). Otherwise the range is split into near-equal
-/// chunks whose sizes are multiples of `grain` (except the last), one
-/// chunk per participant; the caller executes the first chunk itself.
+/// call is issued from inside a chunk of a dispatched parallel_for, the
+/// body runs inline as body(begin, end). Otherwise the range is split
+/// into near-equal chunks whose sizes are multiples of `grain` (except
+/// the last), one chunk per participant; the caller executes the last
+/// chunk itself.
 /// The partition depends only on (range, participant count, grain), so a
 /// body that is deterministic per index stays deterministic.
 ///

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hpc/parallel_for.hpp"
 #include "tensor/blas.hpp"
+#include "tensor/gemm_kernel.hpp"
 #include "tensor/vmath.hpp"
 
 namespace geonas::nn {
@@ -56,7 +58,6 @@ void GRU::bind_workspace(tensor::Arena& arena, const WorkspaceShape& shape) {
     da_.bind(arena, rows, g3);
     dh_.bind(arena, batch, units_);
     drh_.bind(arena, batch, units_);
-    dx_tm_.bind(arena, rows, in_);
   }
 }
 
@@ -95,27 +96,39 @@ void GRU::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
     for (std::size_t j = 0; j < g3; ++j) arow[j] += bias[j];
   }
 
-  for (std::size_t t = 0; t < steps; ++t) {
-    double* a = gates_.flat().data() + t * batch * g3;
-    const double* h_prev = h_seq_.flat().data() + t * batch * units_;
-    // z/r recurrent terms see the raw previous state: the [z | r]
-    // column block of Wh, prepacked as its own (units x 2*units) panel.
-    gemm_raw(Trans::kNone, batch, 1.0, h_prev, units_, wh_zr_pack_, 1.0, a,
-             g3);
-    // Fused z/r gate sigmoids + the candidate's recurrent input
-    // r .* h_{t-1} (tensor::vmath).
-    double* rh = rh_.flat().data() + t * batch * units_;
-    tensor::gru_pointwise_zr(batch, units_, a, h_prev, rh);
-    // Candidate recurrent term against the [h] column block of Wh.
-    gemm_raw(Trans::kNone, batch, 1.0, rh, units_, wh_h_pack_, 1.0,
-             a + 2 * units_, g3);
-    // Fused candidate tanh + state blend, scattered straight into the
-    // batch-major output (tensor::vmath).
-    double* h_new = h_seq_.flat().data() + (t + 1) * batch * units_;
-    tensor::gru_pointwise_out(batch, units_, a, h_prev, h_new,
-                              out.flat().data() + t * units_,
-                              steps * units_);
-  }
+  // The recurrence: one fork-join over batch-row slices for the whole
+  // sequence (see LSTM::forward_into).
+  const double recurrent_flops = 2.0 * static_cast<double>(rows) *
+                                 static_cast<double>(units_) *
+                                 static_cast<double>(g3);
+  hpc::parallel_for(
+      0, batch, recurrent_flops, detail::kMR,
+      [&](std::size_t lo, std::size_t hi) {
+        const std::size_t n = hi - lo;
+        for (std::size_t t = 0; t < steps; ++t) {
+          const std::size_t row = t * batch + lo;
+          double* a = gates_.flat().data() + row * g3;
+          const double* h_prev = h_seq_.flat().data() + row * units_;
+          // z/r recurrent terms see the raw previous state: the [z | r]
+          // column block of Wh, prepacked as its own (units x 2*units)
+          // panel.
+          gemm_raw(Trans::kNone, n, 1.0, h_prev, units_, wh_zr_pack_, 1.0, a,
+                   g3);
+          // Fused z/r gate sigmoids + the candidate's recurrent input
+          // r .* h_{t-1} (tensor::vmath).
+          double* rh = rh_.flat().data() + row * units_;
+          tensor::gru_pointwise_zr(n, units_, a, h_prev, rh);
+          // Candidate recurrent term against the [h] column block of Wh.
+          gemm_raw(Trans::kNone, n, 1.0, rh, units_, wh_h_pack_, 1.0,
+                   a + 2 * units_, g3);
+          // Fused candidate tanh + state blend, scattered straight into
+          // the batch-major output (tensor::vmath).
+          double* h_new = h_seq_.flat().data() + (row + batch) * units_;
+          tensor::gru_pointwise_out(
+              n, units_, a, h_prev, h_new,
+              out.flat().data() + (lo * steps + t) * units_, steps * units_);
+        }
+      });
 }
 
 void GRU::backward_into(const Tensor3& grad_output,
@@ -142,57 +155,86 @@ void GRU::backward_into(const Tensor3& grad_output,
   wh_zr_t_pack_.ensure_block(wh_, Trans::kTranspose, 0, 2 * units_);
   wx_t_pack_.ensure(wx_, Trans::kTranspose);
 
+  // BPTT data path: one fork-join over batch-row slices (see
+  // LSTM::backward_into); for t = T-1..0 each chunk runs its rows of:
+  //   through h_new = (1 - z) h_prev + z hh: the z and candidate
+  //     pre-activation gradients, dh_ rewritten with the direct
+  //     (1 - z) path (tensor::vmath);
+  //   d(r .* h_prev) = da_h Uh^T over the candidate column block;
+  //   through rh = r .* h_prev: the r-gate gradient, dh_ += drh .* r;
+  //   dh_{t-1} += da_zr W_zr^T, and the dX_t rows = dA_t Wx^T written
+  //     straight into the batch-major [B, T, in] result.
+  double* dx = input_grads[0]->flat().data();
+  const double data_flops = 2.0 * static_cast<double>(rows) *
+                            static_cast<double>(g3) *
+                            static_cast<double>(units_ + in_);
+  hpc::parallel_for(
+      0, batch, data_flops, detail::kMR, [&](std::size_t lo, std::size_t hi) {
+        const std::size_t n = hi - lo;
+        double* dh = dh_.flat().data() + lo * units_;
+        double* drh = drh_.flat().data() + lo * units_;
+        for (std::size_t t = steps; t-- > 0;) {
+          const std::size_t row = t * batch + lo;
+          const double* gates = gates_.flat().data() + row * g3;
+          const double* h_prev = h_seq_.flat().data() + row * units_;
+          double* da = da_.flat().data() + row * g3;
+          tensor::gru_pointwise_backward_zh(
+              n, units_, gates, h_prev,
+              grad_output.flat().data() + (lo * steps + t) * units_,
+              steps * units_, dh, da);
+          gemm_raw(Trans::kNone, n, 1.0, da + 2 * units_, g3, wh_h_t_pack_,
+                   0.0, drh, units_);
+          tensor::gru_pointwise_backward_r(n, units_, gates, h_prev, drh, dh,
+                                           da);
+          gemm_raw(Trans::kNone, n, 1.0, da, g3, wh_zr_t_pack_, 1.0, dh,
+                   units_);
+          gemm_raw(Trans::kNone, n, 1.0, da, g3, wx_t_pack_, 0.0,
+                   dx + (lo * steps + t) * in_, steps * in_);
+        }
+      });
+
+  // Weight gradients: one fork-join over the rows of [Wx_grad; Wh_grad;
+  // b_grad] (see LSTM::backward_into): Wx_grad += X^T dA as one K = T*B
+  // product; for t = T-1..0, Wh_grad[:, z|r] += h_{t-1}^T da_zr and
+  // Wh_grad[:, h] += rh^T da_h; the bias row reduced t descending.
+  const double weight_flops = 2.0 * static_cast<double>(rows) *
+                              static_cast<double>(g3) *
+                              static_cast<double>(in_ + units_ + 1);
+  // Matrix::flat() bumps the version counter: take the gradient pointers
+  // once here rather than in every chunk (see LSTM::backward_into).
+  double* wxg = wx_grad_.flat().data();
   double* whg = wh_grad_.flat().data();
   double* bg = b_grad_.flat().data();
-
-  for (std::size_t t = steps; t-- > 0;) {
-    const double* gates = gates_.flat().data() + t * batch * g3;
-    const double* h_prev = h_seq_.flat().data() + t * batch * units_;
-    const double* rh = rh_.flat().data() + t * batch * units_;
-    double* da = da_.flat().data() + t * batch * g3;
-
-    // Through h_new = (1 - z) h_prev + z hh (tensor::vmath): fill the z
-    // and candidate pre-activation gradients; dh_ is rewritten with the
-    // direct (1 - z) path and the remaining contributions accumulate
-    // below.
-    tensor::gru_pointwise_backward_zh(batch, units_, gates, h_prev,
-                                      grad_output.flat().data() + t * units_,
-                                      steps * units_, dh_.flat().data(), da);
-
-    // d(r .* h_prev) = da_h Uh^T over the candidate column block.
-    gemm_raw(Trans::kNone, batch, 1.0, da + 2 * units_, g3, wh_h_t_pack_, 0.0,
-             drh_.flat().data(), units_);
-    // Through rh = r .* h_prev, plus the deterministic row-order bias
-    // accumulation over all three gate blocks (tensor::vmath).
-    tensor::gru_pointwise_backward_r(batch, units_, gates, h_prev,
-                                     drh_.flat().data(), dh_.flat().data(),
-                                     da, bg);
-
-    // Remaining recurrent paths, one GEMM each: dh_{t-1} += da_zr W_zr^T,
-    // Wh_grad[:, z|r] += h_{t-1}^T da_zr, Wh_grad[:, h] += rh^T da_h.
-    gemm_raw(Trans::kNone, batch, 1.0, da, g3, wh_zr_t_pack_, 1.0,
-             dh_.flat().data(), units_);
-    gemm_raw(Trans::kTranspose, Trans::kNone, units_, 2 * units_, batch, 1.0,
-             h_prev, units_, da, g3, 1.0, whg, g3);
-    gemm_raw(Trans::kTranspose, Trans::kNone, units_, units_, batch, 1.0, rh,
-             units_, da + 2 * units_, g3, 1.0, whg + 2 * units_, g3);
-  }
-
-  // Whole-sequence slab GEMMs: Wx_grad += X^T dA and dX = dA Wx^T.
-  gemm_raw(Trans::kTranspose, Trans::kNone, in_, g3, rows, 1.0,
-           x_tm_.flat().data(), in_, da_.flat().data(), g3, 1.0,
-           wx_grad_.flat().data(), g3);
-  gemm_raw(Trans::kNone, rows, 1.0, da_.flat().data(), g3, wx_t_pack_, 0.0,
-           dx_tm_.flat().data(), in_);
-
-  Tensor3& dx = *input_grads[0];
-  for (std::size_t bi = 0; bi < batch; ++bi) {
-    double* dst = dx.flat().data() + bi * steps * in_;
-    for (std::size_t t = 0; t < steps; ++t) {
-      const auto src = dx_tm_.row_span(t * batch + bi);
-      std::copy(src.begin(), src.end(), dst + t * in_);
-    }
-  }
+  hpc::parallel_for(
+      0, in_ + units_ + 1, weight_flops, detail::kMR,
+      [&](std::size_t lo, std::size_t hi) {
+        if (lo < in_) {
+          const std::size_t end = std::min(hi, in_);
+          gemm_raw(Trans::kTranspose, Trans::kNone, end - lo, g3, rows, 1.0,
+                   x_tm_.flat().data() + lo, in_, da_.flat().data(), g3, 1.0,
+                   wxg + lo * g3, g3);
+        }
+        if (hi > in_ && lo < in_ + units_) {
+          const std::size_t h_lo = std::max(lo, in_) - in_;
+          const std::size_t h_hi = std::min(hi, in_ + units_) - in_;
+          double* whg_rows = whg + h_lo * g3;
+          for (std::size_t t = steps; t-- > 0;) {
+            const double* da = da_.flat().data() + t * batch * g3;
+            gemm_raw(Trans::kTranspose, Trans::kNone, h_hi - h_lo, 2 * units_,
+                     batch, 1.0,
+                     h_seq_.flat().data() + t * batch * units_ + h_lo, units_,
+                     da, g3, 1.0, whg_rows, g3);
+            gemm_raw(Trans::kTranspose, Trans::kNone, h_hi - h_lo, units_,
+                     batch, 1.0, rh_.flat().data() + t * batch * units_ + h_lo,
+                     units_, da + 2 * units_, g3, 1.0, whg_rows + 2 * units_,
+                     g3);
+          }
+        }
+        if (hi == in_ + units_ + 1) {
+          tensor::recurrent_bias_grad(steps, batch, g3, da_.flat().data(),
+                                      bg);
+        }
+      });
 }
 
 void GRU::repack_weights() {

@@ -11,14 +11,16 @@
 // Always returns the full hidden sequence.
 //
 // Like LSTM, both passes run in the batched-GEMM formulation over
-// time-major workspaces: one whole-sequence GEMM for X * Wx, two
-// per-timestep GEMMs for the recurrent terms (the z/r block against
-// h_{t-1}, the candidate block against r .* h_{t-1}), and
-// whole-sequence slab GEMMs for the Wx/dX gradients in BPTT. The
-// strided gemm_raw interface lets the z/r and candidate column blocks
-// of the fused Wh matrix be updated in place. Workspaces are carved
-// from an Arena at bind time: steady-state training performs no
-// allocation (see DESIGN.md, "Memory model").
+// time-major workspaces with a constant number of kernel-pool
+// fork-joins: one whole-sequence GEMM for X * Wx, then one fork-join
+// over batch-row slices that runs each timestep's two recurrent GEMMs
+// (the z/r block against h_{t-1}, the candidate block against
+// r .* h_{t-1}) and fused stages for its rows; BPTT is one fork-join
+// over the same slices for the data path and one over the
+// weight-gradient rows. The strided gemm_raw interface lets the z/r and
+// candidate column blocks of the fused Wh matrix be updated in place.
+// Workspaces are carved from an Arena at bind time: steady-state
+// training performs no allocation (see DESIGN.md, "Memory model").
 #pragma once
 
 #include "nn/layer.hpp"
@@ -76,7 +78,7 @@ class GRU final : public Layer {
   // Time-major workspaces carved from the bound arena for the bound
   // batch B and reused across calls; a forward at batch b <= B uses the
   // first rows, indexed t * b + row. Rows [0, b) of h_seq_ are h_0 = 0,
-  // re-zeroed by every forward. The last four exist only after a
+  // re-zeroed by every forward. The last three exist only after a
   // training bind.
   tensor::ArenaMatrix x_tm_;   // [T*B, in]
   tensor::ArenaMatrix gates_;  // [T*B, 3*units] pre-activations, [z, r, hh]
@@ -85,7 +87,6 @@ class GRU final : public Layer {
   tensor::ArenaMatrix da_;     // [T*B, 3*units] gate pre-activation grads
   tensor::ArenaMatrix dh_;     // [B, units] running dL/dh_{t-1}
   tensor::ArenaMatrix drh_;    // [B, units] dL/d(r .* h_{t-1})
-  tensor::ArenaMatrix dx_tm_;  // [T*B, in]
   std::size_t batch_ = 0;      // batch of the latest forward
 };
 

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hpc/parallel_for.hpp"
 #include "tensor/blas.hpp"
+#include "tensor/gemm_kernel.hpp"
 #include "tensor/vmath.hpp"
 
 namespace geonas::nn {
@@ -61,7 +63,6 @@ void LSTM::bind_workspace(tensor::Arena& arena, const WorkspaceShape& shape) {
     dz_.bind(arena, rows, g4);
     dh_.bind(arena, batch, units_);
     dc_.bind(arena, batch, units_);
-    dx_tm_.bind(arena, rows, in_);
   }
 }
 
@@ -103,21 +104,35 @@ void LSTM::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
     for (std::size_t j = 0; j < g4; ++j) zrow[j] += bias[j];
   }
 
-  for (std::size_t t = 0; t < steps; ++t) {
-    // z_t += h_{t-1} Wh: one (B, units) x (units, 4*units) GEMM.
-    double* z = gates_.flat().data() + t * batch * g4;
-    const double* h_prev = h_seq_.flat().data() + t * batch * units_;
-    gemm_raw(Trans::kNone, batch, 1.0, h_prev, units_, wh_pack_, 1.0, z, g4);
-    // Fused gate nonlinearities + state update (tensor::vmath); gates_
-    // holds post-activation values afterwards (what BPTT needs), and the
-    // hidden state is scattered straight into the batch-major output.
-    const double* c_prev = c_seq_.flat().data() + t * batch * units_;
-    double* c_new = c_seq_.flat().data() + (t + 1) * batch * units_;
-    double* h_new = h_seq_.flat().data() + (t + 1) * batch * units_;
-    tensor::lstm_pointwise_forward(batch, units_, z, c_prev, c_new, h_new,
-                                   out.flat().data() + t * units_,
-                                   steps * units_);
-  }
+  // The recurrence: one fork-join over batch-row slices for the whole
+  // sequence. Rows never interact, so each chunk steps its own rows
+  // through every timestep; the GEMMs it issues run inline in the chunk.
+  const double recurrent_flops = 2.0 * static_cast<double>(rows) *
+                                 static_cast<double>(units_) *
+                                 static_cast<double>(g4);
+  hpc::parallel_for(
+      0, batch, recurrent_flops, detail::kMR,
+      [&](std::size_t lo, std::size_t hi) {
+        const std::size_t n = hi - lo;
+        for (std::size_t t = 0; t < steps; ++t) {
+          const std::size_t row = t * batch + lo;
+          // z_t += h_{t-1} Wh for this slice's rows.
+          double* z = gates_.flat().data() + row * g4;
+          const double* h_prev = h_seq_.flat().data() + row * units_;
+          gemm_raw(Trans::kNone, n, 1.0, h_prev, units_, wh_pack_, 1.0, z,
+                   g4);
+          // Fused gate nonlinearities + state update (tensor::vmath);
+          // gates_ holds post-activation values afterwards (what BPTT
+          // needs), and the hidden state is scattered straight into the
+          // batch-major output.
+          const double* c_prev = c_seq_.flat().data() + row * units_;
+          double* c_new = c_seq_.flat().data() + (row + batch) * units_;
+          double* h_new = h_seq_.flat().data() + (row + batch) * units_;
+          tensor::lstm_pointwise_forward(
+              n, units_, z, c_prev, c_new, h_new,
+              out.flat().data() + (lo * steps + t) * units_, steps * units_);
+        }
+      });
 }
 
 void LSTM::backward_into(const Tensor3& grad_output,
@@ -144,47 +159,72 @@ void LSTM::backward_into(const Tensor3& grad_output,
   wh_t_pack_.ensure(wh_, Trans::kTranspose);
   wx_t_pack_.ensure(wx_, Trans::kTranspose);
 
+  // BPTT data path: one fork-join over the same batch-row slices as the
+  // forward. For t = T-1..0 each chunk runs, for its rows only, the
+  // fused gate backward (dh_/dc_ carry dL/dh_t, dL/dc_t in and dc_
+  // leaves dL/dc_{t-1} behind), dH_{t-1} = dZ_t Wh^T, and the dX_t rows
+  // = dZ_t Wx^T written straight into the batch-major [B, T, in] result.
+  double* dx = input_grads[0]->flat().data();
+  const double data_flops = 2.0 * static_cast<double>(rows) *
+                            static_cast<double>(g4) *
+                            static_cast<double>(units_ + in_);
+  hpc::parallel_for(
+      0, batch, data_flops, detail::kMR, [&](std::size_t lo, std::size_t hi) {
+        const std::size_t n = hi - lo;
+        double* dh = dh_.flat().data() + lo * units_;
+        double* dc = dc_.flat().data() + lo * units_;
+        for (std::size_t t = steps; t-- > 0;) {
+          const std::size_t row = t * batch + lo;
+          double* dz = dz_.flat().data() + row * g4;
+          tensor::lstm_pointwise_backward(
+              n, units_, gates_.flat().data() + row * g4,
+              c_seq_.flat().data() + row * units_,
+              c_seq_.flat().data() + (row + batch) * units_,
+              grad_output.flat().data() + (lo * steps + t) * units_,
+              steps * units_, dh, dc, dz);
+          gemm_raw(Trans::kNone, n, 1.0, dz, g4, wh_t_pack_, 0.0, dh, units_);
+          gemm_raw(Trans::kNone, n, 1.0, dz, g4, wx_t_pack_, 0.0,
+                   dx + (lo * steps + t) * in_, steps * in_);
+        }
+      });
+
+  // Weight gradients: one fork-join over the rows of [Wx_grad; Wh_grad;
+  // b_grad]. Every row sees the same operations in the same order as a
+  // whole-matrix GEMM would give it: Wx_grad += X^T dZ as one K = T*B
+  // product, Wh_grad += H_{t-1}^T dZ_t for t = T-1..0, and the bias row
+  // (the gradient of a constant-one input) reduced t descending.
+  const double weight_flops = 2.0 * static_cast<double>(rows) *
+                              static_cast<double>(g4) *
+                              static_cast<double>(in_ + units_ + 1);
+  // Matrix::flat() bumps the matrix's version counter, so the gradient
+  // pointers are taken once here rather than by every chunk.
+  double* wxg = wx_grad_.flat().data();
+  double* whg = wh_grad_.flat().data();
   double* bg = b_grad_.flat().data();
-
-  for (std::size_t t = steps; t-- > 0;) {
-    const double* gates = gates_.flat().data() + t * batch * g4;
-    const double* c_new = c_seq_.flat().data() + (t + 1) * batch * units_;
-    const double* c_prev = c_seq_.flat().data() + t * batch * units_;
-    const double* h_prev = h_seq_.flat().data() + t * batch * units_;
-    double* dz = dz_.flat().data() + t * batch * g4;
-
-    // Fused elementwise gate backward for the whole timestep slab
-    // (tensor::vmath); dh_/dc_ carry dL/dh_t, dL/dc_t in and leave
-    // dL/dc_{t-1} behind (dh_{t-1} is produced by the GEMM below), and
-    // the bias gradient accumulates in deterministic row order.
-    tensor::lstm_pointwise_backward(batch, units_, gates, c_prev, c_new,
-                                    grad_output.flat().data() + t * units_,
-                                    steps * units_, dh_.flat().data(),
-                                    dc_.flat().data(), dz, bg);
-
-    // Wh_grad += H_{t-1}^T dZ_t and dH_{t-1} = dZ_t Wh^T: one GEMM each.
-    gemm_raw(Trans::kTranspose, Trans::kNone, units_, g4, batch, 1.0, h_prev,
-             units_, dz, g4, 1.0, wh_grad_.flat().data(), g4);
-    gemm_raw(Trans::kNone, batch, 1.0, dz, g4, wh_t_pack_, 0.0,
-             dh_.flat().data(), units_);
-  }
-
-  // Whole-sequence slab GEMMs: Wx_grad += X^T dZ and dX = dZ Wx^T.
-  gemm_raw(Trans::kTranspose, Trans::kNone, in_, g4, rows, 1.0,
-           x_tm_.flat().data(), in_, dz_.flat().data(), g4, 1.0,
-           wx_grad_.flat().data(), g4);
-  gemm_raw(Trans::kNone, rows, 1.0, dz_.flat().data(), g4, wx_t_pack_, 0.0,
-           dx_tm_.flat().data(), in_);
-
-  // Scatter time-major dX back to batch-major [B, T, in].
-  Tensor3& dx = *input_grads[0];
-  for (std::size_t bi = 0; bi < batch; ++bi) {
-    double* dst = dx.flat().data() + bi * steps * in_;
-    for (std::size_t t = 0; t < steps; ++t) {
-      const auto src = dx_tm_.row_span(t * batch + bi);
-      std::copy(src.begin(), src.end(), dst + t * in_);
-    }
-  }
+  hpc::parallel_for(
+      0, in_ + units_ + 1, weight_flops, detail::kMR,
+      [&](std::size_t lo, std::size_t hi) {
+        if (lo < in_) {
+          const std::size_t end = std::min(hi, in_);
+          gemm_raw(Trans::kTranspose, Trans::kNone, end - lo, g4, rows, 1.0,
+                   x_tm_.flat().data() + lo, in_, dz_.flat().data(), g4, 1.0,
+                   wxg + lo * g4, g4);
+        }
+        if (hi > in_ && lo < in_ + units_) {
+          const std::size_t h_lo = std::max(lo, in_) - in_;
+          const std::size_t h_hi = std::min(hi, in_ + units_) - in_;
+          for (std::size_t t = steps; t-- > 0;) {
+            gemm_raw(Trans::kTranspose, Trans::kNone, h_hi - h_lo, g4, batch,
+                     1.0, h_seq_.flat().data() + t * batch * units_ + h_lo,
+                     units_, dz_.flat().data() + t * batch * g4, g4, 1.0,
+                     whg + h_lo * g4, g4);
+          }
+        }
+        if (hi == in_ + units_ + 1) {
+          tensor::recurrent_bias_grad(steps, batch, g4, dz_.flat().data(),
+                                      bg);
+        }
+      });
 }
 
 void LSTM::repack_weights() {

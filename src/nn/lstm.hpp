@@ -8,13 +8,15 @@
 // architectures need.
 //
 // Both passes run in the batched-GEMM formulation over time-major
-// workspaces (row t * batch + b): the input projection X * Wx is one
-// GEMM over the whole (batch * steps) slab, each timestep's recurrent
-// update H_{t-1} * Wh is one (batch, units) x (units, 4 * units) GEMM,
-// and BPTT accumulates the Wx/dX gradients with single whole-sequence
-// slab GEMMs (see DESIGN.md, "Kernel layer"). The workspaces are carved
-// from an Arena at bind time, so steady-state training performs no
-// allocation at all.
+// workspaces (row t * batch + b), with a constant number of kernel-pool
+// fork-joins per pass (see DESIGN.md, "Kernel layer"): the input
+// projection X * Wx is one GEMM over the whole (batch * steps) slab, and
+// the recurrence runs as one parallel_for over batch-row slices that
+// steps its rows through every timestep (H_{t-1} * Wh, then the fused
+// gate stage). BPTT is one fork-join over the same slices for the data
+// path (gate backward, dH, dX) and one over the weight-gradient rows.
+// The workspaces are carved from an Arena at bind time, so steady-state
+// training performs no allocation at all.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -74,7 +76,7 @@ class LSTM final : public Layer {
   // t * b + row. They stay valid between a training forward and its
   // backward; any forward (training or not) reuses and overwrites them.
   // Rows [0, b) of h_seq_/c_seq_ are the zero initial state, re-zeroed
-  // by every forward. The last four exist only after a training bind.
+  // by every forward. The last three exist only after a training bind.
   tensor::ArenaMatrix x_tm_;   // [T*B, in] time-major input copy
   tensor::ArenaMatrix gates_;  // [T*B, 4*units] pre-activations, then gates
   tensor::ArenaMatrix h_seq_;  // [(T+1)*B, units]
@@ -82,7 +84,6 @@ class LSTM final : public Layer {
   tensor::ArenaMatrix dz_;     // [T*B, 4*units] gate pre-activation grads
   tensor::ArenaMatrix dh_;     // [B, units] running dL/dh_{t-1}
   tensor::ArenaMatrix dc_;     // [B, units] running dL/dc_{t-1}
-  tensor::ArenaMatrix dx_tm_;  // [T*B, in]
   std::size_t batch_ = 0;      // batch of the latest forward
 };
 

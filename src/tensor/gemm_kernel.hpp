@@ -1,7 +1,8 @@
 // Internal blocked-GEMM kernel API shared by blas.cpp and the kernel
 // implementation. Public callers use geonas::gemm / geonas::gemm_raw
 // from tensor/blas.hpp; this header exists so the blocking parameters
-// and the low-level entry point are visible to tests and benchmarks.
+// and the low-level entry point are visible to tests and benchmarks, and
+// so the recurrent layers can cut their batch-row slices on kMR tiles.
 //
 // Structure (BLIS-style three-level blocking):
 //   for jc over N in steps of kNC:            L3-resident B panel

@@ -245,8 +245,7 @@ template <class M>
 void lstm_bwd_t(std::size_t rows, std::size_t u, const double* gates,
                 const double* c_prev, const double* c_new,
                 const double* grad_out, std::size_t grad_out_stride,
-                const double* dh, double* dc, double* dz,
-                double* bias_grad) {
+                const double* dh, double* dc, double* dz) {
   for (std::size_t r = 0; r < rows; ++r) {
     const double* gr = gates + r * 4 * u;
     double* dzr = dz + r * 4 * u;
@@ -255,7 +254,6 @@ void lstm_bwd_t(std::size_t rows, std::size_t u, const double* gates,
                        grad_out + r * grad_out_stride, dh + r * u,
                        dc + r * u, dzr, u, i);
     }
-    for (std::size_t j = 0; j < 4 * u; ++j) bias_grad[j] += dzr[j];
   }
 }
 
@@ -425,8 +423,7 @@ __attribute__((target("avx2,fma"))) void lstm_fwd_avx2(
 __attribute__((target("avx2,fma"))) void lstm_bwd_avx2(
     std::size_t rows, std::size_t u, const double* gates,
     const double* c_prev, const double* c_new, const double* grad_out,
-    std::size_t grad_out_stride, const double* dh, double* dc, double* dz,
-    double* bias_grad) {
+    std::size_t grad_out_stride, const double* dh, double* dc, double* dz) {
   const __m256d one = _mm256_set1_pd(1.0);
   for (std::size_t r = 0; r < rows; ++r) {
     const double* gr = gates + r * 4 * u;
@@ -470,7 +467,6 @@ __attribute__((target("avx2,fma"))) void lstm_bwd_avx2(
     for (; i < u; ++i) {
       lstm_bwd_elem<FmaMath>(gr, cpr, cnr, gor, dhr, dcr, dzr, u, i);
     }
-    for (std::size_t j = 0; j < 4 * u; ++j) bias_grad[j] += dzr[j];
   }
 }
 
@@ -533,7 +529,7 @@ struct VmathImpl {
                    double*, double*, double*, std::size_t);
   void (*lstm_bwd)(std::size_t, std::size_t, const double*, const double*,
                    const double*, const double*, std::size_t, const double*,
-                   double*, double*, double*);
+                   double*, double*);
   void (*gru_zr)(std::size_t, std::size_t, double*, const double*, double*);
   void (*gru_out)(std::size_t, std::size_t, double*, const double*, double*,
                   double*, std::size_t);
@@ -631,9 +627,9 @@ void lstm_pointwise_backward(std::size_t rows, std::size_t units,
                              const double* gates, const double* c_prev,
                              const double* c_new, const double* grad_out,
                              std::size_t grad_out_stride, const double* dh,
-                             double* dc, double* dz, double* bias_grad) {
+                             double* dc, double* dz) {
   impl().lstm_bwd(rows, units, gates, c_prev, c_new, grad_out,
-                  grad_out_stride, dh, dc, dz, bias_grad);
+                  grad_out_stride, dh, dc, dz);
 }
 
 void gru_pointwise_zr(std::size_t rows, std::size_t units, double* a,
@@ -677,8 +673,7 @@ void gru_pointwise_backward_zh(std::size_t rows, std::size_t units,
 
 void gru_pointwise_backward_r(std::size_t rows, std::size_t units,
                               const double* gates, const double* h_prev,
-                              const double* drh, double* dh, double* da,
-                              double* bias_grad) {
+                              const double* drh, double* dh, double* da) {
   for (std::size_t r = 0; r < rows; ++r) {
     const double* gr = gates + r * 3 * units;
     const double* hp = h_prev + r * units;
@@ -690,7 +685,17 @@ void gru_pointwise_backward_r(std::size_t rows, std::size_t units,
       dar[units + i] = drhr[i] * hp[i] * (rg * (1.0 - rg));
       dhr[i] += drhr[i] * rg;
     }
-    for (std::size_t j = 0; j < 3 * units; ++j) bias_grad[j] += dar[j];
+  }
+}
+
+void recurrent_bias_grad(std::size_t steps, std::size_t rows,
+                         std::size_t width, const double* d,
+                         double* bias_grad) {
+  for (std::size_t t = steps; t-- > 0;) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* dr = d + (t * rows + r) * width;
+      for (std::size_t j = 0; j < width; ++j) bias_grad[j] += dr[j];
+    }
   }
 }
 

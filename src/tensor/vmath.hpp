@@ -27,9 +27,12 @@
 // falls in a chunk or SIMD lane (see portable-fma above), so the span
 // transforms may be split across the hpc kernel pool at any boundary and
 // stay bitwise identical across kernel_threads settings. The fused
-// recurrent kernels run serially per timestep slab (their per-slab cost
-// sits far below the parallel_for threshold and the backward kernels
-// accumulate bias gradients in row order).
+// recurrent kernels never dispatch themselves: the nn layers call them
+// from inside batch-slice chunks, one call per chunk and timestep, and
+// rows never interact, so a kernel's output does not depend on the
+// slice it runs in. The bias gradient, the one cross-row sum of the
+// backward stages, is not accumulated here but by recurrent_bias_grad
+// after the whole BPTT data path, in a fixed order.
 #pragma once
 
 #include <cstddef>
@@ -86,14 +89,14 @@ void lstm_pointwise_forward(std::size_t rows, std::size_t units, double* z,
 
 /// LSTM backward gate stage. Reads the cached post-activation gates and
 /// cell states, the incoming dL/dh_t (grad_out + carried dh) and carried
-/// dL/dc_t (dc); writes the gate pre-activation gradients dz, overwrites
-/// dc with dL/dc_{t-1}, and accumulates the bias gradient (row order,
-/// deterministic). dh is read-only here — the recurrent GEMM rewrites it.
+/// dL/dc_t (dc); writes the gate pre-activation gradients dz and
+/// overwrites dc with dL/dc_{t-1}. dh is read-only here — the recurrent
+/// GEMM rewrites it.
 void lstm_pointwise_backward(std::size_t rows, std::size_t units,
                              const double* gates, const double* c_prev,
                              const double* c_new, const double* grad_out,
                              std::size_t grad_out_stride, const double* dh,
-                             double* dc, double* dz, double* bias_grad);
+                             double* dc, double* dz);
 
 /// GRU forward stage 1: a[z] and a[r] pre-activations -> sigmoid values
 /// in place, rh = r .* h_prev.
@@ -116,11 +119,18 @@ void gru_pointwise_backward_zh(std::size_t rows, std::size_t units,
                                double* da);
 
 /// GRU backward stage 2 (through rh = r .* h_prev): fills the r-gate
-/// pre-activation gradient, accumulates dh += drh .* r and the bias
-/// gradient over all three gate blocks (row order, deterministic).
+/// pre-activation gradient and accumulates dh += drh .* r.
 void gru_pointwise_backward_r(std::size_t rows, std::size_t units,
                               const double* gates, const double* h_prev,
-                              const double* drh, double* dh, double* da,
-                              double* bias_grad);
+                              const double* drh, double* dh, double* da);
+
+/// Recurrent bias gradient: accumulates the column sums of the
+/// time-major [steps * rows, width] pre-activation gradient slab `d`
+/// (row t * rows + r) into bias_grad, t descending and rows ascending —
+/// the order BPTT produces the rows in, so the sum is one fixed
+/// sequence of additions per column whatever split computed `d`.
+void recurrent_bias_grad(std::size_t steps, std::size_t rows,
+                         std::size_t width, const double* d,
+                         double* bias_grad);
 
 }  // namespace geonas::tensor

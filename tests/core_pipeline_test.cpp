@@ -2,15 +2,22 @@
 // TrainingEvaluator — run on a tiny grid so the suite stays fast.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
+#include <vector>
 
 #include "core/nas_driver.hpp"
 #include "core/pipeline.hpp"
 #include "core/reporting.hpp"
 #include "core/surrogate.hpp"
 #include "core/training_eval.hpp"
+#include "hpc/parallel_for.hpp"
+#include "hpc/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/stats.hpp"
 #include "search/aging_evolution.hpp"
 #include "search/random_search.hpp"
@@ -269,6 +276,65 @@ TEST(NasDriver, ParallelMatchesWorkload) {
       run_local_search_parallel(rs, oracle, 200, 4, 5);
   EXPECT_EQ(result.history.size(), 200u);
   EXPECT_TRUE(space.valid(result.best));
+}
+
+/// Records the participant count of the kernel shard each evaluation
+/// runs under (0 when none is bound) and issues an over-threshold
+/// parallel_for on it.
+class ShardProbeEvaluator final : public hpc::ArchitectureEvaluator {
+ public:
+  hpc::EvalOutcome evaluate(const searchspace::Architecture& /*arch*/,
+                            std::uint64_t /*eval_seed*/) override {
+    const hpc::PoolShard* shard = hpc::current_pool_shard();
+    std::atomic<std::size_t> covered{0};
+    hpc::parallel_for(0, 64, 2.0 * hpc::kParallelMinFlops, 1,
+                      [&covered](std::size_t lo, std::size_t hi) {
+                        covered += hi - lo;
+                      });
+    const std::lock_guard<std::mutex> lock(mutex_);
+    participants_.push_back(shard == nullptr ? 0 : shard->participants());
+    return {.reward = covered.load() == 64 ? 0.5 : -1.0};
+  }
+  [[nodiscard]] bool thread_safe() const override { return true; }
+
+  [[nodiscard]] std::vector<std::size_t> participants() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return participants_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::size_t> participants_;
+};
+
+TEST(NasDriver, WorkersRunKernelsOnPrivateShards) {
+  // Every parallel-campaign worker gets a private kernel shard of
+  // kernel_threads() / workers participants: with as many workers as
+  // kernel threads every campaign kernel runs inline and the global pool
+  // stays idle; with fewer workers the shards split the budget.
+  hpc::set_kernel_threads(4);
+  obs::MetricsRegistry registry;
+  obs::set_registry(&registry);
+  const searchspace::StackedLSTMSpace space;
+  ShardProbeEvaluator four, two;
+  search::RandomSearch rs4(space, 3), rs2(space, 3);
+  (void)run_local_search_parallel(rs4, four, 16, 4, 5);
+  const std::uint64_t global_after_four =
+      registry.counter("kernel.dispatches").value();
+  (void)run_local_search_parallel(rs2, two, 16, 2, 5);
+  const std::uint64_t global_after_two =
+      registry.counter("kernel.dispatches").value();
+  const std::uint64_t shard_dispatches =
+      registry.counter("kernel.shard.w0.dispatches").value() +
+      registry.counter("kernel.shard.w1.dispatches").value();
+  obs::set_registry(nullptr);
+  hpc::set_kernel_threads(0);
+
+  EXPECT_EQ(four.participants(), std::vector<std::size_t>(16, 1));
+  EXPECT_EQ(two.participants(), std::vector<std::size_t>(16, 2));
+  EXPECT_EQ(global_after_four, 0u);
+  EXPECT_EQ(global_after_two, 0u);
+  EXPECT_EQ(shard_dispatches, 16u);  // every 2-participant shard splits
 }
 
 TEST(Scale, EnvironmentDetection) {

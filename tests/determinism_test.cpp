@@ -14,16 +14,21 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "data/landmask.hpp"
 #include "data/sst.hpp"
 #include "hpc/parallel_for.hpp"
+#include "io/binary.hpp"
 #include "nn/dense.hpp"
 #include "nn/graph.hpp"
 #include "nn/gru.hpp"
+#include "nn/loss.hpp"
 #include "nn/lstm.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
+#include "searchspace/space.hpp"
 #include "tensor/blas.hpp"
 #include "tensor/random.hpp"
 #include "tensor/vmath.hpp"
@@ -253,6 +258,74 @@ TEST(Determinism, TrainerFitBitwiseIdenticalAcrossThreadCounts) {
     const FitResult fit = run_trainer_fit(threads);
     ASSERT_EQ(fit.train_loss, reference.train_loss);
     ASSERT_EQ(fit.params, reference.params);
+  }
+}
+
+std::uint32_t crc_update(std::uint32_t crc, std::span<const double> values) {
+  return io::crc32_update(crc, values.data(), values.size() * sizeof(double));
+}
+
+/// CRC-32 over everything a short Adam run computes: per step the
+/// forward output, the input gradient and every weight gradient, then
+/// the final weights and one inference forward. The batches run the
+/// bound batch first, then a short one and batch 1 on its prefix rows.
+std::uint32_t training_digest(nn::GraphNetwork& net, std::size_t features,
+                              std::size_t threads) {
+  KernelThreadsGuard guard(threads);
+  constexpr std::size_t kT = 8;
+  constexpr std::array<std::size_t, 6> kBatches{64, 33, 9, 64, 1, 64};
+  nn::Adam adam(net.parameters(), net.gradients());
+  const std::vector<Matrix*> grads = net.gradients();
+  Rng rng(57);
+  std::uint32_t crc = 0;
+  Tensor3 grad;
+  for (const std::size_t batch : kBatches) {
+    Tensor3 x(batch, kT, features), y(batch, kT, features);
+    for (double& v : x.flat()) v = rng.uniform(-1.0, 1.0);
+    for (double& v : y.flat()) v = rng.uniform(-1.0, 1.0);
+    net.zero_grad();
+    const Tensor3& pred = net.forward_ref(x, /*training=*/true);
+    crc = crc_update(crc, pred.flat());
+    nn::mse_grad_into(y, pred, grad);
+    crc = crc_update(crc, net.backward_ref(grad).flat());
+    for (const Matrix* g : grads) crc = crc_update(crc, g->flat());
+    adam.step();
+    net.repack_weights();
+  }
+  for (const Matrix* p : net.parameters()) crc = crc_update(crc, p->flat());
+  Tensor3 x(16, kT, features);
+  for (double& v : x.flat()) v = rng.uniform(-1.0, 1.0);
+  return crc_update(crc, net.forward_ref(x, /*training=*/false).flat());
+}
+
+TEST(Determinism, TrainingDigestPinned) {
+  // Pins training's bits across commits, where the tests above only pin
+  // them across thread counts within one build: a restructure that moved
+  // every count's bits equally would pass those. The constants were
+  // captured before the recurrent layers moved to one fork-join per
+  // pass, and must never be re-captured to make a change pass. They hold
+  // glibc's x86-64 libm (weight init draws normals), the vectorized
+  // vmath numerics (avx2-fma and its bitwise portable-fma mirror) and the
+  // default build options; a GEONAS_NATIVE_ARCH build may compute other
+  // bits.
+  if (std::string_view(tensor::vmath_backend()) == "scalar-reference") {
+    GTEST_SKIP() << "digests hold the vectorized vmath numerics";
+  }
+  const searchspace::StackedLSTMSpace space;
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE(::testing::Message() << "kernel_threads=" << threads);
+    nn::GraphNetwork winner = space.build(
+        searchspace::Architecture::from_key("5-1-3-1-1-3-1-0-0-0-1-0-0-1"));
+    winner.init_params(3);
+    EXPECT_EQ(training_digest(winner, 5, threads), 0x3ec754b9u);
+
+    nn::GraphNetwork gru;
+    const std::size_t g1 = gru.add_node(std::make_unique<nn::GRU>(5, 64), {0});
+    const std::size_t g2 =
+        gru.add_node(std::make_unique<nn::GRU>(64, 96), {g1});
+    gru.add_node(std::make_unique<nn::Dense>(96, 5), {g2});
+    gru.init_params(4);
+    EXPECT_EQ(training_digest(gru, 5, threads), 0x1c1a69b0u);
   }
 }
 

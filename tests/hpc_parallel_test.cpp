@@ -13,6 +13,7 @@
 
 #include "hpc/parallel_for.hpp"
 #include "hpc/thread_pool.hpp"
+#include "obs/metrics.hpp"
 
 namespace geonas::hpc {
 namespace {
@@ -250,6 +251,29 @@ TEST(ParallelFor, NestedCallsCompleteWithoutDeadlock) {
                  }
                });
   EXPECT_EQ(total.load(), kOuter * kInner);
+}
+
+TEST(ParallelFor, NestedCallsFromAnyChunkRunInline) {
+  // Every chunk of a dispatched parallel_for, the caller's own included,
+  // runs its nested over-threshold calls inline: one dispatch in total.
+  // Re-dispatching from the caller's chunk would queue the nested work
+  // behind the sibling chunks that occupy the pool.
+  KernelThreadsGuard guard(4);
+  obs::MetricsRegistry registry;
+  obs::set_registry(&registry);
+  std::atomic<std::size_t> total{0};
+  parallel_for(0, 4, kAboveThreshold, 1,
+               [&total](std::size_t lo, std::size_t hi) {
+                 for (std::size_t i = lo; i < hi; ++i) {
+                   parallel_for(0, 64, kAboveThreshold, 1,
+                                [&total](std::size_t ilo, std::size_t ihi) {
+                                  total += ihi - ilo;
+                                });
+                 }
+               });
+  obs::set_registry(nullptr);
+  EXPECT_EQ(total.load(), 4u * 64u);
+  EXPECT_EQ(registry.counter("kernel.dispatches").value(), 1u);
 }
 
 TEST(ParallelFor, PropagatesBodyExceptions) {

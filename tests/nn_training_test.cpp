@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 
@@ -13,6 +14,8 @@
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
+#include "obs/metrics.hpp"
+#include "searchspace/space.hpp"
 
 namespace geonas::nn {
 namespace {
@@ -162,6 +165,38 @@ TEST(Trainer, KernelThreadsConfigPinsKernelPool) {
       .fit(net, x, y, Tensor3{}, Tensor3{});
   EXPECT_EQ(hpc::kernel_threads(), 2u);
   hpc::set_kernel_threads(0);  // restore the hardware default
+}
+
+TEST(Trainer, WinnerStepDispatchBudget) {
+  // Each recurrent layer pass costs a constant number of kernel-pool
+  // fork-joins (input projection, recurrence, BPTT data path, weight
+  // gradients), not one per timestep GEMM: a Table-II winner step at
+  // batch 64 on 4 kernel threads stays within 32 dispatches, the same
+  // count every step.
+  hpc::set_kernel_threads(4);
+  const searchspace::StackedLSTMSpace space;
+  GraphNetwork net = space.build(
+      searchspace::Architecture::from_key("5-1-3-1-1-3-1-0-0-0-1-0-0-1"));
+  net.init_params(1);
+  Rng rng(2);
+  const Tensor3 x = random_tensor(64, 8, 5, rng);
+  const Tensor3 y = random_tensor(64, 8, 5, rng);
+  const Trainer trainer({.epochs = 1, .batch_size = 64});
+  (void)trainer.fit(net, x, y, Tensor3{}, Tensor3{});  // binds workspaces
+
+  obs::MetricsRegistry registry;
+  obs::set_registry(&registry);
+  const obs::Counter& dispatches = registry.counter("kernel.dispatches");
+  (void)trainer.fit(net, x, y, Tensor3{}, Tensor3{});
+  const std::uint64_t first = dispatches.value();
+  (void)trainer.fit(net, x, y, Tensor3{}, Tensor3{});
+  const std::uint64_t second = dispatches.value() - first;
+  obs::set_registry(nullptr);
+  hpc::set_kernel_threads(0);
+
+  EXPECT_GT(first, 0u);
+  EXPECT_LE(first, 32u);
+  EXPECT_EQ(second, first);
 }
 
 TEST(Trainer, PredictMatchesForward) {

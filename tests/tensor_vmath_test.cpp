@@ -276,10 +276,9 @@ TEST(VmathLstm, FusedBackwardMatchesFiniteDifferences) {
                          hn.data(), ho.data(), kStride);
   std::vector<double> dh(kRows * kUnits, 0.0), dc = wc;
   std::vector<double> dz(kRows * 4 * kUnits, 0.0);
-  std::vector<double> bias(4 * kUnits, 0.0);
   lstm_pointwise_backward(kRows, kUnits, gates.data(), c0.data(), cn.data(),
                           gout.data(), kStride, dh.data(), dc.data(),
-                          dz.data(), bias.data());
+                          dz.data());
 
   const double eps = 1e-6;
   for (std::size_t j = 0; j < z0.size(); ++j) {
@@ -295,12 +294,6 @@ TEST(VmathLstm, FusedBackwardMatchesFiniteDifferences) {
     cm[j] -= eps;
     const double fd = (loss(z0, cp) - loss(z0, cm)) / (2.0 * eps);
     EXPECT_NEAR(dc[j], fd, 1e-6) << "dc_prev[" << j << "]";
-  }
-  // Bias gradient accumulates the column sums of dz in row order.
-  for (std::size_t g = 0; g < 4 * kUnits; ++g) {
-    double want = 0.0;
-    for (std::size_t r = 0; r < kRows; ++r) want += dz[r * 4 * kUnits + g];
-    EXPECT_NEAR(bias[g], want, 1e-12) << "bias_grad[" << g << "]";
   }
 }
 
@@ -357,14 +350,12 @@ TEST(VmathGru, BackwardStagesMatchReferenceLoop) {
   for (double& v : drh) v = rng.uniform(-1.0, 1.0);
 
   std::vector<double> dh = dh0, da(kRows * 3 * kUnits, 0.0);
-  std::vector<double> bias(3 * kUnits, 0.0);
   gru_pointwise_backward_zh(kRows, kUnits, gates.data(), h_prev.data(),
                             gout.data(), kStride, dh.data(), da.data());
   gru_pointwise_backward_r(kRows, kUnits, gates.data(), h_prev.data(),
-                           drh.data(), dh.data(), da.data(), bias.data());
+                           drh.data(), dh.data(), da.data());
 
   std::vector<double> dh_ref = dh0, da_ref(kRows * 3 * kUnits, 0.0);
-  std::vector<double> bias_ref(3 * kUnits, 0.0);
   for (std::size_t r = 0; r < kRows; ++r) {
     for (std::size_t i = 0; i < kUnits; ++i) {
       const double zg = gates[r * 3 * kUnits + i];
@@ -379,9 +370,6 @@ TEST(VmathGru, BackwardStagesMatchReferenceLoop) {
           drh[r * kUnits + i] * hp * (rg * (1.0 - rg));
       dh_ref[r * kUnits + i] = dhv * (1.0 - zg) + drh[r * kUnits + i] * rg;
     }
-    for (std::size_t j = 0; j < 3 * kUnits; ++j) {
-      bias_ref[j] += da_ref[r * 3 * kUnits + j];
-    }
   }
   for (std::size_t i = 0; i < da.size(); ++i) {
     expect_bits(da[i], da_ref[i], "da[" + std::to_string(i) + "]");
@@ -389,8 +377,87 @@ TEST(VmathGru, BackwardStagesMatchReferenceLoop) {
   for (std::size_t i = 0; i < dh.size(); ++i) {
     expect_bits(dh[i], dh_ref[i], "dh[" + std::to_string(i) + "]");
   }
-  for (std::size_t i = 0; i < bias.size(); ++i) {
-    expect_bits(bias[i], bias_ref[i], "bias[" + std::to_string(i) + "]");
+}
+
+// ---------------------------------------------------------------------
+// Recurrent bias gradient reduction.
+// ---------------------------------------------------------------------
+
+/// Column sums of a time-major [steps * rows, width] slab, t descending
+/// and rows ascending: the order BPTT produces the rows in.
+std::vector<double> bias_reference(std::size_t steps, std::size_t rows,
+                                   std::size_t width,
+                                   const std::vector<double>& d,
+                                   std::vector<double> bias) {
+  for (std::size_t t = steps; t-- > 0;) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t j = 0; j < width; ++j) {
+        bias[j] += d[(t * rows + r) * width + j];
+      }
+    }
+  }
+  return bias;
+}
+
+TEST(VmathRecurrent, BiasGradientSumsTimeDescendingRowsAscending) {
+  // The fused backward kernels leave the bias gradient alone; the layers
+  // reduce it once over the whole pre-activation gradient slab after
+  // BPTT. Each slab here comes from one cell's fused backward stages, one
+  // timestep per call, and the reduction must equal the reference sum
+  // bitwise, also when it accumulates into an existing gradient.
+  constexpr std::size_t kSteps = 3, kRows = 3;
+  {
+    constexpr std::size_t kUnits = 4, kWidth = 4 * kUnits;
+    Rng rng(13);
+    std::vector<double> dz(kSteps * kRows * kWidth);
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      std::vector<double> gates(kRows * kWidth), c0(kRows * kUnits),
+          cn(kRows * kUnits), hn(kRows * kUnits), ho(kRows * kUnits),
+          gout(kRows * kUnits), dh(kRows * kUnits, 0.0), dc(kRows * kUnits);
+      for (double& v : gates) v = rng.uniform(-2.0, 2.0);
+      for (double& v : c0) v = rng.uniform(-1.5, 1.5);
+      for (double& v : gout) v = rng.uniform(-1.0, 1.0);
+      for (double& v : dc) v = rng.uniform(-1.0, 1.0);
+      lstm_pointwise_forward(kRows, kUnits, gates.data(), c0.data(),
+                             cn.data(), hn.data(), ho.data(), kUnits);
+      lstm_pointwise_backward(kRows, kUnits, gates.data(), c0.data(),
+                              cn.data(), gout.data(), kUnits, dh.data(),
+                              dc.data(), dz.data() + t * kRows * kWidth);
+    }
+    std::vector<double> bias(kWidth);
+    for (double& v : bias) v = rng.uniform(-1.0, 1.0);
+    const std::vector<double> want =
+        bias_reference(kSteps, kRows, kWidth, dz, bias);
+    recurrent_bias_grad(kSteps, kRows, kWidth, dz.data(), bias.data());
+    for (std::size_t g = 0; g < kWidth; ++g) {
+      expect_bits(bias[g], want[g], "lstm bias[" + std::to_string(g) + "]");
+    }
+  }
+  {
+    constexpr std::size_t kUnits = 5, kWidth = 3 * kUnits;
+    Rng rng(29);
+    std::vector<double> da(kSteps * kRows * kWidth, 0.0);
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      std::vector<double> gates(kRows * kWidth), h_prev(kRows * kUnits),
+          gout(kRows * kUnits), dh(kRows * kUnits), drh(kRows * kUnits);
+      for (double& v : gates) v = rng.uniform(0.05, 0.95);
+      for (double& v : h_prev) v = rng.uniform(-1.0, 1.0);
+      for (double& v : gout) v = rng.uniform(-1.0, 1.0);
+      for (double& v : dh) v = rng.uniform(-1.0, 1.0);
+      for (double& v : drh) v = rng.uniform(-1.0, 1.0);
+      double* slab = da.data() + t * kRows * kWidth;
+      gru_pointwise_backward_zh(kRows, kUnits, gates.data(), h_prev.data(),
+                                gout.data(), kUnits, dh.data(), slab);
+      gru_pointwise_backward_r(kRows, kUnits, gates.data(), h_prev.data(),
+                               drh.data(), dh.data(), slab);
+    }
+    std::vector<double> bias(kWidth, 0.0);
+    const std::vector<double> want =
+        bias_reference(kSteps, kRows, kWidth, da, bias);
+    recurrent_bias_grad(kSteps, kRows, kWidth, da.data(), bias.data());
+    for (std::size_t g = 0; g < kWidth; ++g) {
+      expect_bits(bias[g], want[g], "gru bias[" + std::to_string(g) + "]");
+    }
   }
 }
 

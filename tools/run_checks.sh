@@ -10,7 +10,8 @@
 #                                  tier-1 suite + TSan over the threaded
 #                                  kernel layer (determinism + vmath +
 #                                  hpc stress + memoizer + serve suites +
-#                                  concurrent simulator campaigns)
+#                                  concurrent simulator campaigns +
+#                                  recurrent layers, trainer, NAS driver)
 #                                  + a one-TU thread-safety smoke
 #   tools/run_checks.sh --analyze  just the Clang Thread Safety Analysis
 #                                  build (cmake --preset analyze with
@@ -35,7 +36,7 @@ while [[ $# -gt 0 ]]; do
     --quick) quick=1 ;;
     --analyze) analyze_only=1 ;;
     --jobs) jobs="$2"; shift ;;
-    -h|--help) sed -n '2,17p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,18p' "$0"; exit 0 ;;
     *) echo "run_checks: unknown argument: $1" >&2; exit 2 ;;
   esac
   shift
@@ -156,9 +157,13 @@ if [[ $quick -eq 1 ]]; then
   # the master poll loop against concurrent in-process worker threads;
   # SST* covers snapshot generation, whose pool workers read the caches
   # the calling thread grew; ClusterSimStress runs concurrent
-  # simulate_async campaigns on one shared evaluator.
+  # simulate_async campaigns on one shared evaluator. LSTM, GRU,
+  # GraphNetwork and Trainer cover the recurrent layers' batch-slice and
+  # weight-row chunks, which write disjoint rows of shared workspaces
+  # (gates, h/c sequences, dZ/dH/dC, gradient rows); NasDriver covers the
+  # per-worker kernel shards under the campaign's worker threads.
   run_flavor tsan \
-    '^(Determinism|Vmath|ParallelFor|ThreadPool|Obs|Memoizer|Serve|Prepack|Net|SST|ClusterSimStress)'
+    '^(Determinism|Vmath|ParallelFor|ThreadPool|Obs|Memoizer|Serve|Prepack|Net|SST|ClusterSimStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
   run_analyze_smoke
 else
   run_flavor tsan
