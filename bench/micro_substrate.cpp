@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/surrogate.hpp"
@@ -22,6 +23,7 @@
 #include "pod/pod.hpp"
 #include "searchspace/space.hpp"
 #include "search/aging_evolution.hpp"
+#include "tensor/arena.hpp"
 #include "tensor/blas.hpp"
 #include "tensor/prepack.hpp"
 #include "tensor/random.hpp"
@@ -251,37 +253,45 @@ void BM_LstmPointwiseScalarRef(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmPointwiseScalarRef)->Arg(40)->Arg(80);
 
-void BM_LSTMForward(benchmark::State& state) {
+// One LSTM(5 -> range(0) units) over [batch, 8, 5] windows, bound once
+// on a bench-owned arena as GraphNetwork binds it: the timed loop runs
+// forward_into (and, for a train step, the MSE gradient and
+// backward_into) with no per-call allocation.
+void run_lstm(benchmark::State& state, std::size_t batch, std::uint64_t seed,
+              bool train) {
   const auto units = static_cast<std::size_t>(state.range(0));
   nn::LSTM lstm(5, units);
-  Rng rng(5);
+  Rng rng(seed);
   lstm.init_params(rng);
-  Tensor3 x(64, 8, 5);
+  Tensor3 x(batch, 8, 5), target(batch, 8, units);
   for (double& v : x.flat()) v = rng.normal();
-  const Tensor3* ptr = &x;
+  if (train) {
+    for (double& v : target.flat()) v = rng.normal();
+  }
+  tensor::Arena arena;
+  lstm.bind(arena,
+            {.batch = batch, .steps = 8, .features = 5, .training = train});
+  Tensor3 y(batch, 8, units), dy(batch, 8, units), dx(batch, 8, 5);
+  const Tensor3* in = &x;
+  Tensor3* dx_ptr = &dx;
   for (auto _ : state) {
-    Tensor3 y = lstm.forward({&ptr, 1}, false);
-    benchmark::DoNotOptimize(y.flat().data());
+    if (!train) {
+      lstm.forward_into({&in, 1}, y, false);
+      benchmark::DoNotOptimize(y.flat().data());
+      continue;
+    }
+    lstm.zero_grad();
+    lstm.forward_into({&in, 1}, y, true);
+    nn::mse_grad_into(target, y, dy);
+    lstm.backward_into(dy, {&dx_ptr, 1});
+    benchmark::DoNotOptimize(dx.flat().data());
   }
 }
+
+void BM_LSTMForward(benchmark::State& state) { run_lstm(state, 64, 5, false); }
 BENCHMARK(BM_LSTMForward)->Arg(16)->Arg(96);
 
-void BM_LSTMTrainStep(benchmark::State& state) {
-  const auto units = static_cast<std::size_t>(state.range(0));
-  nn::LSTM lstm(5, units);
-  Rng rng(6);
-  lstm.init_params(rng);
-  Tensor3 x(64, 8, 5), target(64, 8, units);
-  for (double& v : x.flat()) v = rng.normal();
-  for (double& v : target.flat()) v = rng.normal();
-  const Tensor3* ptr = &x;
-  for (auto _ : state) {
-    lstm.zero_grad();
-    const Tensor3 y = lstm.forward({&ptr, 1}, true);
-    auto grads = lstm.backward(nn::mse_grad(target, y));
-    benchmark::DoNotOptimize(grads[0].flat().data());
-  }
-}
+void BM_LSTMTrainStep(benchmark::State& state) { run_lstm(state, 64, 6, true); }
 BENCHMARK(BM_LSTMTrainStep)->Arg(16)->Arg(96);
 
 // Pre-batched formulation: the seed evaluated every timestep with
@@ -340,6 +350,8 @@ void BM_LSTMForwardPrepacked(benchmark::State& state) {
   lstm.init_params(rng);
   Tensor3 x(8, 8, 5);
   for (double& v : x.flat()) v = rng.normal();
+  tensor::Arena arena;
+  lstm.bind(arena, {.batch = 8, .steps = 8, .features = 5});
   const Tensor3* ptr = &x;
   Tensor3 out(8, 8, units);
   for (auto _ : state) {
@@ -401,35 +413,12 @@ BENCHMARK(BM_LSTMForwardPerCallPack)->Arg(16)->Arg(96);
 // Paper-scale shapes (Maulik et al.: batch 32, 8-step windows, 40/80
 // LSTM units) for the batched-GEMM cell.
 void BM_LSTMForwardPaperScale(benchmark::State& state) {
-  const auto units = static_cast<std::size_t>(state.range(0));
-  nn::LSTM lstm(5, units);
-  Rng rng(13);
-  lstm.init_params(rng);
-  Tensor3 x(32, 8, 5);
-  for (double& v : x.flat()) v = rng.normal();
-  const Tensor3* ptr = &x;
-  for (auto _ : state) {
-    Tensor3 y = lstm.forward({&ptr, 1}, false);
-    benchmark::DoNotOptimize(y.flat().data());
-  }
+  run_lstm(state, 32, 13, false);
 }
 BENCHMARK(BM_LSTMForwardPaperScale)->Arg(40)->Arg(80);
 
 void BM_LSTMTrainStepPaperScale(benchmark::State& state) {
-  const auto units = static_cast<std::size_t>(state.range(0));
-  nn::LSTM lstm(5, units);
-  Rng rng(14);
-  lstm.init_params(rng);
-  Tensor3 x(32, 8, 5), target(32, 8, units);
-  for (double& v : x.flat()) v = rng.normal();
-  for (double& v : target.flat()) v = rng.normal();
-  const Tensor3* ptr = &x;
-  for (auto _ : state) {
-    lstm.zero_grad();
-    const Tensor3 y = lstm.forward({&ptr, 1}, true);
-    auto grads = lstm.backward(nn::mse_grad(target, y));
-    benchmark::DoNotOptimize(grads[0].flat().data());
-  }
+  run_lstm(state, 32, 14, true);
 }
 BENCHMARK(BM_LSTMTrainStepPaperScale)->Arg(40)->Arg(80);
 
@@ -498,22 +487,9 @@ BENCHMARK(BM_ObsScopedTimer);
 // the kernel-pool instrumentation on a real training step. Compare
 // against BM_LSTMTrainStep at the same Arg.
 void BM_LSTMTrainStepMetricsOn(benchmark::State& state) {
-  const auto units = static_cast<std::size_t>(state.range(0));
   obs::MetricsRegistry registry;
   obs::set_registry(&registry);
-  nn::LSTM lstm(5, units);
-  Rng rng(6);
-  lstm.init_params(rng);
-  Tensor3 x(64, 8, 5), target(64, 8, units);
-  for (double& v : x.flat()) v = rng.normal();
-  for (double& v : target.flat()) v = rng.normal();
-  const Tensor3* ptr = &x;
-  for (auto _ : state) {
-    lstm.zero_grad();
-    const Tensor3 y = lstm.forward({&ptr, 1}, true);
-    auto grads = lstm.backward(nn::mse_grad(target, y));
-    benchmark::DoNotOptimize(grads[0].flat().data());
-  }
+  run_lstm(state, 64, 6, true);
   obs::set_registry(nullptr);
 }
 BENCHMARK(BM_LSTMTrainStepMetricsOn)->Arg(16)->Arg(96);

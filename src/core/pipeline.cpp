@@ -69,29 +69,28 @@ void PODLSTMPipeline::prepare() {
   prepared_ = true;  // coefficients are in place; accessors are valid now
 
   // Windowed examples (scaled space) over the training period, split
-  // 80/20. The view + index split is the primary representation (NAS
-  // evaluations gather batches straight from it); the materialized split
-  // is kept for post-training/baseline paths and is gathered example by
-  // example — the full [N, K, Nr] "all windows" pair is never built.
+  // 80/20 as a view plus index lists: training gathers batches straight
+  // from the view, and split() materializes the examples on request.
   train_scaled_coeffs_ = scaled_coeffs_.slice_cols(0, setup.train_snapshots);
   train_view_.emplace(train_scaled_coeffs_,
                       data::WindowConfig{.window = setup.window, .stride = 1});
   split_indices_ = data::train_val_split_indices(
       train_view_->size(), cfg_.train_fraction, cfg_.split_seed);
+}
 
-  const std::size_t k = setup.window;
-  const std::size_t nr = setup.num_modes;
-  const auto gather_split = [&](const std::vector<std::size_t>& idx,
-                                data::WindowedDataset& out) {
-    out.x = Tensor3(idx.size(), k, nr);
-    out.y = Tensor3(idx.size(), k, nr);
+data::SplitDataset PODLSTMPipeline::split() const {
+  const data::WindowView& view = train_window_view();
+  const auto gather = [&view](const std::vector<std::size_t>& idx) {
+    data::WindowedDataset out{
+        Tensor3(idx.size(), view.window(), view.features()),
+        Tensor3(idx.size(), view.window(), view.features())};
     for (std::size_t i = 0; i < idx.size(); ++i) {
-      train_view_->gather_x(idx[i], out.x.block(i));
-      train_view_->gather_y(idx[i], out.y.block(i));
+      view.gather_x(idx[i], out.x.block(i));
+      view.gather_y(idx[i], out.y.block(i));
     }
+    return out;
   };
-  gather_split(split_indices_.train, split_.train);
-  gather_split(split_indices_.val, split_.val);
+  return {gather(split_indices_.train), gather(split_indices_.val)};
 }
 
 std::vector<double> PODLSTMPipeline::unscale(

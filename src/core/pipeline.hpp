@@ -38,8 +38,8 @@ class PODLSTMPipeline {
   explicit PODLSTMPipeline(PipelineConfig config);
 
   /// Generates the training snapshots, fits the POD basis, projects the
-  /// entire record, and builds the windowed train/val split. Must be
-  /// called before any other member.
+  /// entire record, and builds the window view and its train/val index
+  /// split. Must be called before any other member.
   void prepare();
 
   [[nodiscard]] const PipelineConfig& config() const noexcept { return cfg_; }
@@ -65,13 +65,13 @@ class PODLSTMPipeline {
   [[nodiscard]] std::vector<double> unscale(
       std::span<const double> scaled_column) const;
 
-  /// The 80/20 windowed training split (in scaled-coefficient space) used
-  /// for NAS and post-training.
-  [[nodiscard]] const data::SplitDataset& split() const noexcept {
-    return split_;
-  }
+  /// The 80/20 windowed training split (in scaled-coefficient space),
+  /// materialized per call: example i of split().train is
+  /// train_window_view()'s example split_indices().train[i] (same for
+  /// val). Training paths that need no copy use the view directly.
+  [[nodiscard]] data::SplitDataset split() const;
   /// Zero-copy window view over the scaled training-period coefficients
-  /// (same examples split() materializes). Valid after prepare(); stays
+  /// (the examples split() materializes). Valid after prepare(); stays
   /// valid for the pipeline's lifetime.
   [[nodiscard]] const data::WindowView& train_window_view() const {
     require_prepared("train_window_view");
@@ -129,7 +129,6 @@ class PODLSTMPipeline {
   Matrix train_scaled_coeffs_;
   std::optional<data::WindowView> train_view_;
   data::SplitIndices split_indices_;
-  data::SplitDataset split_;
   bool prepared_ = false;
 
   void require_prepared(const char* who) const;

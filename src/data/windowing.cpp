@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/random.hpp"
 
@@ -15,8 +16,11 @@ std::size_t window_count(std::size_t ns, const WindowConfig& config) {
     // it as 1 here made the two functions disagree. Reject it outright.
     throw std::invalid_argument("window_count: stride must be >= 1");
   }
+  if (config.window == 0) {
+    throw std::invalid_argument("window_count: window K must be >= 1");
+  }
   const std::size_t width = 2 * config.window;
-  if (ns < width || config.window == 0) return 0;
+  if (ns < width) return 0;
   return (ns - width) / config.stride + 1;
 }
 
@@ -26,7 +30,10 @@ WindowView::WindowView(const Matrix& coefficients, const WindowConfig& config)
       count_(window_count(coefficients.cols(), config)) {
   if (count_ == 0) {
     throw std::invalid_argument(
-        "make_windows: series shorter than one 2K window");
+        "WindowView: series of Ns = " + std::to_string(coefficients.cols()) +
+        " weeks is shorter than one input+target window (2K = " +
+        std::to_string(2 * config.window) + " for K = " +
+        std::to_string(config.window) + ")");
   }
 }
 

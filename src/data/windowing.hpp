@@ -43,8 +43,8 @@ struct WindowedDataset {
 /// the view, and gathers read it in place (aliasing rule: do not mutate
 /// the matrix while trainers hold views over it).
 ///
-/// Throws like make_windows: stride == 0, or a series shorter than one
-/// 2K window, is rejected at construction.
+/// Throws like make_windows: window or stride 0, or a series shorter
+/// than one 2K window, is rejected at construction.
 class WindowView {
  public:
   WindowView(const Matrix& coefficients, const WindowConfig& config);
@@ -77,12 +77,13 @@ class WindowView {
 };
 
 /// Extracts windowed examples from coefficients A (Nr x Ns), time along
-/// columns. Throws when Ns < 2K or config.stride == 0.
+/// columns. Throws when Ns < 2K or config.window or config.stride is 0.
 [[nodiscard]] WindowedDataset make_windows(const Matrix& coefficients,
                                            const WindowConfig& config);
 
-/// Number of examples make_windows will produce. Throws when
-/// config.stride == 0 (a zero stride would repeat the same window).
+/// Number of examples make_windows will produce (0 when Ns < 2K). Throws
+/// when config.window == 0 (an empty window) or config.stride == 0 (a
+/// zero stride would repeat the same window).
 [[nodiscard]] std::size_t window_count(std::size_t ns,
                                        const WindowConfig& config);
 

@@ -8,17 +8,6 @@
 
 namespace geonas::hpc::net {
 
-const char* msg_type_name(MsgType type) noexcept {
-  switch (type) {
-    case MsgType::kHello: return "hello";
-    case MsgType::kTask: return "task";
-    case MsgType::kResult: return "result";
-    case MsgType::kHeartbeat: return "heartbeat";
-    case MsgType::kShutdown: return "shutdown";
-  }
-  return "unknown";
-}
-
 Message make_hello(std::string worker_name) {
   Message m;
   m.type = MsgType::kHello;

@@ -46,8 +46,6 @@ enum class MsgType : std::uint8_t {
   kShutdown = 5,
 };
 
-[[nodiscard]] const char* msg_type_name(MsgType type) noexcept;
-
 /// One decoded transport message (tagged by `type`; unrelated fields are
 /// left at their defaults).
 struct Message {

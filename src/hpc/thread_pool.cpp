@@ -91,100 +91,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-AllReduceMean::AllReduceMean(std::size_t ranks) : ranks_(ranks) {
-  if (ranks_ == 0) {
-    throw std::invalid_argument("AllReduceMean: need at least one rank");
-  }
-}
-
-void AllReduceMean::reduce(std::span<double> data) {
-  core::MutexLock lock(mutex_);
-  // Wait for the previous generation to fully drain before joining.
-  while (departed_ != 0) cv_.wait(lock.native());
-
-  if (arrived_ == 0) {
-    accumulator_.assign(data.begin(), data.end());
-  } else {
-    if (accumulator_.size() != data.size()) {
-      throw std::invalid_argument("AllReduceMean: length mismatch");
-    }
-    for (std::size_t i = 0; i < data.size(); ++i) accumulator_[i] += data[i];
-  }
-  ++arrived_;
-
-  if (arrived_ == ranks_) {
-    for (double& v : accumulator_) v /= static_cast<double>(ranks_);
-    departed_ = ranks_;
-    arrived_ = 0;
-    ++generation_;
-    cv_.notify_all();
-  } else {
-    const std::size_t my_generation = generation_;
-    while (generation_ == my_generation) cv_.wait(lock.native());
-  }
-
-  std::copy(accumulator_.begin(), accumulator_.end(), data.begin());
-  --departed_;
-  if (departed_ == 0) cv_.notify_all();
-}
-
-Broadcast::Broadcast(std::size_t ranks) : ranks_(ranks) {
-  if (ranks_ == 0) {
-    throw std::invalid_argument("Broadcast: need at least one rank");
-  }
-}
-
-void Broadcast::broadcast(std::size_t rank, std::span<double> data) {
-  if (rank >= ranks_) {
-    throw std::invalid_argument("Broadcast: rank out of range");
-  }
-  core::MutexLock lock(mutex_);
-  while (departed_ != 0) cv_.wait(lock.native());
-
-  if (rank == 0) {
-    buffer_.assign(data.begin(), data.end());
-    root_arrived_ = true;
-  }
-  ++arrived_;
-
-  if (arrived_ == ranks_) {
-    if (!root_arrived_) {
-      throw std::logic_error("Broadcast: rank 0 never arrived");
-    }
-    departed_ = ranks_;
-    arrived_ = 0;
-    root_arrived_ = false;
-    ++generation_;
-    cv_.notify_all();
-  } else {
-    const std::size_t my_generation = generation_;
-    while (generation_ == my_generation) cv_.wait(lock.native());
-  }
-
-  if (buffer_.size() != data.size()) {
-    throw std::invalid_argument("Broadcast: length mismatch");
-  }
-  std::copy(buffer_.begin(), buffer_.end(), data.begin());
-  --departed_;
-  if (departed_ == 0) cv_.notify_all();
-}
-
-Barrier::Barrier(std::size_t ranks) : ranks_(ranks) {
-  if (ranks_ == 0) {
-    throw std::invalid_argument("Barrier: need at least one rank");
-  }
-}
-
-void Barrier::arrive() {
-  core::MutexLock lock(mutex_);
-  if (++arrived_ == ranks_) {
-    arrived_ = 0;
-    ++generation_;
-    cv_.notify_all();
-    return;
-  }
-  const std::size_t my_generation = generation_;
-  while (generation_ == my_generation) cv_.wait(lock.native());
-}
-
 }  // namespace geonas::hpc

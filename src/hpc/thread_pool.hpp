@@ -1,10 +1,11 @@
 // Real shared-memory parallel primitives.
 //
-// Beyond the discrete-event simulator, geonas can run genuinely parallel
-// NAS campaigns on the local machine. The primitives follow the
-// message-passing model of the MPI guides: a ThreadPool of worker
-// "ranks", a bounded Channel for send/recv between ranks, and a
-// blocking all_reduce_mean mirroring MPI_Allreduce with MPI_SUM/size.
+// Beyond the discrete-event simulator, geonas runs genuinely parallel
+// work on the local machine: a FIFO ThreadPool (the kernel pool and
+// its per-campaign-worker PoolShards are built on it) and a bounded
+// Channel for send/recv between threads. The RL agents' gradient
+// reduction is search::all_reduce_mean_gradients, called at each
+// synchronous round's join.
 #pragma once
 
 #include <condition_variable>
@@ -13,7 +14,6 @@
 #include <future>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -174,16 +174,6 @@ class Channel {
     return value;
   }
 
-  /// Non-blocking receive.
-  std::optional<T> try_recv() GEONAS_EXCLUDES(mutex_) {
-    core::MutexLock lock(mutex_);
-    if (queue_.empty()) return std::nullopt;
-    T value = std::move(queue_.front());
-    queue_.pop_front();
-    not_full_.notify_one();
-    return value;
-  }
-
   void close() GEONAS_EXCLUDES(mutex_) {
     core::MutexLock lock(mutex_);
     closed_ = true;
@@ -198,63 +188,6 @@ class Channel {
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   bool closed_ GEONAS_GUARDED_BY(mutex_) = false;
-};
-
-/// Rendezvous all-reduce: `ranks` participants each contribute a vector;
-/// every call blocks until all have arrived, then every participant's
-/// vector is replaced with the element-wise mean. Equivalent to
-/// MPI_Allreduce(..., MPI_SUM) / ranks.
-class AllReduceMean {
- public:
-  explicit AllReduceMean(std::size_t ranks);
-
-  /// Contributes `data` (all participants must pass equal lengths) and
-  /// blocks until the reduction completes; `data` then holds the mean.
-  void reduce(std::span<double> data) GEONAS_EXCLUDES(mutex_);
-
- private:
-  std::size_t ranks_;
-  core::Mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<double> accumulator_ GEONAS_GUARDED_BY(mutex_);
-  std::size_t arrived_ GEONAS_GUARDED_BY(mutex_) = 0;
-  std::size_t departed_ GEONAS_GUARDED_BY(mutex_) = 0;
-  std::size_t generation_ GEONAS_GUARDED_BY(mutex_) = 0;
-};
-
-/// Rendezvous broadcast: rank 0's vector is copied into every
-/// participant's buffer (MPI_Bcast).
-class Broadcast {
- public:
-  explicit Broadcast(std::size_t ranks);
-
-  /// Rank `rank` contributes/receives `data`; blocks until all arrive.
-  void broadcast(std::size_t rank, std::span<double> data)
-      GEONAS_EXCLUDES(mutex_);
-
- private:
-  std::size_t ranks_;
-  core::Mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<double> buffer_ GEONAS_GUARDED_BY(mutex_);
-  bool root_arrived_ GEONAS_GUARDED_BY(mutex_) = false;
-  std::size_t arrived_ GEONAS_GUARDED_BY(mutex_) = 0;
-  std::size_t departed_ GEONAS_GUARDED_BY(mutex_) = 0;
-  std::size_t generation_ GEONAS_GUARDED_BY(mutex_) = 0;
-};
-
-/// Reusable barrier (MPI_Barrier): arrive() blocks until all ranks do.
-class Barrier {
- public:
-  explicit Barrier(std::size_t ranks);
-  void arrive() GEONAS_EXCLUDES(mutex_);
-
- private:
-  std::size_t ranks_;
-  core::Mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t arrived_ GEONAS_GUARDED_BY(mutex_) = 0;
-  std::size_t generation_ GEONAS_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace geonas::hpc

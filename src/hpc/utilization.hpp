@@ -28,7 +28,6 @@ class UtilizationTracker {
   [[nodiscard]] std::vector<double> busy_fraction_curve(double dt) const;
 
   [[nodiscard]] std::size_t nodes() const noexcept { return nodes_; }
-  [[nodiscard]] double wall_time() const noexcept { return wall_; }
 
   /// Recorded (already clipped) busy intervals, in insertion order.
   /// AsyncCampaign serializes these into campaign checkpoints so a

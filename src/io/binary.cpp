@@ -195,15 +195,16 @@ std::string BinaryReader::str(const char* what, std::uint64_t max_size) {
   return value;
 }
 
-std::vector<double> BinaryReader::f64_array(const char* what,
-                                            std::uint64_t max_count) {
+void BinaryReader::f64_array(const char* what, std::span<double> dst) {
   const std::uint64_t count = u64(what);
-  if (count > max_count) {
-    fail("BinaryReader: implausible element count for", what, offset_);
+  if (count != dst.size()) {
+    throw std::runtime_error(
+        "BinaryReader: '" + std::string(what) + "' holds " +
+        std::to_string(count) + " values, destination holds " +
+        std::to_string(dst.size()) + ", at byte offset " +
+        std::to_string(offset_));
   }
-  std::vector<double> values(static_cast<std::size_t>(count));
-  for (double& v : values) v = f64(what);
-  return values;
+  for (double& v : dst) v = f64(what);
 }
 
 void BinaryReader::bytes(void* data, std::size_t size, const char* what) {

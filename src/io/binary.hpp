@@ -20,9 +20,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace geonas::io {
 
@@ -83,9 +83,10 @@ class BinaryReader {
   /// any allocation).
   [[nodiscard]] std::string str(const char* what,
                                 std::uint64_t max_size = 1ULL << 20);
-  /// Count-prefixed double array with the same clamp.
-  [[nodiscard]] std::vector<double> f64_array(
-      const char* what, std::uint64_t max_count = 1ULL << 28);
+  /// Count-prefixed double array read in place into `dst`. Throws,
+  /// before reading any element, when the stored count differs from
+  /// dst.size(), naming the field, both counts and the byte offset.
+  void f64_array(const char* what, std::span<double> dst);
   void bytes(void* data, std::size_t size, const char* what);
 
   /// Reads the CRC-32 trailer and verifies it against every byte consumed;

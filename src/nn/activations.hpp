@@ -46,17 +46,6 @@ inline double apply_activation(Activation a, double x) noexcept {
   return x;
 }
 
-/// d(activation)/dx given pre-activation x and activation value y.
-inline double activation_grad(Activation a, double x, double y) noexcept {
-  switch (a) {
-    case Activation::kReLU: return relu_grad_from_input(x);
-    case Activation::kTanh: return tanh_grad_from_value(y);
-    case Activation::kSigmoid: return sigmoid_grad_from_value(y);
-    case Activation::kIdentity: break;
-  }
-  return 1.0;
-}
-
 /// In-place span activation through the tensor::vmath backend — what
 /// the Dense/Merge forward passes call instead of per-element loops.
 void apply_activation(Activation a, std::span<double> x);

@@ -56,7 +56,7 @@ void Dense::bind_workspace(tensor::Arena& arena, const WorkspaceShape& shape) {
 void Dense::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                          bool training) {
   const Tensor3& x = single_input(inputs, "Dense");
-  ensure_bound(x, training);
+  require_bound(x, training);
   const std::size_t rows = x.dim0() * x.dim1();
 
   // Treat [B,T,F] as (B*T) x F; both tensors are contiguous row-major,

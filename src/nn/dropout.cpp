@@ -31,7 +31,7 @@ void Dropout::forward_into(std::span<const Tensor3* const> inputs,
     std::copy(x.flat().begin(), x.flat().end(), out.flat().begin());
     return;
   }
-  ensure_bound(x, training);
+  require_bound(x, training);
   const double keep_scale = 1.0 / (1.0 - rate_);
   auto mf = mask_.flat();
   const auto xf = x.flat();

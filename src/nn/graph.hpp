@@ -107,11 +107,6 @@ class GraphNetwork {
   [[nodiscard]] const Layer* node_layer(std::size_t id) const {
     return nodes_.at(id).layer.get();
   }
-  /// Input node ids of node `id` (empty for the input node 0).
-  [[nodiscard]] const std::vector<std::size_t>& node_inputs(
-      std::size_t id) const {
-    return nodes_.at(id).inputs;
-  }
 
   /// Multi-line structural description (one node per line).
   [[nodiscard]] std::string describe() const;

@@ -64,7 +64,7 @@ void GRU::bind_workspace(tensor::Arena& arena, const WorkspaceShape& shape) {
 void GRU::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                        bool training) {
   const Tensor3& x = single_input(inputs, "GRU");
-  ensure_bound(x, training);
+  require_bound(x, training);
   const std::size_t batch = x.dim0(), steps = x.dim1();
   const std::size_t g3 = 3 * units_;
   const std::size_t rows = batch * steps;

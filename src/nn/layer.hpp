@@ -7,29 +7,28 @@
 // outstanding forward-then-backward pair at a time, which is all the
 // mini-batch trainer requires.
 //
-// Hot-path contract (see DESIGN.md, "Memory model"): the core entry
-// points are forward_into / backward_into, which write into
-// caller-provided tensors, and bind, which carves all of a layer's
-// scratch out of a tensor::Arena for a WorkspaceShape. A layer bound for
-// batch B runs any batch b <= B on the first b rows of its workspaces
-// with ZERO heap allocation in forward_into/backward_into; backward is
-// sized from the latest forward. Inputs passed to a training
-// forward_into must stay alive and unmodified until the matching
-// backward_into returns — layers cache input POINTERS instead of copying.
-//
-// The by-value forward()/backward() convenience wrappers keep the old
-// allocating call style for tests and examples; standalone layers
-// (outside a GraphNetwork) self-bind on a private arena at first use.
+// Hot-path contract (see DESIGN.md, "Memory model"): the entry points
+// are bind, which carves all of a layer's scratch out of a caller-owned
+// tensor::Arena for a WorkspaceShape, and forward_into / backward_into,
+// which write into caller-provided tensors. A layer owns no arena: its
+// owner (GraphNetwork, or a test) binds it before every forward that
+// outgrows the latest bind, and forward_into throws std::logic_error
+// when it was not. A layer bound for batch B runs any batch b <= B on
+// the first b rows of its workspaces with ZERO heap allocation in
+// forward_into/backward_into; backward is sized from the latest forward.
+// Inputs passed to a training forward_into must stay alive and
+// unmodified until the matching backward_into returns — layers cache
+// input POINTERS instead of copying.
 //
 // Multi-input layers (the skip-connection sum of paper §III-A) take all
 // their inputs at once and fill one gradient per input in backward_into.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -85,8 +84,9 @@ class Layer {
   [[nodiscard]] virtual std::size_t in_features() const noexcept { return 0; }
 
   /// Carves this layer's workspaces for `shape` (shape.features is the
-  /// layer's input width) out of `arena`. GraphNetwork binds all its
-  /// layers on one shared arena; standalone layers self-bind lazily.
+  /// layer's input width) out of `arena`, which must outlive every later
+  /// forward/backward. GraphNetwork binds all its layers on one shared
+  /// arena.
   void bind(tensor::Arena& arena, const WorkspaceShape& shape) {
     bound_ = {};  // a throwing carve leaves the layer unbound
     bind_workspace(arena, shape);
@@ -113,39 +113,6 @@ class Layer {
   /// parameter gradients (callers zero_grad() between batches).
   virtual void backward_into(const Tensor3& grad_output,
                              std::span<Tensor3* const> input_grads) = 0;
-
-  /// Allocating convenience wrapper around forward_into.
-  Tensor3 forward(std::span<const Tensor3* const> inputs, bool training) {
-    wrapper_in_shapes_.clear();
-    for (const Tensor3* in : inputs) {
-      if (in != nullptr) {
-        wrapper_in_shapes_.push_back({in->dim0(), in->dim1(), in->dim2()});
-      } else {
-        wrapper_in_shapes_.push_back({0, 0, 0});
-      }
-    }
-    Tensor3 out;
-    if (!inputs.empty() && inputs[0] != nullptr) {
-      const Tensor3& x = *inputs[0];
-      out.ensure_shape(x.dim0(), x.dim1(), output_features(x.dim2()));
-    }
-    forward_into(inputs, out, training);
-    return out;
-  }
-
-  /// Allocating convenience wrapper around backward_into; shapes come
-  /// from the most recent wrapper forward().
-  std::vector<Tensor3> backward(const Tensor3& grad_output) {
-    std::vector<Tensor3> grads(wrapper_in_shapes_.size());
-    std::vector<Tensor3*> ptrs(grads.size());
-    for (std::size_t i = 0; i < grads.size(); ++i) {
-      const auto& s = wrapper_in_shapes_[i];
-      grads[i].ensure_shape(s[0], s[1], s[2]);
-      ptrs[i] = &grads[i];
-    }
-    backward_into(grad_output, ptrs);
-    return grads;
-  }
 
   /// Randomly (re-)initialize parameters.
   virtual void init_params(Rng& /*rng*/) {}
@@ -190,20 +157,31 @@ class Layer {
     return bound_;
   }
 
-  /// Standalone (non-graph) use: when the bound workspaces do not fit a
-  /// forward over `x`, rebinds on a private arena, created on demand and
-  /// reset before each rebind so repeat shapes reuse its slabs.
-  void ensure_bound(const Tensor3& x, bool training) {
-    if (bound_.fits(x, training)) return;
-    if (!own_arena_) own_arena_ = std::make_unique<tensor::Arena>();
-    own_arena_->reset();
-    bind(*own_arena_, bound_.grown(x, training));
+  /// Throws std::logic_error naming the layer unless the latest bind()
+  /// serves a forward over `x` (WorkspaceShape::fits). Every
+  /// forward_into that uses workspaces calls it first.
+  void require_bound(const Tensor3& x, bool training) const {
+    if (!bound_.fits(x, training)) throw_not_bound(x, training);
   }
 
  private:
-  std::unique_ptr<tensor::Arena> own_arena_;
+  [[noreturn]] void throw_not_bound(const Tensor3& x, bool training) const {
+    std::string msg = name();
+    const auto dims = [&msg](std::size_t b, std::size_t t, std::size_t f,
+                             bool train) {
+      msg.append(" [").append(std::to_string(b)).append(", ");
+      msg.append(std::to_string(t)).append(", ").append(std::to_string(f));
+      msg.append(train ? "] training" : "] inference");
+    };
+    msg += ": forward over";
+    dims(x.dim0(), x.dim1(), x.dim2(), training);
+    msg += " does not fit the latest bind()";
+    dims(bound_.batch, bound_.steps, bound_.features, bound_.training);
+    msg += "; bind the layer for this shape first";
+    throw std::logic_error(msg);
+  }
+
   WorkspaceShape bound_;
-  std::vector<std::array<std::size_t, 3>> wrapper_in_shapes_;
 };
 
 /// Convenience for single-input layers.

@@ -69,7 +69,7 @@ void LSTM::bind_workspace(tensor::Arena& arena, const WorkspaceShape& shape) {
 void LSTM::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                         bool training) {
   const Tensor3& x = single_input(inputs, "LSTM");
-  ensure_bound(x, training);
+  require_bound(x, training);
   const std::size_t batch = x.dim0(), steps = x.dim1();
   const std::size_t g4 = 4 * units_;
   const std::size_t rows = batch * steps;

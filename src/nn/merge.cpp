@@ -29,7 +29,7 @@ void AddMerge::forward_into(std::span<const Tensor3* const> inputs,
     throw std::invalid_argument("AddMerge: wrong number of inputs");
   }
   const Tensor3& first = *inputs[0];
-  ensure_bound(first, training);
+  require_bound(first, training);
   std::copy(first.flat().begin(), first.flat().end(), out.flat().begin());
   for (std::size_t i = 1; i < inputs.size(); ++i) {
     const Tensor3& in = *inputs[i];

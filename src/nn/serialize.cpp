@@ -1,10 +1,6 @@
 #include "nn/serialize.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -15,89 +11,9 @@
 namespace geonas::nn {
 
 namespace {
-constexpr const char* kMagic = "geonas-weights-v1";
 constexpr const char* kBinaryMagic = "GEONASW2";
 constexpr std::uint32_t kBinaryVersion = 2;
 }  // namespace
-
-void save_weights(GraphNetwork& net, std::ostream& os) {
-  const auto params = net.parameters();
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    for (double v : params[p]->flat()) {
-      if (!std::isfinite(v)) {
-        throw std::runtime_error(
-            "save_weights: parameter " + std::to_string(p) +
-            " holds a non-finite value; the text v1 format cannot "
-            "round-trip it — use save_weights_binary");
-      }
-    }
-  }
-  os << kMagic << "\n" << params.size() << "\n";
-  os << std::setprecision(17);
-  for (const Matrix* p : params) {
-    os << p->rows() << " " << p->cols() << "\n";
-    const auto flat = p->flat();
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-      os << flat[i] << (i + 1 == flat.size() ? "\n" : " ");
-    }
-    if (flat.empty()) os << "\n";
-  }
-  if (!os) throw std::runtime_error("save_weights: stream write failure");
-}
-
-void load_weights(GraphNetwork& net, std::istream& is) {
-  std::string magic;
-  is >> magic;
-  if (!is || magic != kMagic) {
-    throw std::runtime_error("load_weights: bad magic header '" + magic + "'");
-  }
-  std::size_t count = 0;
-  if (!(is >> count)) {
-    throw std::runtime_error("load_weights: truncated header");
-  }
-  auto params = net.parameters();
-  if (count != params.size()) {
-    throw std::runtime_error("load_weights: parameter count mismatch (file " +
-                             std::to_string(count) + ", network " +
-                             std::to_string(params.size()) + ")");
-  }
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    std::size_t rows = 0, cols = 0;
-    if (!(is >> rows >> cols)) {
-      throw std::runtime_error("load_weights: truncated shape of parameter " +
-                               std::to_string(p));
-    }
-    if (rows != params[p]->rows() || cols != params[p]->cols()) {
-      throw std::runtime_error("load_weights: shape mismatch at parameter " +
-                               std::to_string(p));
-    }
-    for (double& v : params[p]->flat()) {
-      // Read each value as a token first: operator>> rejects the
-      // "nan"/"inf" tokens legacy v1 files may contain, and we owe the
-      // caller a diagnostic that names the culprit instead of a bare
-      // stream failure.
-      std::string token;
-      if (!(is >> token)) {
-        throw std::runtime_error(
-            "load_weights: truncated values of parameter " +
-            std::to_string(p));
-      }
-      char* end = nullptr;
-      v = std::strtod(token.c_str(), &end);
-      if (end == token.c_str() || *end != '\0') {
-        throw std::runtime_error("load_weights: unparseable value '" + token +
-                                 "' in parameter " + std::to_string(p));
-      }
-      if (!std::isfinite(v)) {
-        throw std::runtime_error(
-            "load_weights: non-finite value '" + token + "' in parameter " +
-            std::to_string(p) +
-            " — text v1 cannot round-trip diverged weights; re-save with "
-            "save_weights_binary");
-      }
-    }
-  }
-}
 
 void save_weights_binary(GraphNetwork& net, std::ostream& os) {
   const auto params = net.parameters();
@@ -130,50 +46,24 @@ void load_weights_binary(GraphNetwork& net, std::istream& is) {
           "load_weights_binary: shape mismatch at parameter " +
           std::to_string(p));
     }
-    const auto values = reader.f64_array("parameter values");
-    auto flat = params[p]->flat();
-    if (values.size() != flat.size()) {
-      throw std::runtime_error(
-          "load_weights_binary: value count mismatch at parameter " +
-          std::to_string(p));
-    }
-    std::copy(values.begin(), values.end(), flat.begin());
+    reader.f64_array("parameter values", params[p]->flat());
   }
   reader.finish();
 }
 
-void save_weights_file(GraphNetwork& net, const std::string& path,
-                       bool text_v1) {
+void save_weights_file(GraphNetwork& net, const std::string& path) {
   // Atomic publish (.tmp + rename) so a crash mid-save never leaves a
   // truncated weight file where a loader (or a serve stream) will read
   // it; failures are diagnosed with the full path and operation.
   io::atomic_write_file(
-      path,
-      [&net, text_v1](std::ostream& os) {
-        if (text_v1) {
-          save_weights(net, os);
-        } else {
-          save_weights_binary(net, os);
-        }
-      },
+      path, [&net](std::ostream& os) { save_weights_binary(net, os); },
       "save_weights_file");
 }
 
 void load_weights_file(GraphNetwork& net, const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("load_weights_file: cannot open " + path);
-  // Sniff the leading magic to dispatch between the formats.
-  char head[8] = {};
-  is.read(head, 8);
-  const bool binary = is.gcount() == 8 && std::string_view(head, 8) ==
-                                              std::string_view(kBinaryMagic);
-  is.clear();
-  is.seekg(0);
-  if (binary) {
-    load_weights_binary(net, is);
-  } else {
-    load_weights(net, is);
-  }
+  load_weights_binary(net, is);
 }
 
 }  // namespace geonas::nn

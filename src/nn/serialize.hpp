@@ -1,23 +1,14 @@
 // Weight serialization for GraphNetworks.
 //
-// Two formats share one loading entry point:
+// One format: a geonas::io container (magic "GEONASW2", version 2,
+// parameter count, then per parameter its shape and raw IEEE-754
+// values, CRC-32 trailer). Non-finite values round-trip bit-exactly;
+// truncation, corruption and foreign files are refused with byte-offset
+// diagnostics.
 //
-//  * text v1 — header with parameter count, then per-parameter shape +
-//    row-major values in full decimal precision. Human-greppable, but
-//    structurally unable to round-trip non-finite values ("nan"/"inf"
-//    tokens are not valid operator>> input), so saving a diverged network
-//    is refused with a pointer at the binary format, and loading a legacy
-//    v1 file that contains them fails with an error naming the parameter.
-//
-//  * binary v2 — a geonas::io container (magic "GEONASW2", version,
-//    length-prefixed shapes, raw IEEE-754 payload, CRC-32 trailer).
-//    Non-finite values round-trip bit-exactly; truncation and corruption
-//    are detected with byte-offset diagnostics.
-//
-// Structure is not stored in either format — loading requires a network
-// with an identical parameter list, which the searchspace builder
-// regenerates deterministically from an architecture encoding.
-// load_weights_file() sniffs the leading magic and dispatches.
+// Structure is not stored — loading requires a network with an
+// identical parameter list, which the searchspace builder regenerates
+// deterministically from an architecture encoding.
 #pragma once
 
 #include <iosfwd>
@@ -27,21 +18,14 @@
 
 namespace geonas::nn {
 
-/// Text v1. Throws std::runtime_error when any parameter is non-finite
-/// (the format cannot represent it; use save_weights_binary).
-void save_weights(GraphNetwork& net, std::ostream& os);
-void load_weights(GraphNetwork& net, std::istream& is);
-
-/// Binary v2 (io::BinaryWriter container). Round-trips NaN/inf bit-exactly.
 void save_weights_binary(GraphNetwork& net, std::ostream& os);
+/// Throws std::runtime_error when the stream's parameter count, a shape
+/// or a value count differs from `net`'s, before reading those values.
 void load_weights_binary(GraphNetwork& net, std::istream& is);
 
 /// File-path conveniences; throw std::runtime_error on I/O failure.
-/// save_weights_file writes binary v2 by default (`text_v1` selects the
-/// legacy format); load_weights_file auto-detects the format from the
-/// leading magic bytes.
-void save_weights_file(GraphNetwork& net, const std::string& path,
-                       bool text_v1 = false);
+/// save_weights_file publishes atomically (.tmp + rename).
+void save_weights_file(GraphNetwork& net, const std::string& path);
 void load_weights_file(GraphNetwork& net, const std::string& path);
 
 }  // namespace geonas::nn

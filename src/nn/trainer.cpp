@@ -18,17 +18,6 @@ double TrainHistory::best_val_r2() const {
   return *std::max_element(val_r2.begin(), val_r2.end());
 }
 
-Tensor3 gather_examples(const Tensor3& data,
-                        std::span<const std::size_t> indices) {
-  Tensor3 out(indices.size(), data.dim1(), data.dim2());
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const auto src = data.block(indices[i]);
-    auto dst = out.block(i);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  return out;
-}
-
 std::vector<std::size_t> lr_decay_epochs(std::size_t epochs) {
   std::vector<std::size_t> steps;
   for (const std::size_t step : {epochs / 2, epochs * 3 / 4}) {

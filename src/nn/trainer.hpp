@@ -78,10 +78,6 @@ class Trainer {
 void predict_into(GraphNetwork& net, const ExampleSource& src, Tensor3& out,
                   Tensor3& x_scratch, std::size_t batch_size = 256);
 
-/// Gathers the examples at `indices` into a contiguous batch tensor.
-[[nodiscard]] Tensor3 gather_examples(const Tensor3& data,
-                                      std::span<const std::size_t> indices);
-
 /// Epochs at which the step LR decay fires: 1/2 and 3/4 of the budget,
 /// deduplicated (they coincide for epochs < 4) and never epoch 0 (a decay
 /// before any full-rate training would silently shrink the whole run).

@@ -39,9 +39,6 @@ class POD {
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
   [[nodiscard]] std::size_t num_modes() const noexcept { return basis_.cols(); }
   [[nodiscard]] std::size_t num_dof() const noexcept { return basis_.rows(); }
-  [[nodiscard]] std::size_t num_snapshots() const noexcept {
-    return eigenvalues_.size();
-  }
 
   /// Reduced basis psi in R^{Nh x Nr} (eq. 5); columns are orthonormal.
   [[nodiscard]] const Matrix& basis() const noexcept { return basis_; }

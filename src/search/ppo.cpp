@@ -215,16 +215,7 @@ void PPOAgent::load(io::BinaryReader& reader) {
         " logit rows, this search space needs " +
         std::to_string(logits_.size()));
   }
-  for (Matrix& row : logits_) {
-    const auto values = reader.f64_array("PPO logits");
-    auto flat = row.flat();
-    if (values.size() != flat.size()) {
-      throw std::runtime_error(
-          "PPOAgent::load: logit row width mismatch (checkpointed space "
-          "differs from the current one)");
-    }
-    std::copy(values.begin(), values.end(), flat.begin());
-  }
+  for (Matrix& row : logits_) reader.f64_array("PPO logits", row.flat());
 }
 
 PPOSearch::PPOSearch(const searchspace::StackedLSTMSpace& space,

@@ -1,11 +1,9 @@
 #include "tensor/blas.hpp"
 
-#include <cmath>
 #include <functional>
 #include <stdexcept>
 #include <utility>
 
-#include "hpc/parallel_for.hpp"
 #include "tensor/gemm_kernel.hpp"
 #include "tensor/prepack.hpp"
 
@@ -88,57 +86,6 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
   detail::gemm_blocked(m, n, k, 1.0, a.flat().data(), m, true,
                        b.flat().data(), n, false, 0.0, c.flat().data(), n);
   return c;
-}
-
-Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  require(b.cols() == k, "matmul_a_bt: inner dimensions differ");
-  Matrix c(m, n);
-  detail::gemm_blocked(m, n, k, 1.0, a.flat().data(), k, false,
-                       b.flat().data(), k, true, 0.0, c.flat().data(), n);
-  return c;
-}
-
-void gemv(const Matrix& a, std::span<const double> x, std::span<double> y,
-          double alpha, double beta) {
-  require(x.size() == a.cols(), "gemv: x length != A.cols()");
-  require(y.size() == a.rows(), "gemv: y length != A.rows()");
-  const double cost =
-      2.0 * static_cast<double>(a.rows()) * static_cast<double>(a.cols());
-  hpc::parallel_for(0, a.rows(), cost, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const double acc = dot(a.row_span(i), x);
-      y[i] = alpha * acc + beta * y[i];
-    }
-  });
-}
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  require(x.size() == y.size(), "axpy: length mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-double dot(std::span<const double> x, std::span<const double> y) {
-  require(x.size() == y.size(), "dot: length mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-double nrm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
-
-Matrix hadamard(const Matrix& a, const Matrix& b) {
-  require_same_shape(a, b, "hadamard");
-  Matrix c(a.rows(), a.cols());
-  auto cf = c.flat();
-  auto af = a.flat();
-  auto bf = b.flat();
-  for (std::size_t i = 0; i < cf.size(); ++i) cf[i] = af[i] * bf[i];
-  return c;
-}
-
-void scal(double alpha, std::span<double> x) {
-  for (double& v : x) v *= alpha;
 }
 
 }  // namespace geonas

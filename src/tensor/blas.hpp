@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "tensor/matrix.hpp"
 
@@ -65,28 +64,5 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c, double alpha = 1.0,
 
 /// Returns A^T * B without materializing A^T.
 [[nodiscard]] Matrix matmul_at_b(const Matrix& a, const Matrix& b);
-
-/// Returns A * B^T without materializing B^T.
-[[nodiscard]] Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
-
-/// y = alpha * A * x + beta * y. x.size() == A.cols(), y.size() == A.rows().
-/// y must not alias x.
-void gemv(const Matrix& a, std::span<const double> x, std::span<double> y,
-          double alpha = 1.0, double beta = 0.0);
-
-/// y += alpha * x (vectors of equal length).
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-
-/// Dot product.
-[[nodiscard]] double dot(std::span<const double> x, std::span<const double> y);
-
-/// Euclidean norm.
-[[nodiscard]] double nrm2(std::span<const double> x);
-
-/// Hadamard (element-wise) product: c = a .* b.
-[[nodiscard]] Matrix hadamard(const Matrix& a, const Matrix& b);
-
-/// Element-wise scale in place.
-void scal(double alpha, std::span<double> x);
 
 }  // namespace geonas

@@ -62,14 +62,6 @@ void Matrix::set_col(std::size_t c, std::span<const double> values) {
   for (std::size_t r = 0; r < rows_; ++r) (*this)(r, c) = values[r];
 }
 
-void Matrix::set_row(std::size_t r, std::span<const double> values) {
-  if (values.size() != cols_) {
-    throw std::invalid_argument("Matrix::set_row length mismatch");
-  }
-  ++version_;
-  std::copy(values.begin(), values.end(), data_.begin() + r * cols_);
-}
-
 Matrix Matrix::transposed() const {
   Matrix out(cols_, rows_);
   // Blocked transpose keeps both streams cache-friendly on big snapshots.
@@ -85,16 +77,6 @@ Matrix Matrix::transposed() const {
       }
     }
   }
-  return out;
-}
-
-Matrix Matrix::slice_rows(std::size_t r0, std::size_t r1) const {
-  if (r0 > r1 || r1 > rows_) {
-    throw std::out_of_range("Matrix::slice_rows range invalid");
-  }
-  Matrix out(r1 - r0, cols_);
-  std::copy(data_.begin() + r0 * cols_, data_.begin() + r1 * cols_,
-            out.data_.begin());
   return out;
 }
 
@@ -154,12 +136,6 @@ double Matrix::sum() const noexcept {
   return acc;
 }
 
-double Matrix::max_abs() const noexcept {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
 std::string Matrix::to_string(int precision) const {
   std::ostringstream os;
   os.precision(precision);
@@ -172,21 +148,6 @@ std::string Matrix::to_string(int precision) const {
     os << (r + 1 < rows_ ? "],\n" : "]]");
   }
   return os.str();
-}
-
-Matrix Tensor3::block_matrix(std::size_t i) const {
-  Matrix m(d1_, d2_);
-  const auto src = block(i);
-  std::copy(src.begin(), src.end(), m.flat().begin());
-  return m;
-}
-
-void Tensor3::set_block(std::size_t i, const Matrix& m) {
-  if (m.rows() != d1_ || m.cols() != d2_) {
-    throw std::invalid_argument("Tensor3::set_block shape mismatch");
-  }
-  auto dst = block(i);
-  std::copy(m.flat().begin(), m.flat().end(), dst.begin());
 }
 
 void Tensor3::resize(std::size_t d0, std::size_t d1, std::size_t d2,

@@ -109,11 +109,8 @@ class Matrix {
   /// Copy out one column (columns are strided, so this materializes).
   [[nodiscard]] std::vector<double> col_copy(std::size_t c) const;
   void set_col(std::size_t c, std::span<const double> values);
-  void set_row(std::size_t r, std::span<const double> values);
 
   [[nodiscard]] Matrix transposed() const;
-  /// Rows [r0, r1) as a new matrix.
-  [[nodiscard]] Matrix slice_rows(std::size_t r0, std::size_t r1) const;
   /// Columns [c0, c1) as a new matrix.
   [[nodiscard]] Matrix slice_cols(std::size_t c0, std::size_t c1) const;
 
@@ -145,7 +142,6 @@ class Matrix {
   /// Frobenius norm.
   [[nodiscard]] double frobenius_norm() const noexcept;
   [[nodiscard]] double sum() const noexcept;
-  [[nodiscard]] double max_abs() const noexcept;
 
   /// Human-readable rendering (for small matrices / debugging).
   [[nodiscard]] std::string to_string(int precision = 4) const;
@@ -190,10 +186,6 @@ class Tensor3 {
   [[nodiscard]] std::span<const double> block(std::size_t i) const noexcept {
     return {data_.data() + i * d1_ * d2_, d1_ * d2_};
   }
-
-  /// Copy block i out as a [dim1 x dim2] matrix.
-  [[nodiscard]] Matrix block_matrix(std::size_t i) const;
-  void set_block(std::size_t i, const Matrix& m);
 
   /// Reshapes to (d0, d1, d2) and refills every element with
   /// `fill_value` (Matrix::resize semantics). No allocation when the

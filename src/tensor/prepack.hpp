@@ -69,10 +69,6 @@ class PackedPanels {
   [[nodiscard]] std::size_t k() const noexcept { return k_; }
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
   [[nodiscard]] bool empty() const noexcept { return storage_ == nullptr; }
-  /// Matrix::version() of the source at pack time.
-  [[nodiscard]] std::uint64_t source_version() const noexcept {
-    return source_version_;
-  }
   /// Times the panel was actually (re-)packed — lets tests pin the
   /// invalidation rule (n ensures after m mutations => m+1 packs).
   [[nodiscard]] std::uint64_t repack_count() const noexcept {

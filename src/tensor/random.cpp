@@ -61,11 +61,6 @@ std::size_t Rng::uniform_index(std::size_t n) noexcept {
   return static_cast<std::size_t>(draw % n);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
 double Rng::normal() noexcept {
   if (has_cached_normal_) {
     has_cached_normal_ = false;

@@ -42,8 +42,6 @@ class Rng {
   double uniform(double lo, double hi) noexcept;
   /// Uniform integer in [0, n). n must be > 0.
   std::size_t uniform_index(std::size_t n) noexcept;
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
   /// Standard normal via Box-Muller (cached second value).
   double normal() noexcept;
   double normal(double mean, double stddev) noexcept;

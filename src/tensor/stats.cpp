@@ -28,16 +28,6 @@ double variance(std::span<const double> x) {
 
 double stddev(std::span<const double> x) { return std::sqrt(variance(x)); }
 
-double min_value(std::span<const double> x) {
-  require(!x.empty(), "min_value: empty input");
-  return *std::min_element(x.begin(), x.end());
-}
-
-double max_value(std::span<const double> x) {
-  require(!x.empty(), "max_value: empty input");
-  return *std::max_element(x.begin(), x.end());
-}
-
 double r2_score(std::span<const double> truth,
                 std::span<const double> predicted) {
   require(truth.size() == predicted.size(), "r2_score: length mismatch");
@@ -76,16 +66,6 @@ double rmse(const Matrix& truth, const Matrix& predicted) {
   return rmse(truth.flat(), predicted.flat());
 }
 
-double mae(std::span<const double> truth, std::span<const double> predicted) {
-  require(truth.size() == predicted.size(), "mae: length mismatch");
-  require(!truth.empty(), "mae: empty input");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    acc += std::abs(truth[i] - predicted[i]);
-  }
-  return acc / static_cast<double>(truth.size());
-}
-
 double pearson(std::span<const double> x, std::span<const double> y) {
   require(x.size() == y.size(), "pearson: length mismatch");
   require(x.size() >= 2, "pearson: need at least two samples");
@@ -115,17 +95,6 @@ std::vector<double> moving_average(std::span<const double> x,
     out[i] = acc / static_cast<double>(n);
   }
   return out;
-}
-
-double trapezoid_auc(std::span<const double> t, std::span<const double> y) {
-  require(t.size() == y.size(), "trapezoid_auc: length mismatch");
-  double area = 0.0;
-  for (std::size_t i = 1; i < t.size(); ++i) {
-    const double dt = t[i] - t[i - 1];
-    require(dt >= 0.0, "trapezoid_auc: time must be non-decreasing");
-    area += 0.5 * (y[i] + y[i - 1]) * dt;
-  }
-  return area;
 }
 
 void RunningStats::add(double x) noexcept {

@@ -2,8 +2,8 @@
 //
 // R^2 (coefficient of determination) is the paper's search reward and
 // Table II metric; RMSE is the Table I metric; the moving-window average
-// (window 100) and the trapezoidal AUC are the exact bookkeeping the
-// paper uses for search trajectories and node utilisation (§IV).
+// (window 100) is the paper's smoothing of search trajectories (§IV).
+// The node-utilisation AUC lives with its tracker (hpc/utilization.hpp).
 #pragma once
 
 #include <cstddef>
@@ -17,8 +17,6 @@ namespace geonas {
 [[nodiscard]] double mean(std::span<const double> x);
 [[nodiscard]] double variance(std::span<const double> x);  // population
 [[nodiscard]] double stddev(std::span<const double> x);
-[[nodiscard]] double min_value(std::span<const double> x);
-[[nodiscard]] double max_value(std::span<const double> x);
 
 /// Coefficient of determination: 1 - SS_res / SS_tot. Returns -inf-like
 /// large negative values for terrible fits; 1.0 for perfect. If the truth
@@ -31,9 +29,6 @@ namespace geonas {
                           std::span<const double> predicted);
 [[nodiscard]] double rmse(const Matrix& truth, const Matrix& predicted);
 
-[[nodiscard]] double mae(std::span<const double> truth,
-                         std::span<const double> predicted);
-
 /// Pearson correlation coefficient.
 [[nodiscard]] double pearson(std::span<const double> x,
                              std::span<const double> y);
@@ -43,11 +38,6 @@ namespace geonas {
 /// entry i averages inputs max(0, i-window+1) .. i.
 [[nodiscard]] std::vector<double> moving_average(std::span<const double> x,
                                                  std::size_t window);
-
-/// Trapezoidal area under the curve of y(t) over possibly non-uniform t.
-/// t must be non-decreasing and the lengths equal.
-[[nodiscard]] double trapezoid_auc(std::span<const double> t,
-                                   std::span<const double> y);
 
 /// Online mean/variance accumulator (Welford).
 class RunningStats {

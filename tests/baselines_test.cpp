@@ -120,8 +120,15 @@ TEST(RandomForest, BeatsSingleTreeOnNoisyData) {
     y(i, 0) = std::sin(2.0 * x(i, 0)) + 0.4 * x(i, 1) + 0.3 * rng.normal();
   }
   // Held-out split.
-  const Matrix x_train = x.slice_rows(0, 150), x_test = x.slice_rows(150, n);
-  const Matrix y_train = y.slice_rows(0, 150), y_test = y.slice_rows(150, n);
+  const auto rows = [](const Matrix& m, std::size_t r0, std::size_t r1) {
+    Matrix out(r1 - r0, m.cols());
+    for (std::size_t r = r0; r < r1; ++r) {
+      for (std::size_t c = 0; c < m.cols(); ++c) out(r - r0, c) = m(r, c);
+    }
+    return out;
+  };
+  const Matrix x_train = rows(x, 0, 150), x_test = rows(x, 150, n);
+  const Matrix y_train = rows(y, 0, 150), y_test = rows(y, 150, n);
 
   DecisionTree tree({.max_depth = 24});
   tree.fit(x_train, y_train);

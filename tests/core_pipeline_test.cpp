@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <mutex>
 #include <vector>
@@ -66,6 +67,37 @@ TEST_F(PipelineTest, SplitSizes) {
   EXPECT_EQ(p.split().train.size(), 84u);
   EXPECT_EQ(p.split().train.x.dim1(), 8u);
   EXPECT_EQ(p.split().train.x.dim2(), 5u);
+}
+
+TEST(PODLSTMPipeline, SplitMatchesWindowViewGathers) {
+  // split() is materialized from the view on request: every example of
+  // both halves must be, bitwise, the view's gather at split_indices().
+  PODLSTMPipeline p(tiny_config());
+  p.prepare();
+  const data::SplitDataset split = p.split();
+  const data::WindowView& view = p.train_window_view();
+  const auto expect_gathers = [&view](const data::WindowedDataset& set,
+                                      const std::vector<std::size_t>& idx) {
+    ASSERT_EQ(set.size(), idx.size());
+    ASSERT_EQ(set.x.dim1(), view.window());
+    ASSERT_EQ(set.x.dim2(), view.features());
+    std::vector<double> x(view.window() * view.features());
+    std::vector<double> y(x.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+      view.gather_x(idx[i], x);
+      view.gather_y(idx[i], y);
+      ASSERT_EQ(std::memcmp(set.x.block(i).data(), x.data(),
+                            x.size() * sizeof(double)),
+                0)
+          << "x of example " << i;
+      ASSERT_EQ(std::memcmp(set.y.block(i).data(), y.data(),
+                            y.size() * sizeof(double)),
+                0)
+          << "y of example " << i;
+    }
+  };
+  expect_gathers(split.train, p.split_indices().train);
+  expect_gathers(split.val, p.split_indices().val);
 }
 
 TEST_F(PipelineTest, PodEnergyBand) {

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "data/comparators.hpp"
@@ -285,6 +287,17 @@ TEST(Windowing, StrideZeroRejected) {
     coeffs(1, t) = static_cast<double>(t) * 2.0;
   }
   EXPECT_THROW((void)make_windows(coeffs, {.window = 4, .stride = 0}),
+               std::invalid_argument);
+  // Window 0 is refused by name, not reported as a too-short series.
+  try {
+    (void)window_count(427, {.window = 0, .stride = 1});
+    FAIL() << "window 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("window K must be >= 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)make_windows(coeffs, {.window = 0, .stride = 1}),
                std::invalid_argument);
 }
 

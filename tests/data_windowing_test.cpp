@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "data/windowing.hpp"
@@ -102,9 +103,19 @@ TEST(WindowView, MaterializeIsBitwiseMakeWindows) {
 
 TEST(WindowView, RejectsBadConfigsLikeMakeWindows) {
   const Matrix a = random_coeffs(3, 15, 81);
-  EXPECT_THROW(WindowView(a, {.window = 8, .stride = 1}),
-               std::invalid_argument);  // 15 < 2K = 16
+  try {
+    (void)WindowView(a, {.window = 8, .stride = 1});  // 15 < 2K = 16
+    FAIL() << "a series shorter than 2K accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("WindowView"), std::string::npos) << what;
+    EXPECT_NE(what.find("Ns = 15"), std::string::npos) << what;
+    EXPECT_NE(what.find("2K = 16"), std::string::npos) << what;
+    EXPECT_NE(what.find("K = 8"), std::string::npos) << what;
+  }
   EXPECT_THROW(WindowView(a, {.window = 4, .stride = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(WindowView(a, {.window = 0, .stride = 1}),
                std::invalid_argument);
   EXPECT_THROW(make_windows(a, {.window = 8, .stride = 1}),
                std::invalid_argument);

@@ -19,6 +19,7 @@
 
 #include "data/landmask.hpp"
 #include "data/sst.hpp"
+#include "gradient_check.hpp"
 #include "hpc/parallel_for.hpp"
 #include "io/binary.hpp"
 #include "nn/dense.hpp"
@@ -108,17 +109,16 @@ LstmPass run_lstm_pass(std::size_t threads) {
   for (std::size_t i = 0; i < kB; ++i) {
     for (double& v : x.block(i)) v = xrng.uniform(-1.0, 1.0);
   }
-  const Tensor3* input = &x;
+  nn::testing::LayerDriver driver(lstm);
   LstmPass pass;
-  pass.output = lstm.forward(std::span<const Tensor3* const>(&input, 1),
-                             /*training=*/true);
+  pass.output = driver.forward(x, /*training=*/true);
 
   Tensor3 grad(kB, kT, kUnits);
   Rng grng(11);
   for (std::size_t i = 0; i < kB; ++i) {
     for (double& v : grad.block(i)) v = grng.uniform(-1.0, 1.0);
   }
-  auto input_grads = lstm.backward(grad);
+  auto input_grads = driver.backward(grad);
   pass.dx = std::move(input_grads.at(0));
   for (Matrix* g : lstm.gradients()) pass.weight_grads.push_back(*g);
   return pass;
@@ -153,17 +153,16 @@ LstmPass run_gru_pass(std::size_t threads) {
   for (std::size_t i = 0; i < kB; ++i) {
     for (double& v : x.block(i)) v = xrng.uniform(-1.0, 1.0);
   }
-  const Tensor3* input = &x;
+  nn::testing::LayerDriver driver(gru);
   LstmPass pass;
-  pass.output = gru.forward(std::span<const Tensor3* const>(&input, 1),
-                            /*training=*/true);
+  pass.output = driver.forward(x, /*training=*/true);
 
   Tensor3 grad(kB, kT, kUnits);
   Rng grng(21);
   for (std::size_t i = 0; i < kB; ++i) {
     for (double& v : grad.block(i)) v = grng.uniform(-1.0, 1.0);
   }
-  auto input_grads = gru.backward(grad);
+  auto input_grads = driver.backward(grad);
   pass.dx = std::move(input_grads.at(0));
   for (Matrix* g : gru.gradients()) pass.weight_grads.push_back(*g);
   return pass;

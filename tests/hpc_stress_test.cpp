@@ -1,8 +1,8 @@
 // TSan-targeted stress tests for the concurrent evaluation stack
 // (DESIGN.md "Correctness tooling"): the shared kernel ThreadPool,
 // parallel_for reconfiguration under fire, the parallel local NAS
-// driver, threaded multi-agent PPO over the MPI-style collectives, and
-// concurrent cluster-simulator campaigns sharing one evaluator. These
+// driver, threaded multi-agent PPO rounds, and concurrent
+// cluster-simulator campaigns sharing one evaluator. These
 // run in every flavor, but their purpose is the TSan preset — each test
 // creates genuine cross-thread contention on the exact structures a
 // scaled NAS campaign leans on.
@@ -184,59 +184,48 @@ TEST(NasDriverStress, ParallelLocalSearchSharedEvaluator) {
 
 TEST(PPOStress, ThreadedAgentsStayBitwiseIdentical) {
   // The real-threads analogue of the paper's 11-agent synchronous RL:
-  // each thread owns a PPOAgent, gathers its own batch against a shared
-  // thread-safe evaluator, and the agents all-reduce gradients through
-  // hpc::AllReduceMean with a Barrier separating rounds. The paper's
-  // invariant — agent policies stay bitwise identical because they all
-  // start uniform and apply the same averaged gradient — must survive
-  // genuine concurrency.
+  // each round, one thread per PPOAgent gathers that agent's batch
+  // against a shared thread-safe evaluator and computes its gradient;
+  // at the round's join the gradients go through the production
+  // reduction (search::all_reduce_mean_gradients, as simulate_rl uses
+  // it) and every agent applies the mean. The paper's invariant — agent
+  // policies stay bitwise identical because they all start uniform and
+  // apply the same averaged gradient — must survive genuine concurrency.
   const searchspace::StackedLSTMSpace space;
   core::SurrogateEvaluator evaluator(space);
   constexpr std::size_t kAgents = 4, kBatch = 5;
   const std::size_t rounds = 2 * kScale;
 
-  hpc::AllReduceMean allreduce(kAgents);
-  hpc::Barrier round_barrier(kAgents);
-  std::vector<std::vector<Matrix>> final_logits(kAgents);
-  std::vector<std::thread> threads;
-  threads.reserve(kAgents);
+  std::vector<search::PPOAgent> agents;
+  agents.reserve(kAgents);
   for (std::size_t a = 0; a < kAgents; ++a) {
-    threads.emplace_back([&, a] {
-      search::PPOAgent agent(space, search::PPOConfig{}, a);
-      for (std::size_t r = 0; r < rounds; ++r) {
+    agents.emplace_back(space, search::PPOConfig{}, a);
+  }
+  for (std::size_t r = 0; r < rounds; ++r) {
+    std::vector<std::vector<Matrix>> grads(kAgents);
+    std::vector<std::thread> threads;
+    threads.reserve(kAgents);
+    for (std::size_t a = 0; a < kAgents; ++a) {
+      threads.emplace_back([&, a] {
         std::vector<search::PPOAgent::Sample> batch;
         batch.reserve(kBatch);
         for (std::size_t b = 0; b < kBatch; ++b) {
-          auto arch = agent.ask();
-          const auto outcome = evaluator.evaluate(
-              arch, a * 1000 + r * 100 + b);
+          auto arch = agents[a].ask();
+          const auto outcome =
+              evaluator.evaluate(arch, a * 1000 + r * 100 + b);
           batch.push_back({std::move(arch), outcome.reward});
         }
-        auto grads = agent.compute_gradient(batch);
-        // Flatten for the collective, reduce, unflatten, step.
-        std::vector<double> flat;
-        for (const Matrix& g : grads) {
-          flat.insert(flat.end(), g.flat().begin(), g.flat().end());
-        }
-        allreduce.reduce(flat);
-        std::size_t off = 0;
-        for (Matrix& g : grads) {
-          std::copy(flat.begin() + static_cast<std::ptrdiff_t>(off),
-                    flat.begin() + static_cast<std::ptrdiff_t>(off + g.size()),
-                    g.flat().begin());
-          off += g.size();
-        }
-        agent.apply_gradient(grads);
-        round_barrier.arrive();
-      }
-      final_logits[a] = agent.logits();
-    });
+        grads[a] = agents[a].compute_gradient(batch);
+      });
+    }
+    for (auto& t : threads) t.join();
+    const auto mean_grad = search::all_reduce_mean_gradients(grads);
+    for (auto& agent : agents) agent.apply_gradient(mean_grad);
   }
-  for (auto& t : threads) t.join();
   for (std::size_t a = 1; a < kAgents; ++a) {
-    ASSERT_EQ(final_logits[a].size(), final_logits[0].size());
-    for (std::size_t g = 0; g < final_logits[0].size(); ++g) {
-      ASSERT_EQ(final_logits[a][g], final_logits[0][g])
+    ASSERT_EQ(agents[a].logits().size(), agents[0].logits().size());
+    for (std::size_t g = 0; g < agents[0].logits().size(); ++g) {
+      ASSERT_EQ(agents[a].logits()[g], agents[0].logits()[g])
           << "agent " << a << " diverged at gene " << g;
     }
   }

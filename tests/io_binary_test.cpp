@@ -42,8 +42,8 @@ TEST(IoBinary, RoundTripAllFieldTypes) {
   EXPECT_EQ(reader.u64("c"), 0x0123456789ABCDEFULL);
   EXPECT_DOUBLE_EQ(reader.f64("d"), -1.5);
   EXPECT_EQ(reader.str("e"), "hello");
-  const std::vector<double> values = reader.f64_array("f");
-  ASSERT_EQ(values.size(), 3u);
+  std::vector<double> values(3);
+  reader.f64_array("f", values);
   EXPECT_DOUBLE_EQ(values[1], -2.5);
   reader.finish();  // CRC must verify
 }
@@ -109,7 +109,8 @@ TEST(IoBinary, CrcTrailerDetectsCorruption) {
   (void)reader.u64("c");
   (void)reader.f64("d");
   (void)reader.str("e");
-  (void)reader.f64_array("f");
+  std::vector<double> values(3);
+  reader.f64_array("f", values);
   try {
     reader.finish();
     FAIL() << "corrupt container passed CRC";
@@ -128,7 +129,8 @@ TEST(IoBinary, CrcTrailerDetectsTruncatedTrailer) {
   (void)reader.u64("c");
   (void)reader.f64("d");
   (void)reader.str("e");
-  (void)reader.f64_array("f");
+  std::vector<double> values(3);
+  reader.f64_array("f", values);
   EXPECT_THROW(reader.finish(), std::runtime_error);
 }
 
@@ -143,9 +145,22 @@ TEST(IoBinary, LengthPrefixClampPreventsHugeAllocations) {
     EXPECT_THROW((void)reader.str("name", 1024), std::runtime_error);
   }
   {
+    // An array is sized by its destination: a stored count that differs
+    // is refused before any element is read, naming both counts.
     std::istringstream is(os.str(), std::ios::binary);
     BinaryReader reader(is, kMagic, 1, 1);
-    EXPECT_THROW((void)reader.f64_array("values", 1024), std::runtime_error);
+    std::vector<double> dst(4);
+    try {
+      reader.f64_array("values", dst);
+      FAIL() << "count differing from the destination accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'values'"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(1ULL << 60)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("destination holds 4"), std::string::npos) << what;
+      EXPECT_NE(what.find("byte offset 20"), std::string::npos) << what;
+    }
   }
 }
 
@@ -197,7 +212,9 @@ TEST(IoBinary, ReadsAssembleAcrossOneByteUnderflows) {
   EXPECT_EQ(reader.u64("c"), 0x0123456789ABCDEFULL);
   EXPECT_DOUBLE_EQ(reader.f64("d"), -1.5);
   EXPECT_EQ(reader.str("e"), "hello");
-  EXPECT_EQ(reader.f64_array("f").size(), 3u);
+  std::vector<double> values(3);
+  reader.f64_array("f", values);
+  EXPECT_DOUBLE_EQ(values[2], 3.25);
   reader.finish();
 }
 
@@ -216,7 +233,8 @@ TEST(IoBinary, TruncationAtEveryOffsetThrowsWithByteAccounting) {
       (void)reader.u64("c");
       (void)reader.f64("d");
       (void)reader.str("e");
-      (void)reader.f64_array("f");
+      std::vector<double> values(3);
+      reader.f64_array("f", values);
       reader.finish();
       FAIL() << "no throw with container cut at byte " << cut;
     } catch (const std::runtime_error& e) {

@@ -9,6 +9,7 @@ namespace geonas::nn {
 namespace {
 
 using testing::check_layer_gradients;
+using testing::LayerDriver;
 using testing::random_tensor;
 
 TEST(Dense, OutputShape) {
@@ -16,8 +17,8 @@ TEST(Dense, OutputShape) {
   Rng rng(1);
   layer.init_params(rng);
   const Tensor3 x = random_tensor(4, 5, 3, rng);
-  const Tensor3* ptr = &x;
-  const Tensor3 y = layer.forward({&ptr, 1}, false);
+  LayerDriver driver(layer);
+  const Tensor3 y = driver.forward(x, false);
   EXPECT_EQ(y.dim0(), 4u);
   EXPECT_EQ(y.dim1(), 5u);
   EXPECT_EQ(y.dim2(), 7u);
@@ -36,8 +37,8 @@ TEST(Dense, TimeDistributedConsistency) {
       x(b, t, 1) = -0.7;
     }
   }
-  const Tensor3* ptr = &x;
-  const Tensor3 y = layer.forward({&ptr, 1}, false);
+  LayerDriver driver(layer);
+  const Tensor3 y = driver.forward(x, false);
   for (std::size_t b = 0; b < 2; ++b) {
     for (std::size_t t = 0; t < 2; ++t) {
       for (std::size_t f = 0; f < 3; ++f) {
@@ -59,8 +60,8 @@ TEST(Dense, RejectsBadInput) {
   Rng rng(3);
   layer.init_params(rng);
   const Tensor3 wrong = random_tensor(1, 2, 5, rng);
-  const Tensor3* ptr = &wrong;
-  EXPECT_THROW((void)layer.forward({&ptr, 1}, false), std::invalid_argument);
+  LayerDriver driver(layer);
+  EXPECT_THROW((void)driver.forward(wrong, false), std::invalid_argument);
   EXPECT_THROW(Dense(0, 2), std::invalid_argument);
 }
 

@@ -18,6 +18,7 @@
 namespace geonas::nn {
 namespace {
 
+using testing::LayerDriver;
 using testing::random_tensor;
 
 TEST(AddMerge, SumsAndRelus) {
@@ -29,7 +30,7 @@ TEST(AddMerge, SumsAndRelus) {
   b(0, 0, 1) = 1.0;
   AddMerge merge(2, /*relu=*/true);
   const Tensor3* ins[2] = {&a, &b};
-  const Tensor3 y = merge.forward({ins, 2}, false);
+  const Tensor3 y = LayerDriver(merge).forward({ins, 2}, false);
   EXPECT_DOUBLE_EQ(y(0, 0, 0), 3.0);
   EXPECT_DOUBLE_EQ(y(0, 0, 1), 0.0);  // -2 clipped by ReLU
 }
@@ -42,9 +43,10 @@ TEST(AddMerge, BackwardSplitsGradient) {
   b(0, 0, 1) = 1.0;
   AddMerge merge(2, true);
   const Tensor3* ins[2] = {&a, &b};
-  (void)merge.forward({ins, 2}, true);
+  LayerDriver driver(merge);
+  (void)driver.forward({ins, 2}, true);
   Tensor3 g(1, 1, 2, 1.0);
-  const auto grads = merge.backward(g);
+  const auto grads = driver.backward(g);
   ASSERT_EQ(grads.size(), 2u);
   // First channel: sum 2 > 0, gradient passes; second: sum -2, masked.
   EXPECT_DOUBLE_EQ(grads[0](0, 0, 0), 1.0);
@@ -56,16 +58,17 @@ TEST(AddMerge, ShapeMismatchThrows) {
   Tensor3 a(1, 1, 2), b(1, 2, 2);
   AddMerge merge(2, true);
   const Tensor3* ins[2] = {&a, &b};
-  EXPECT_THROW((void)merge.forward({ins, 2}, false), std::invalid_argument);
+  EXPECT_THROW((void)LayerDriver(merge).forward({ins, 2}, false),
+               std::invalid_argument);
 }
 
 TEST(Identity, PassThrough) {
   Identity id;
   Rng rng(1);
   const Tensor3 x = random_tensor(2, 3, 4, rng);
-  const Tensor3* ptr = &x;
-  EXPECT_EQ(id.forward({&ptr, 1}, false), x);
-  const auto g = id.backward(x);
+  LayerDriver driver(id);
+  EXPECT_EQ(driver.forward(x, false), x);
+  const auto g = driver.backward(x);
   ASSERT_EQ(g.size(), 1u);
   EXPECT_EQ(g[0], x);
 }

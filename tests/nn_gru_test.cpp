@@ -13,6 +13,7 @@ namespace geonas::nn {
 namespace {
 
 using testing::check_layer_gradients;
+using testing::LayerDriver;
 using testing::random_tensor;
 
 TEST(GRU, OutputShapeReturnsFullSequence) {
@@ -20,8 +21,8 @@ TEST(GRU, OutputShapeReturnsFullSequence) {
   Rng rng(1);
   layer.init_params(rng);
   const Tensor3 x = random_tensor(4, 7, 3, rng);
-  const Tensor3* ptr = &x;
-  const Tensor3 y = layer.forward({&ptr, 1}, false);
+  LayerDriver driver(layer);
+  const Tensor3 y = driver.forward(x, false);
   EXPECT_EQ(y.dim0(), 4u);
   EXPECT_EQ(y.dim1(), 7u);
   EXPECT_EQ(y.dim2(), 6u);
@@ -38,8 +39,8 @@ TEST(GRU, StatelessAcrossCalls) {
   Rng rng(2);
   layer.init_params(rng);
   const Tensor3 x = random_tensor(1, 5, 2, rng);
-  const Tensor3* ptr = &x;
-  EXPECT_EQ(layer.forward({&ptr, 1}, false), layer.forward({&ptr, 1}, false));
+  LayerDriver driver(layer);
+  EXPECT_EQ(driver.forward(x, false), driver.forward(x, false));
 }
 
 TEST(GRU, CausalInTime) {
@@ -47,10 +48,10 @@ TEST(GRU, CausalInTime) {
   Rng rng(3);
   layer.init_params(rng);
   Tensor3 x = random_tensor(1, 6, 2, rng);
-  const Tensor3* ptr = &x;
-  const Tensor3 before = layer.forward({&ptr, 1}, false);
+  LayerDriver driver(layer);
+  const Tensor3 before = driver.forward(x, false);
   x(0, 5, 1) += 5.0;
-  const Tensor3 after = layer.forward({&ptr, 1}, false);
+  const Tensor3 after = driver.forward(x, false);
   for (std::size_t t = 0; t < 5; ++t) {
     for (std::size_t u = 0; u < 3; ++u) {
       EXPECT_DOUBLE_EQ(before(0, t, u), after(0, t, u));
@@ -94,8 +95,8 @@ TEST(GRU, ForwardMatchesScalarReferenceAtPaperScale) {
   Rng rng(11);
   layer.init_params(rng);
   const Tensor3 x = random_tensor(kB, kT, kIn, rng, 0.8);
-  const Tensor3* ptr = &x;
-  const Tensor3 y = layer.forward({&ptr, 1}, false);
+  LayerDriver driver(layer);
+  const Tensor3 y = driver.forward(x, false);
 
   const Matrix& wx = *layer.parameters()[0];
   const Matrix& wh = *layer.parameters()[1];
@@ -136,8 +137,8 @@ TEST(GRU, RejectsBadShapes) {
   Rng rng(6);
   layer.init_params(rng);
   const Tensor3 wrong = random_tensor(1, 2, 5, rng);
-  const Tensor3* ptr = &wrong;
-  EXPECT_THROW((void)layer.forward({&ptr, 1}, false), std::invalid_argument);
+  LayerDriver driver(layer);
+  EXPECT_THROW((void)driver.forward(wrong, false), std::invalid_argument);
 }
 
 TEST(GRU, Name) { EXPECT_EQ(GRU(5, 32).name(), "GRU(32)"); }
@@ -147,8 +148,8 @@ TEST(Dropout, IdentityAtInference) {
   Rng rng(7);
   layer.init_params(rng);
   const Tensor3 x = random_tensor(2, 3, 4, rng);
-  const Tensor3* ptr = &x;
-  EXPECT_EQ(layer.forward({&ptr, 1}, false), x);
+  LayerDriver driver(layer);
+  EXPECT_EQ(driver.forward(x, false), x);
 }
 
 TEST(Dropout, TrainingZeroesAndRescales) {
@@ -156,8 +157,8 @@ TEST(Dropout, TrainingZeroesAndRescales) {
   Rng rng(8);
   layer.init_params(rng);
   Tensor3 x(1, 1, 10000, 1.0);
-  const Tensor3* ptr = &x;
-  const Tensor3 y = layer.forward({&ptr, 1}, true);
+  LayerDriver driver(layer);
+  const Tensor3 y = driver.forward(x, true);
   std::size_t zeros = 0;
   double sum = 0.0;
   for (double v : y.flat()) {
@@ -178,10 +179,10 @@ TEST(Dropout, BackwardUsesSameMask) {
   Rng rng(9);
   layer.init_params(rng);
   const Tensor3 x = random_tensor(1, 2, 50, rng);
-  const Tensor3* ptr = &x;
-  const Tensor3 y = layer.forward({&ptr, 1}, true);
+  LayerDriver driver(layer);
+  const Tensor3 y = driver.forward(x, true);
   Tensor3 g(1, 2, 50, 1.0);
-  const auto grads = layer.backward(g);
+  const auto grads = driver.backward(g);
   for (std::size_t i = 0; i < y.size(); ++i) {
     if (y.flat()[i] == 0.0) {
       EXPECT_DOUBLE_EQ(grads[0].flat()[i], 0.0);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gradient_check.hpp"
@@ -13,6 +15,7 @@ namespace geonas::nn {
 namespace {
 
 using testing::check_layer_gradients;
+using testing::LayerDriver;
 using testing::random_tensor;
 
 TEST(LSTM, OutputShapeReturnsFullSequence) {
@@ -20,8 +23,7 @@ TEST(LSTM, OutputShapeReturnsFullSequence) {
   Rng rng(1);
   layer.init_params(rng);
   const Tensor3 x = random_tensor(4, 7, 3, rng);
-  const Tensor3* ptr = &x;
-  const Tensor3 y = layer.forward({&ptr, 1}, false);
+  const Tensor3 y = LayerDriver(layer).forward(x, false);
   EXPECT_EQ(y.dim0(), 4u);
   EXPECT_EQ(y.dim1(), 7u);  // return_sequences=true
   EXPECT_EQ(y.dim2(), 6u);
@@ -38,9 +40,9 @@ TEST(LSTM, HiddenStateResetsBetweenCalls) {
   Rng rng(2);
   layer.init_params(rng);
   const Tensor3 x = random_tensor(1, 5, 2, rng);
-  const Tensor3* ptr = &x;
-  const Tensor3 y1 = layer.forward({&ptr, 1}, false);
-  const Tensor3 y2 = layer.forward({&ptr, 1}, false);
+  LayerDriver driver(layer);
+  const Tensor3 y1 = driver.forward(x, false);
+  const Tensor3 y2 = driver.forward(x, false);
   EXPECT_EQ(y1, y2);  // stateless across calls (Keras default)
 }
 
@@ -50,10 +52,10 @@ TEST(LSTM, CausalInTime) {
   Rng rng(3);
   layer.init_params(rng);
   Tensor3 x = random_tensor(1, 6, 2, rng);
-  const Tensor3* ptr = &x;
-  const Tensor3 y_before = layer.forward({&ptr, 1}, false);
+  LayerDriver driver(layer);
+  const Tensor3 y_before = driver.forward(x, false);
   x(0, 5, 0) += 10.0;  // perturb the last step only
-  const Tensor3 y_after = layer.forward({&ptr, 1}, false);
+  const Tensor3 y_after = driver.forward(x, false);
   for (std::size_t t = 0; t < 5; ++t) {
     for (std::size_t u = 0; u < 3; ++u) {
       EXPECT_DOUBLE_EQ(y_before(0, t, u), y_after(0, t, u)) << "t=" << t;
@@ -80,12 +82,10 @@ TEST(LSTM, BatchIndependence) {
       x1(0, t, f) = x(1, t, f);
     }
   }
-  const Tensor3* p = &x;
-  const Tensor3 joint = layer.forward({&p, 1}, false);
-  const Tensor3* p0 = &x0;
-  const Tensor3 solo0 = layer.forward({&p0, 1}, false);
-  const Tensor3* p1 = &x1;
-  const Tensor3 solo1 = layer.forward({&p1, 1}, false);
+  LayerDriver driver(layer);
+  const Tensor3 joint = driver.forward(x, false);
+  const Tensor3 solo0 = driver.forward(x0, false);
+  const Tensor3 solo1 = driver.forward(x1, false);
   for (std::size_t t = 0; t < 4; ++t) {
     for (std::size_t u = 0; u < 3; ++u) {
       EXPECT_NEAR(joint(0, t, u), solo0(0, t, u), 1e-12);
@@ -145,8 +145,7 @@ TEST(LSTM, ForwardMatchesScalarReferenceAtPaperScale) {
   Rng rng(10);
   layer.init_params(rng);
   const Tensor3 x = random_tensor(kB, kT, kIn, rng, 0.8);
-  const Tensor3* ptr = &x;
-  const Tensor3 y = layer.forward({&ptr, 1}, false);
+  const Tensor3 y = LayerDriver(layer).forward(x, false);
 
   const Matrix& wx = *layer.parameters()[0];
   const Matrix& wh = *layer.parameters()[1];
@@ -183,8 +182,36 @@ TEST(LSTM, RejectsBadShapes) {
   Rng rng(8);
   layer.init_params(rng);
   const Tensor3 wrong = random_tensor(1, 2, 5, rng);
-  const Tensor3* ptr = &wrong;
-  EXPECT_THROW((void)layer.forward({&ptr, 1}, false), std::invalid_argument);
+  EXPECT_THROW((void)LayerDriver(layer).forward(wrong, false),
+               std::invalid_argument);
+}
+
+TEST(LSTM, ForwardBeyondLatestBindThrowsNamingLayer) {
+  // A layer owns no arena: a forward the latest bind() does not fit is
+  // refused, never rebound behind the owner's back.
+  LSTM layer(3, 4);
+  Rng rng(11);
+  layer.init_params(rng);
+  tensor::Arena arena;
+  layer.bind(arena, {.batch = 4, .steps = 5, .features = 3});
+  const Tensor3 fits = random_tensor(4, 5, 3, rng);
+  const Tensor3* fits_ptr = &fits;
+  Tensor3 out(4, 5, 4);
+  layer.forward_into({&fits_ptr, 1}, out, false);
+
+  const Tensor3 x = random_tensor(8, 5, 3, rng);
+  const Tensor3* ptr = &x;
+  Tensor3 wide(8, 5, 4);
+  try {
+    layer.forward_into({&ptr, 1}, wide, false);
+    FAIL() << "batch 8 ran on workspaces bound for batch 4";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("LSTM(4)"), std::string::npos)
+        << e.what();
+  }
+  // An inference bind carves no backward scratch: training is refused too.
+  EXPECT_THROW(layer.forward_into({&fits_ptr, 1}, out, true),
+               std::logic_error);
 }
 
 TEST(LSTM, Name) { EXPECT_EQ(LSTM(5, 96).name(), "LSTM(96)"); }

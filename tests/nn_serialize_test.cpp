@@ -1,16 +1,21 @@
 // Weight serialization: binary v2 round trips (incl. non-finite values),
-// text v1 non-finite refusal/diagnostics, file-level format dispatch.
+// truncation, corruption and hostile-count refusals, and the file
+// helpers (atomic v2 save; foreign files, text v1 among them, refused).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iomanip>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "io/binary.hpp"
 #include "nn/dense.hpp"
 #include "nn/lstm.hpp"
 #include "nn/serialize.hpp"
@@ -92,64 +97,34 @@ TEST(SerializeBinary, DetectsTruncationAndCorruption) {
   EXPECT_THROW(load_weights_binary(other2, cs), std::runtime_error);
 }
 
-TEST(SerializeText, RefusesToSaveNonFiniteNamingParameter) {
+TEST(SerializeBinary, RefusesValueCountBeyondParameterShape) {
+  // Matching count and shapes, but the first parameter claims 2^24
+  // values: refused from the count alone, before any value is read or
+  // any buffer is sized by the file.
   GraphNetwork net = small_net();
-  net.init_params(25);
-  poison_first_param(net);
-  std::stringstream buffer;
+  const auto params = net.parameters();
+  std::ostringstream os(std::ios::binary);
+  io::BinaryWriter writer(os, "GEONASW2", 2);
+  writer.u64(params.size());
+  writer.u64(params[0]->rows());
+  writer.u64(params[0]->cols());
+  writer.u64(std::uint64_t{1} << 24);
+  writer.finish();
+  std::istringstream is(os.str(), std::ios::binary);
   try {
-    save_weights(net, buffer);
-    FAIL() << "text v1 accepted non-finite weights";
+    load_weights_binary(net, is);
+    FAIL() << "a value count beyond the parameter's shape was accepted";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("parameter 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("save_weights_binary"), std::string::npos) << what;
+    EXPECT_NE(what.find("parameter values"), std::string::npos) << what;
+    EXPECT_NE(what.find("16777216"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(params[0]->size())),
+              std::string::npos)
+        << what;
   }
 }
 
-TEST(SerializeText, LoadOfNonFiniteTokenNamesParameter) {
-  // A legacy v1 file written before the save-side guard: "nan" tokens in
-  // the value stream must produce a diagnostic naming the parameter, not
-  // a bare stream failure.
-  GraphNetwork net = small_net();
-  net.init_params(26);
-  std::stringstream buffer;
-  save_weights(net, buffer);
-  std::string text = buffer.str();
-  const std::size_t last_space = text.find_last_of(' ');
-  ASSERT_NE(last_space, std::string::npos);
-  text = text.substr(0, last_space + 1) + "nan\n";
-
-  std::istringstream is(text);
-  GraphNetwork other = small_net();
-  try {
-    load_weights(other, is);
-    FAIL() << "text v1 accepted a nan token";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
-    EXPECT_NE(what.find("parameter"), std::string::npos) << what;
-  }
-}
-
-TEST(SerializeText, TruncatedAndGarbageValuesAreDiagnosed) {
-  GraphNetwork net = small_net();
-  net.init_params(27);
-  std::stringstream buffer;
-  save_weights(net, buffer);
-  std::string text = buffer.str();
-
-  std::istringstream truncated(text.substr(0, text.size() / 2));
-  GraphNetwork other = small_net();
-  EXPECT_THROW(load_weights(other, truncated), std::runtime_error);
-
-  const std::size_t last_space = text.find_last_of(' ');
-  std::istringstream garbage(text.substr(0, last_space + 1) + "0x!bad\n");
-  GraphNetwork other2 = small_net();
-  EXPECT_THROW(load_weights(other2, garbage), std::runtime_error);
-}
-
-TEST(SerializeFile, AutoDetectsBothFormats) {
+TEST(SerializeFile, RoundTripsV2AndRefusesTextV1) {
   const std::string bin_path = "/tmp/geonas_serialize_test_v2.bin";
   const std::string txt_path = "/tmp/geonas_serialize_test_v1.txt";
   GraphNetwork net = small_net();
@@ -159,17 +134,36 @@ TEST(SerializeFile, AutoDetectsBothFormats) {
   for (std::size_t i = 0; i < x.size(); ++i) x.flat()[i] = rng.normal();
   const Tensor3 expected = net.forward(x, false);
 
-  save_weights_file(net, bin_path);            // binary v2 default
-  save_weights_file(net, txt_path, true);      // legacy text v1
+  save_weights_file(net, bin_path);
+  GraphNetwork other = small_net();
+  other.init_params(999);
+  load_weights_file(other, bin_path);
+  const Tensor3 out = other.forward(x, false);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_DOUBLE_EQ(out.flat()[i], expected.flat()[i]);
+  }
 
-  for (const std::string& path : {bin_path, txt_path}) {
-    GraphNetwork other = small_net();
-    other.init_params(999);
-    load_weights_file(other, path);
-    const Tensor3 out = other.forward(x, false);
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_DOUBLE_EQ(out.flat()[i], expected.flat()[i]) << path;
+  // The retired text v1 layout, complete and well formed for this net:
+  // no longer a weight format, so the loader refuses it by its magic.
+  {
+    std::ofstream txt(txt_path);
+    const auto params = net.parameters();
+    txt << "geonas-weights-v1\n" << params.size() << "\n"
+        << std::setprecision(17);
+    for (const Matrix* p : params) {
+      txt << p->rows() << " " << p->cols() << "\n";
+      for (double v : p->flat()) txt << v << " ";
+      txt << "\n";
     }
+  }
+  GraphNetwork third = small_net();
+  try {
+    load_weights_file(third, txt_path);
+    FAIL() << "a text v1 file loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
+    EXPECT_NE(what.find("GEONASW2"), std::string::npos) << what;
   }
   std::remove(bin_path.c_str());
   std::remove(txt_path.c_str());

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "gradient_check.hpp"
 #include "hpc/parallel_for.hpp"
@@ -226,15 +227,6 @@ TEST(Trainer, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(run(), run());
 }
 
-TEST(Trainer, GatherExamples) {
-  Tensor3 data(4, 1, 1);
-  for (std::size_t i = 0; i < 4; ++i) data(i, 0, 0) = static_cast<double>(i);
-  const std::vector<std::size_t> idx{3, 1};
-  const Tensor3 gathered = gather_examples(data, idx);
-  EXPECT_DOUBLE_EQ(gathered(0, 0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(gathered(1, 0, 0), 1.0);
-}
-
 TEST(Trainer, LrDecayEpochsDedupedAndNeverZero) {
   // epochs < 4 used to schedule a decay at epoch 0 (shrinking the whole
   // run before any full-rate training) or the same epoch twice.
@@ -302,12 +294,12 @@ TEST(Serialize, RoundTripRestoresOutputs) {
   const Tensor3 x = random_tensor(3, 4, 1, rng);
   const Tensor3 before = net.forward(x, false);
 
-  std::stringstream buffer;
-  save_weights(net, buffer);
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  save_weights_binary(net, buffer);
 
   GraphNetwork other = tiny_net();
   other.init_params(999);  // different weights
-  load_weights(other, buffer);
+  load_weights_binary(other, buffer);
   const Tensor3 after = other.forward(x, false);
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_DOUBLE_EQ(before.flat()[i], after.flat()[i]);
@@ -317,16 +309,22 @@ TEST(Serialize, RoundTripRestoresOutputs) {
 TEST(Serialize, RejectsMismatchedNetwork) {
   GraphNetwork net = tiny_net();
   net.init_params(1);
-  std::stringstream buffer;
-  save_weights(net, buffer);
+  std::ostringstream os(std::ios::binary);
+  save_weights_binary(net, os);
+  const std::string bytes = os.str();
 
-  GraphNetwork different;
+  GraphNetwork different;  // 2 parameters, the file holds 6
   different.add_node(std::make_unique<Dense>(1, 1),
                      {GraphNetwork::input_id()});
-  EXPECT_THROW(load_weights(different, buffer), std::runtime_error);
+  std::istringstream count_is(bytes, std::ios::binary);
+  EXPECT_THROW(load_weights_binary(different, count_is), std::runtime_error);
 
-  std::stringstream bad("not-a-weights-file 0");
-  EXPECT_THROW(load_weights(net, bad), std::runtime_error);
+  GraphNetwork narrower = tiny_net(4);  // 6 parameters of other shapes
+  std::istringstream shape_is(bytes, std::ios::binary);
+  EXPECT_THROW(load_weights_binary(narrower, shape_is), std::runtime_error);
+
+  std::istringstream bad("not-a-weights-file 0");
+  EXPECT_THROW(load_weights_binary(net, bad), std::runtime_error);
 }
 
 }  // namespace

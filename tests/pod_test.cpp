@@ -3,6 +3,7 @@
 // monotonicity, and parameterized (Nh, Ns, Nr) sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "pod/pod.hpp"
@@ -62,7 +63,8 @@ TEST(POD, FullRankReconstructionIsExact) {
   p.fit(s, {.num_modes = 11});
   const Matrix a = p.project(s);
   const Matrix recon = p.reconstruct(a);
-  const double scale = s.max_abs();
+  double scale = 0.0;
+  for (const double v : s.flat()) scale = std::max(scale, std::abs(v));
   for (std::size_t i = 0; i < s.size(); ++i) {
     EXPECT_NEAR(recon.flat()[i], s.flat()[i], 1e-8 * scale);
   }

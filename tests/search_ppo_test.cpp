@@ -1,10 +1,17 @@
 // PPO NAS agent: policy normalization, clipped-surrogate updates,
-// gradient all-reduce, and learning on a bandit-like landscape.
+// gradient all-reduce, checkpoint refusal, and learning on a bandit-like
+// landscape.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "io/binary.hpp"
 #include "search/ppo.hpp"
+#include "search/search_method.hpp"
 
 namespace geonas::search {
 namespace {
@@ -122,6 +129,40 @@ TEST(PPO, AgentsStayIdenticalUnderAllReduce) {
       ASSERT_DOUBLE_EQ(a.logits()[g](0, c), b.logits()[g](0, c));
     }
   }
+}
+
+TEST(PPO, LoadRefusesLogitRowOfOtherWidth) {
+  // A checkpoint whose first logit row is one choice wider than this
+  // space's gene is refused from the stored count, before any of the
+  // row's values is read.
+  const StackedLSTMSpace space;
+  PPOAgent agent(space, PPOConfig{}, 0);
+  const std::size_t width = agent.logits()[0].cols();
+  std::ostringstream os(std::ios::binary);
+  io::BinaryWriter writer(os, "GEONASTT", 1);
+  write_rng_state(writer, Rng(3));
+  writer.u64(agent.logits().size());
+  writer.u64(width + 1);
+  const std::uint64_t values_offset = writer.offset();
+  for (std::size_t c = 0; c <= width; ++c) writer.f64(0.5);
+  writer.finish();
+
+  std::istringstream is(os.str(), std::ios::binary);
+  io::BinaryReader reader(is, "GEONASTT", 1, 1);
+  try {
+    agent.load(reader);
+    FAIL() << "a logit row of the wrong width was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("PPO logits"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(width + 1) + " values"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("destination holds " + std::to_string(width)),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(reader.offset(), values_offset);
 }
 
 TEST(PPO, ClippingBoundsUpdateMagnitude) {

@@ -103,7 +103,9 @@ TEST(BlockedGemm, TransposedReadsMatchMaterializedTransposes) {
     ASSERT_NEAR(atb.flat()[i], atb_ref.flat()[i], 1e-12);
   }
   const Matrix d = random_matrix(29, 11, rng);
-  const Matrix abt = matmul_a_bt(a, d);
+  Matrix abt(37, 29);
+  gemm_raw(Trans::kNone, Trans::kTranspose, 37, 29, 11, 1.0, a.flat().data(),
+           11, d.flat().data(), 11, 0.0, abt.flat().data(), 29);
   const Matrix abt_ref = naive_matmul(a, d.transposed());
   for (std::size_t i = 0; i < abt.size(); ++i) {
     ASSERT_NEAR(abt.flat()[i], abt_ref.flat()[i], 1e-12);

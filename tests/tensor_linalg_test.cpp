@@ -78,7 +78,7 @@ TEST_P(EigenSweep, ReconstructionAndOrthogonality) {
   for (std::size_t c = 0; c < n; ++c) {
     for (std::size_t row = 0; row < n; ++row) vl(row, c) *= r.eigenvalues[c];
   }
-  const Matrix recon = matmul_a_bt(vl, r.eigenvectors);
+  const Matrix recon = matmul(vl, r.eigenvectors.transposed());
   for (std::size_t i = 0; i < recon.size(); ++i) {
     EXPECT_NEAR(recon.flat()[i], a.flat()[i], 1e-8);
   }
@@ -91,7 +91,7 @@ TEST(Cholesky, FactorizationReconstructs) {
   Rng rng(7);
   const Matrix a = random_spd(6, rng);
   const Matrix l = cholesky(a);
-  const Matrix llt = matmul_a_bt(l, l);
+  const Matrix llt = matmul(l, l.transposed());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(llt.flat()[i], a.flat()[i], 1e-10);
   }

@@ -97,15 +97,6 @@ TEST(Matrix, LargeBlockedTranspose) {
   }
 }
 
-TEST(Matrix, SliceRows) {
-  Matrix m{{1, 2}, {3, 4}, {5, 6}};
-  const Matrix s = m.slice_rows(1, 3);
-  ASSERT_EQ(s.rows(), 2u);
-  EXPECT_DOUBLE_EQ(s(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(s(1, 1), 6.0);
-  EXPECT_THROW(m.slice_rows(2, 4), std::out_of_range);
-}
-
 TEST(Matrix, SliceCols) {
   Matrix m{{1, 2, 3}, {4, 5, 6}};
   const Matrix s = m.slice_cols(1, 3);
@@ -130,7 +121,6 @@ TEST(Matrix, Norms) {
   Matrix m{{3, 4}};
   EXPECT_DOUBLE_EQ(m.frobenius_norm(), 5.0);
   EXPECT_DOUBLE_EQ(m.sum(), 7.0);
-  EXPECT_DOUBLE_EQ(m.max_abs(), 4.0);
 }
 
 TEST(Tensor3, IndexingAndBlocks) {
@@ -139,14 +129,6 @@ TEST(Tensor3, IndexingAndBlocks) {
   EXPECT_DOUBLE_EQ(t(1, 2, 3), 42.0);
   EXPECT_EQ(t.block(1).size(), 12u);
   EXPECT_DOUBLE_EQ(t.block(1)[2 * 4 + 3], 42.0);
-
-  const Matrix b = t.block_matrix(1);
-  EXPECT_DOUBLE_EQ(b(2, 3), 42.0);
-
-  Matrix replacement(3, 4, 7.0);
-  t.set_block(0, replacement);
-  EXPECT_DOUBLE_EQ(t(0, 0, 0), 7.0);
-  EXPECT_THROW(t.set_block(0, Matrix(2, 2)), std::invalid_argument);
 }
 
 TEST(Tensor3, Equality) {

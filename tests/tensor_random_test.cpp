@@ -78,20 +78,6 @@ TEST(Rng, UniformIndexInBoundsAndCoversAll) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(Rng, UniformIntInclusiveBounds) {
-  Rng rng(7);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    ASSERT_GE(v, -3);
-    ASSERT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng rng(8);
   int hits = 0;

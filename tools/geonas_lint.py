@@ -49,10 +49,11 @@ Rules (see DESIGN.md "Correctness tooling"):
 
   hot-path-alloc       Heap allocation tokens (new, malloc, or growing a
                        std::vector via push_back/emplace_back/resize/
-                       reserve/assign) in the kernel, recurrent-layer and
-                       graph-executor hot-path translation units
-                       (src/tensor/vmath.cpp, the src/nn/ layer .cpps and
-                       src/nn/graph.cpp). Forward/backward
+                       reserve/assign) in the kernel, layer and
+                       graph-executor hot-path files (src/tensor/vmath.cpp,
+                       src/tensor/prepack.cpp, src/nn/layer.hpp, whose
+                       inline methods run on every forward, the src/nn/
+                       layer .cpps and src/nn/graph.cpp). Forward/backward
                        scratch lives in arena workspaces bound once per
                        shape (DESIGN.md "Memory model"); an allocation
                        here lands on every training batch and is exactly
@@ -128,6 +129,7 @@ TRANSCENDENTAL_RE = re.compile(r"std::(tanh|exp|log)\s*\(")
 HOT_PATH_FILES = {
     "src/tensor/vmath.cpp",
     "src/tensor/prepack.cpp",
+    "src/nn/layer.hpp",
     "src/nn/lstm.cpp",
     "src/nn/gru.cpp",
     "src/nn/dense.cpp",
@@ -403,8 +405,8 @@ def lint_file(path: Path, repo: Path) -> list[Finding]:
             m = HOT_PATH_ALLOC_RE.search(code)
             if m:
                 report("hot-path-alloc",
-                       f"'{m.group(0).strip()}' in a hot-path translation "
-                       "unit — carve scratch from the bound Arena "
+                       f"'{m.group(0).strip()}' in a hot-path file "
+                       "— carve scratch from the bound Arena "
                        "workspace, or suppress with a reason if this is "
                        "provably cold (bind/serialize/ctor)")
 

@@ -11,7 +11,8 @@
 #                                  kernel layer (determinism + vmath +
 #                                  hpc stress + memoizer + serve suites +
 #                                  concurrent simulator campaigns +
-#                                  recurrent layers, trainer, NAS driver)
+#                                  recurrent layers, trainer, NAS driver,
+#                                  threaded PPO agents)
 #                                  + a one-TU thread-safety smoke
 #   tools/run_checks.sh --analyze  just the Clang Thread Safety Analysis
 #                                  build (cmake --preset analyze with
@@ -36,7 +37,7 @@ while [[ $# -gt 0 ]]; do
     --quick) quick=1 ;;
     --analyze) analyze_only=1 ;;
     --jobs) jobs="$2"; shift ;;
-    -h|--help) sed -n '2,18p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,19p' "$0"; exit 0 ;;
     *) echo "run_checks: unknown argument: $1" >&2; exit 2 ;;
   esac
   shift
@@ -78,7 +79,7 @@ run_analyze() {
 
 # One-TU analyze smoke for --quick: syntax-only, no configure, seconds
 # not minutes. thread_pool.cpp pulls in the annotated ThreadPool /
-# Channel / collectives plus the core::Mutex wrapper itself, so a broken
+# PoolShard / Channel plus the core::Mutex wrapper itself, so a broken
 # annotation in the concurrency core fails pre-merge.
 run_analyze_smoke() {
   step "thread-safety smoke [one TU]"
@@ -161,9 +162,11 @@ if [[ $quick -eq 1 ]]; then
   # GraphNetwork and Trainer cover the recurrent layers' batch-slice and
   # weight-row chunks, which write disjoint rows of shared workspaces
   # (gates, h/c sequences, dZ/dH/dC, gradient rows); NasDriver covers the
-  # per-worker kernel shards under the campaign's worker threads.
+  # per-worker kernel shards under the campaign's worker threads;
+  # PPOStress runs PPO agents that sample and compute gradients
+  # concurrently against one shared evaluator between per-round joins.
   run_flavor tsan \
-    '^(Determinism|Vmath|ParallelFor|ThreadPool|Obs|Memoizer|Serve|Prepack|Net|SST|ClusterSimStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
+    '^(Determinism|Vmath|ParallelFor|ThreadPool|Obs|Memoizer|Serve|Prepack|Net|SST|ClusterSimStress|PPOStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
   run_analyze_smoke
 else
   run_flavor tsan
