@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks for the geonas substrates: dense
-// kernels, vector transcendental math, LSTM forward/BPTT, POD fitting,
+// kernels, vector transcendental math, LSTM forward/BPTT, the winner's
+// training step and the kernel fork-join, POD fitting,
 // synthetic data generation, search-space operations, and the surrogate
 // evaluator.
 //
@@ -11,14 +12,18 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "core/surrogate.hpp"
 #include "data/sst.hpp"
+#include "hpc/parallel_for.hpp"
+#include "nn/graph.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
+#include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
 #include "pod/pod.hpp"
 #include "searchspace/space.hpp"
@@ -421,6 +426,81 @@ void BM_LSTMTrainStepPaperScale(benchmark::State& state) {
   run_lstm(state, 32, 14, true);
 }
 BENCHMARK(BM_LSTMTrainStepPaperScale)->Arg(40)->Arg(80);
+
+// --- Training step and fork-join cost ---------------------------------
+//
+// The Table-II winner's full training step (forward, MSE gradient,
+// backward, clip, Adam, re-pack) at batch 64 x 8 steps, at 1, 2 and 4
+// kernel threads: the arg is the thread count. Counters split the step
+// into its forward / backward / update milliseconds, and GFLOP/s
+// estimates the arithmetic rate as 6 * params * B * T per step — how
+// close the step runs to the GEMM kernel's own rate, i.e. how much of
+// it is per-call overhead rather than arithmetic.
+
+void BM_WinnerTrainStep(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
+  hpc::set_kernel_threads(static_cast<std::size_t>(state.range(0)));
+  constexpr std::size_t kB = 64, kT = 8, kF = 5;
+  const searchspace::StackedLSTMSpace space;
+  nn::GraphNetwork net = space.build(
+      searchspace::Architecture::from_key("5-1-3-1-1-3-1-0-0-0-1-0-0-1"));
+  net.init_params(1);
+  Rng rng(2);
+  Tensor3 x(kB, kT, kF), y(kB, kT, kF);
+  for (double& v : x.flat()) v = rng.uniform(-1.0, 1.0);
+  for (double& v : y.flat()) v = rng.uniform(-1.0, 1.0);
+  nn::Adam optimizer(net.parameters(), net.gradients(),
+                     {.learning_rate = 1e-3});
+  const std::vector<Matrix*> grads = net.gradients();
+  Tensor3 dy;
+  double fwd = 0.0, bwd = 0.0, upd = 0.0;
+  const auto step = [&] {
+    const Clock::time_point t0 = Clock::now();
+    net.zero_grad();
+    const Tensor3& pred = net.forward_ref(x, /*training=*/true);
+    const Clock::time_point t1 = Clock::now();
+    nn::mse_grad_into(y, pred, dy);
+    net.backward_ref(dy);
+    nn::clip_gradients_by_norm(grads, 1.0);
+    const Clock::time_point t2 = Clock::now();
+    optimizer.step();
+    net.repack_weights();
+    const Clock::time_point t3 = Clock::now();
+    fwd += seconds(t0, t1);
+    bwd += seconds(t1, t2);
+    upd += seconds(t2, t3);
+  };
+  step();  // binds the workspaces, packs the panels, starts the team
+  fwd = bwd = upd = 0.0;
+  for (auto _ : state) step();
+  const auto steps = static_cast<double>(state.iterations());
+  state.counters["fwd_ms"] = 1e3 * fwd / steps;
+  state.counters["bwd_ms"] = 1e3 * bwd / steps;
+  state.counters["upd_ms"] = 1e3 * upd / steps;
+  state.counters["GFLOP/s"] =
+      6.0 * static_cast<double>(net.param_count() * kB * kT) * steps /
+      (fwd + bwd + upd) / 1e9;
+  hpc::set_kernel_threads(0);
+}
+BENCHMARK(BM_WinnerTrainStep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// One empty over-threshold fork-join, back to back: the fixed cost every
+// dispatch pays at 2 and 4 kernel threads.
+void BM_KernelDispatch(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  hpc::set_kernel_threads(threads);
+  for (auto _ : state) {
+    hpc::parallel_for(0, threads, 2.0 * hpc::kParallelMinFlops, 1,
+                      [](std::size_t lo, std::size_t hi) {
+                        benchmark::DoNotOptimize(lo + hi);
+                      });
+  }
+  hpc::set_kernel_threads(0);
+}
+BENCHMARK(BM_KernelDispatch)->Arg(2)->Arg(4)->UseRealTime();
 
 // --- Observability overhead -------------------------------------------
 //

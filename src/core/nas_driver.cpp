@@ -1,6 +1,7 @@
 #include "core/nas_driver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -64,10 +65,20 @@ struct EvalStack {
   }
 };
 
+/// True when `reward` becomes the campaign's best: the first reward
+/// always does; after it, a finite reward beats a non-finite best and a
+/// non-finite reward never beats a finite one (a diverged training's NaN
+/// would otherwise pin the best forever, since x > NaN is false).
+bool improves_best(double reward, const LocalSearchResult& result) {
+  if (result.history.empty()) return true;
+  const bool finite = std::isfinite(reward);
+  if (finite != std::isfinite(result.best_reward)) return finite;
+  return reward > result.best_reward;
+}
+
 void record_outcome(LocalSearchResult& result, searchspace::Architecture arch,
                     const hpc::EvalOutcome& outcome) {
-  const bool improved =
-      outcome.reward > result.best_reward || result.history.empty();
+  const bool improved = improves_best(outcome.reward, result);
   if (improved) {
     result.best_reward = outcome.reward;
     result.best = arch;

@@ -1,13 +1,12 @@
 #include "hpc/parallel_for.hpp"
 
 #include <algorithm>
-#include <future>
 #include <memory>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "core/thread_annotations.hpp"
+#include "hpc/kernel_team.hpp"
 #include "hpc/thread_pool.hpp"
 #include "obs/metrics.hpp"
 
@@ -23,35 +22,13 @@ std::size_t hardware_threads() {
 struct KernelPoolState {
   core::Mutex mutex;
   std::size_t configured GEONAS_GUARDED_BY(mutex) = 0;  // 0 = hw default
-  std::shared_ptr<ThreadPool> pool GEONAS_GUARDED_BY(mutex);
+  std::shared_ptr<KernelTeam> team GEONAS_GUARDED_BY(mutex);
 };
 
 KernelPoolState& state() {
   static KernelPoolState s;
   return s;
 }
-
-// Set while a thread runs a chunk of a dispatched parallel_for, pool
-// worker and dispatching caller alike, so nested parallel_for calls run
-// inline: a worker would deadlock waiting on its own full pool, and the
-// caller would queue behind the sibling chunks that occupy it.
-thread_local bool t_in_kernel_chunk = false;
-
-/// Marks the current thread as running a dispatched chunk for the
-/// scope's duration, restoring the previous mark afterwards.
-class ChunkScope {
- public:
-  ChunkScope() noexcept : previous_(t_in_kernel_chunk) {
-    t_in_kernel_chunk = true;
-  }
-  ~ChunkScope() { t_in_kernel_chunk = previous_; }
-
-  ChunkScope(const ChunkScope&) = delete;
-  ChunkScope& operator=(const ChunkScope&) = delete;
-
- private:
-  bool previous_;
-};
 
 // Shard bound by ScopedPoolShard; dispatches without an explicit shard
 // resolve through this before falling back to the global pool.
@@ -62,26 +39,26 @@ std::size_t configured_threads_locked(KernelPoolState& s)
   return s.configured == 0 ? hardware_threads() : s.configured;
 }
 
-/// Returns the global pool to use for `participants` (creating it
-/// lazily), or nullptr when one participant suffices. A pool of the
+/// Returns the global team to use for `participants` (creating it
+/// lazily), or nullptr when one participant suffices. A team of the
 /// wrong size is retired and destroyed outside the state mutex: its
 /// shutdown joins worker threads, and that wait must not block
 /// concurrent kernel_threads()/set_kernel_threads callers.
-std::shared_ptr<ThreadPool> acquire_pool(std::size_t& participants) {
+std::shared_ptr<KernelTeam> acquire_team(std::size_t& participants) {
   KernelPoolState& s = state();
-  std::shared_ptr<ThreadPool> retired;
-  std::shared_ptr<ThreadPool> pool;
+  std::shared_ptr<KernelTeam> retired;
+  std::shared_ptr<KernelTeam> team;
   {
     core::MutexLock lock(s.mutex);
     participants = configured_threads_locked(s);
     if (participants <= 1) return nullptr;
-    if (!s.pool || s.pool->size() != participants - 1) {
-      retired = std::move(s.pool);
-      s.pool = std::make_shared<ThreadPool>(participants - 1);
+    if (!s.team || s.team->workers() != participants - 1) {
+      retired = std::move(s.team);
+      s.team = std::make_shared<KernelTeam>(participants - 1);
     }
-    pool = s.pool;
+    team = s.team;
   }
-  return pool;  // `retired` (if any) joins here, lock released
+  return team;  // `retired` (if any) joins here, lock released
 }
 
 /// Instrument names for one dispatch target: the global pool's fixed
@@ -114,15 +91,15 @@ std::size_t kernel_threads() noexcept {
 
 void set_kernel_threads(std::size_t threads) {
   KernelPoolState& s = state();
-  std::shared_ptr<ThreadPool> retired;
+  std::shared_ptr<KernelTeam> retired;
   {
     core::MutexLock lock(s.mutex);
     s.configured = threads;
-    retired = std::move(s.pool);  // recreated lazily at the next dispatch
+    retired = std::move(s.team);  // recreated lazily at the next dispatch
   }
-  // The retired pool is destroyed (and its workers joined) here, outside
+  // The retired team is destroyed (and its workers joined) here, outside
   // the state mutex. Kernels already dispatched keep a shared_ptr to it,
-  // so they finish on the old pool; whoever drops the last reference
+  // so they finish on the old team; whoever drops the last reference
   // performs the join.
 }
 
@@ -138,90 +115,58 @@ ScopedPoolShard::~ScopedPoolShard() { t_bound_shard = previous_; }
 void parallel_for(std::size_t begin, std::size_t end, double cost_flops,
                   std::size_t grain, KernelBody body, PoolShard* shard) {
   if (begin >= end) return;
-  const std::size_t range = end - begin;
+  if (cost_flops < kParallelMinFlops || in_kernel_chunk()) {
+    body(begin, end);
+    return;
+  }
   if (grain == 0) grain = 1;
 
   std::size_t participants = 1;
-  ThreadPool* pool = nullptr;
-  std::shared_ptr<ThreadPool> global_pool;  // keeps a retiring pool alive
+  KernelTeam* team = nullptr;
+  std::shared_ptr<KernelTeam> global_team;  // keeps a retiring team alive
   MetricViews metrics = kGlobalMetrics;
-  if (cost_flops >= kParallelMinFlops && !t_in_kernel_chunk) {
-    if (shard == nullptr) shard = t_bound_shard;
-    if (shard != nullptr) {
-      participants = shard->participants();
-      pool = shard->pool();
-      metrics = shard_metrics(*shard);
-    } else {
-      global_pool = acquire_pool(participants);
-      pool = global_pool.get();
-    }
+  if (shard == nullptr) shard = t_bound_shard;
+  if (shard != nullptr) {
+    participants = shard->participants();
+    team = shard->pool();
+    metrics = shard_metrics(*shard);
+  } else {
+    global_team = acquire_team(participants);
+    team = global_team.get();
   }
-  const std::size_t grains = (range + grain - 1) / grain;
+  const std::size_t grains = (end - begin + grain - 1) / grain;
   const std::size_t chunks = std::min(participants, grains);
-  if (pool == nullptr || chunks <= 1) {
+  if (team == nullptr || chunks <= 1) {
     body(begin, end);
     return;
   }
 
   // Observability: only over-threshold dispatches are instrumented (the
   // serial fast path above pays nothing even with metrics enabled).
-  // `reg` stays valid through the joins below because parallel_for
-  // drains every future before returning and the obs lifetime contract
-  // requires quiescence before registry teardown.
+  // `reg` stays valid through the join because the obs lifetime
+  // contract requires quiescence before registry teardown. A dispatch
+  // that finds the team busy runs its range as one inline chunk and
+  // observes one job ahead of it in kernel.queue_depth.
   obs::MetricsRegistry* reg = obs::registry();
+  const bool claimed = team->try_acquire();
   if (reg != nullptr) {
     reg->counter(metrics.dispatches).add(1);
-    reg->counter(metrics.chunks).add(chunks);
-    reg->histogram(metrics.queue_depth)
-        .observe(static_cast<double>(pool->queue_depth()));
+    reg->counter(metrics.chunks).add(claimed ? chunks : 1);
+    reg->histogram(metrics.queue_depth).observe(claimed ? 0.0 : 1.0);
   }
-
-  // Near-equal chunks in whole grains; the last chunk absorbs the
-  // remainder so every index is covered exactly once.
-  const std::size_t grains_per_chunk = grains / chunks;
-  const std::size_t extra = grains % chunks;
-  std::vector<std::future<void>> pending;
-  pending.reserve(chunks - 1);
-  std::size_t lo = begin;
-  for (std::size_t c = 0; c + 1 < chunks; ++c) {
-    const std::size_t my_grains = grains_per_chunk + (c < extra ? 1 : 0);
-    const std::size_t hi = std::min(end, lo + my_grains * grain);
-    pending.push_back(pool->submit([body, lo, hi, metrics, reg] {
-      const ChunkScope chunk;
-      if (reg == nullptr) {
-        body(lo, hi);
-        return;
-      }
-      const obs::StopWatch watch;
-      body(lo, hi);
-      const double seconds = watch.seconds();
-      reg->histogram(metrics.chunk_seconds).observe(seconds);
-      reg->gauge(metrics.worker_busy_seconds).add(seconds);
-    }));
-    lo = hi;
+  if (claimed) {
+    team->run(begin, end, grain, chunks, body,
+              {reg, metrics.chunk_seconds, metrics.worker_busy_seconds});
+    return;
   }
-  // The caller participates instead of idling on futures. Workers hold
-  // references into this frame, so drain them even if the caller's own
-  // chunk throws; the first exception (worker or caller) wins.
-  std::exception_ptr error;
-  const obs::StopWatch caller_watch;
-  try {
+  const obs::StopWatch watch;
+  {
     const ChunkScope chunk;
-    body(lo, end);
-  } catch (...) {
-    error = std::current_exception();
+    body(begin, end);
   }
   if (reg != nullptr) {
-    reg->histogram(metrics.chunk_seconds).observe(caller_watch.seconds());
+    reg->histogram(metrics.chunk_seconds).observe(watch.seconds());
   }
-  for (std::future<void>& f : pending) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 void register_kernel_metrics() {

@@ -1,25 +1,31 @@
 // Shared kernel-level data parallelism for the dense tensor kernels.
 //
-// The blocked GEMM/GEMV kernels in src/tensor split their M dimension
-// across a ThreadPool ("kernel pool"). parallel_for is the single entry
-// point: callers state the arithmetic cost of the whole loop and a pool
-// is only engaged when that cost clears a threshold, so the many tiny
-// matmuls of a NAS cell evaluation stay serial and pay zero dispatch
-// overhead. The process-wide pool is created lazily, sized to
-// hardware_concurrency by default, and reconfigurable at runtime
-// (set_kernel_threads) so trainers and tests can pin a thread count.
+// The blocked GEMM/GEMV kernels in src/tensor, the recurrent layers'
+// batch-slice passes and the optimizer update split their work across a
+// fork-join team ("kernel pool", hpc/kernel_team.hpp). parallel_for is
+// the single entry point: callers state the arithmetic cost of the
+// whole loop and a team is only engaged when that cost clears a
+// threshold, so the many tiny matmuls of a NAS cell evaluation stay
+// serial and pay zero dispatch overhead. The process-wide team is
+// created lazily, sized to hardware_concurrency by default, and
+// reconfigurable at runtime (set_kernel_threads) so trainers and tests
+// can pin a thread count. A dispatch allocates nothing: the team's one
+// job slot holds the body, the range, the grain and the chunk count.
 //
 // Pool sharding: concurrent campaign/evaluation streams can each own a
-// PoolShard (hpc/thread_pool.hpp) instead of contending on the global
-// pool. Resolution order per dispatch: explicit `shard` argument, then
-// the thread-bound shard (ScopedPoolShard), then the global pool.
+// PoolShard (hpc/thread_pool.hpp) with a team of its own instead of
+// contending for the global one. Resolution order per dispatch:
+// explicit `shard` argument, then the thread-bound shard
+// (ScopedPoolShard), then the global pool. A team runs one job at a
+// time; a dispatch that finds it busy runs its range inline on the
+// caller, as a nested dispatch does.
 //
 // Re-entrancy: a parallel_for issued from inside any chunk of a
-// dispatched parallel_for (on a pool worker or on the dispatching
+// dispatched parallel_for (on a team worker or on the dispatching
 // caller) runs serially in that chunk. This makes nested kernels (e.g. a
 // recurrent layer's batch-slice chunks that each call GEMMs)
 // deadlock-free by construction, and keeps the caller's chunk from
-// queueing its nested work behind the sibling chunks on the same pool.
+// claiming a team whose workers its siblings occupy.
 //
 // The body is taken by FunctionRef, not std::function: std::function's
 // construction heap-allocates for captures beyond the small-buffer
@@ -76,7 +82,10 @@ using KernelBody = FunctionRef<void(std::size_t, std::size_t)>;
 /// it saves: a 0.4 MFLOP loop (one paper-scale recurrent timestep,
 /// batch 32 x 4*units 160 x units 40) stays serial while a 128^3 GEMM
 /// (4.2 MFLOP) is split. Recurrent layers state the cost of a whole
-/// pass, every timestep at once, so they dispatch once per pass.
+/// pass, every timestep at once, so they dispatch once per pass. A
+/// fork-join now costs ~1.5 us, but the threshold stays: lowering it
+/// would double a training step's dispatches and change the small
+/// serving models' dispatch pattern (DESIGN.md "Kernel layer").
 inline constexpr double kParallelMinFlops = 1.0e6;
 
 /// Number of participants a kernel-level parallel_for uses: the
@@ -85,11 +94,11 @@ inline constexpr double kParallelMinFlops = 1.0e6;
 [[nodiscard]] std::size_t kernel_threads() noexcept;
 
 /// Reconfigures the global kernel pool to `threads` participants (0
-/// restores the hardware default). The current pool is retired and a new
-/// one is created lazily on the next over-threshold parallel_for. Safe to
-/// call concurrently with running kernels and with other
+/// restores the hardware default). The current team is retired and a
+/// new one is created lazily on the next over-threshold parallel_for.
+/// Safe to call concurrently with running kernels and with other
 /// reconfigurations: kernels already dispatched hold a reference to the
-/// retired pool and finish on it; the last reference released performs
+/// retired team and finish on it; the last reference released performs
 /// the join, outside the configuration lock. Does not affect PoolShards.
 void set_kernel_threads(std::size_t threads);
 
@@ -101,9 +110,11 @@ void set_kernel_threads(std::size_t threads);
 /// body runs inline as body(begin, end). Otherwise the range is split
 /// into near-equal chunks whose sizes are multiples of `grain` (except
 /// the last), one chunk per participant; the caller executes the last
-/// chunk itself.
+/// chunk itself. When the resolved team is busy with another caller's
+/// dispatch, the body runs inline as one chunk instead.
 /// The partition depends only on (range, participant count, grain), so a
-/// body that is deterministic per index stays deterministic.
+/// body that is deterministic per index stays deterministic. The first
+/// exception a chunk throws is rethrown after every chunk has finished.
 ///
 /// `shard` selects the pool: non-null dispatches on that shard; null
 /// falls back to the thread-bound shard (ScopedPoolShard), then the
@@ -143,7 +154,8 @@ class ScopedPoolShard {
 /// dispatch threshold. No-op when no registry is installed. Only
 /// over-threshold dispatches are instrumented: under-threshold kernels
 /// stay untouched so the serial hot path pays nothing even with metrics
-/// enabled.
+/// enabled. kernel.queue_depth observes 1 for a dispatch that found its
+/// team busy (and ran inline) and 0 otherwise.
 void register_kernel_metrics();
 
 }  // namespace geonas::hpc

@@ -1,26 +1,18 @@
 #include "hpc/thread_pool.hpp"
 
-#include <atomic>
 #include <stdexcept>
 
+#include "hpc/kernel_team.hpp"
 #include "hpc/parallel_for.hpp"
 #include "obs/metrics.hpp"
 
 namespace geonas::hpc {
 
-namespace {
-std::atomic<WorkerWarmupFn> g_worker_warmup{nullptr};
-}  // namespace
-
-void set_worker_warmup(WorkerWarmupFn fn) noexcept {
-  g_worker_warmup.store(fn, std::memory_order_release);
-}
-
 PoolShard::PoolShard(std::string name, std::size_t threads)
     : name_(std::move(name)),
       participants_(threads == 0 ? kernel_threads() : threads) {
   if (participants_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(participants_ - 1);
+    team_ = std::make_unique<KernelTeam>(participants_ - 1);
   }
   const std::string prefix = "kernel.shard." + name_ + ".";
   metrics_.dispatches = prefix + "dispatches";
@@ -29,6 +21,8 @@ PoolShard::PoolShard(std::string name, std::size_t threads)
   metrics_.chunk_seconds = prefix + "chunk_seconds";
   metrics_.worker_busy_seconds = prefix + "worker_busy_seconds";
 }
+
+PoolShard::~PoolShard() = default;
 
 void PoolShard::register_metrics() const {
   obs::MetricsRegistry* reg = obs::registry();
@@ -62,13 +56,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  // Warm thread_local kernel scratch before the first task is claimed:
-  // a completed dispatch therefore implies every participating worker is
-  // warm (see set_worker_warmup).
-  if (const WorkerWarmupFn warmup =
-          g_worker_warmup.load(std::memory_order_acquire)) {
-    warmup();
-  }
   for (;;) {
     std::function<void()> task;
     {

@@ -1,9 +1,13 @@
 // Real shared-memory parallel primitives.
 //
 // Beyond the discrete-event simulator, geonas runs genuinely parallel
-// work on the local machine: a FIFO ThreadPool (the kernel pool and
-// its per-campaign-worker PoolShards are built on it) and a bounded
-// Channel for send/recv between threads. The RL agents' gradient
+// work on the local machine: a FIFO ThreadPool for long-running tasks
+// (the serve engine's stream loops, the parallel campaign's workers),
+// PoolShards, which give one such stream a private kernel team
+// (hpc/kernel_team.hpp) for its parallel_for dispatches, and a bounded
+// Channel for send/recv between threads. Kernel fork-joins never go
+// through the ThreadPool: a queued, future-returning task costs a heap
+// allocation and a futex wake-up per chunk. The RL agents' gradient
 // reduction is search::all_reduce_mean_gradients, called at each
 // synchronous round's join.
 #pragma once
@@ -22,17 +26,7 @@
 
 namespace geonas::hpc {
 
-/// Process-wide worker warm-up hook. When set, every ThreadPool worker
-/// invokes it once at thread start, BEFORE claiming any task — so by the
-/// time a submitted task runs on a worker, the warm-up has completed on
-/// that thread. Kernel layers use this to pre-reserve thread_local
-/// scratch (GEMM pack buffers) so a worker's first dispatch allocates
-/// exactly what steady-state dispatches do. The hook must be
-/// thread-safe and must not throw; pass nullptr to clear. Workers
-/// spawned before the hook is set never run it — register from a static
-/// initializer (pools are created lazily, after static init).
-using WorkerWarmupFn = void (*)();
-void set_worker_warmup(WorkerWarmupFn fn) noexcept;
+class KernelTeam;  // hpc/kernel_team.hpp
 
 /// Fixed-size pool executing submitted tasks FIFO.
 ///
@@ -70,18 +64,11 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Tasks currently enqueued and not yet claimed by a worker — an
-  /// instantaneous observability sample (stale by the time it returns).
-  [[nodiscard]] std::size_t queue_depth() const GEONAS_EXCLUDES(mutex_) {
-    core::MutexLock lock(mutex_);
-    return queue_.size();
-  }
-
  private:
   void worker_loop() GEONAS_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;  // written only by the constructor
-  mutable core::Mutex mutex_;
+  core::Mutex mutex_;
   std::deque<std::function<void()>> queue_ GEONAS_GUARDED_BY(mutex_);
   std::condition_variable cv_;
   bool stopping_ GEONAS_GUARDED_BY(mutex_) = false;
@@ -90,9 +77,9 @@ class ThreadPool {
 /// Named, independently-owned kernel pool shard.
 ///
 /// Concurrent campaign/evaluation streams that each run their own
-/// parallel GEMMs would contend on the single process-wide kernel pool
-/// (queueing each other's chunks behind foreign work). A PoolShard gives
-/// one stream a private pool: pass it explicitly to parallel_for, or
+/// parallel GEMMs would contend on the single process-wide kernel team
+/// (a dispatch that finds a team busy runs inline). A PoolShard gives
+/// one stream a private team: pass it explicitly to parallel_for, or
 /// bind it to the current thread with ScopedPoolShard so every
 /// parallel_for issued underneath uses the shard automatically.
 ///
@@ -108,6 +95,7 @@ class PoolShard {
   /// construction time. A shard with one participant runs everything
   /// inline (no worker threads are spawned).
   explicit PoolShard(std::string name, std::size_t threads = 0);
+  ~PoolShard();
 
   PoolShard(const PoolShard&) = delete;
   PoolShard& operator=(const PoolShard&) = delete;
@@ -116,9 +104,9 @@ class PoolShard {
   [[nodiscard]] std::size_t participants() const noexcept {
     return participants_;
   }
-  /// The shard's worker pool (participants - 1 threads); null when the
-  /// shard is single-participant.
-  [[nodiscard]] ThreadPool* pool() noexcept { return pool_.get(); }
+  /// The shard's fork-join team (participants - 1 worker threads); null
+  /// when the shard is single-participant.
+  [[nodiscard]] KernelTeam* pool() noexcept { return team_.get(); }
 
   struct MetricNames {
     std::string dispatches;
@@ -139,7 +127,7 @@ class PoolShard {
  private:
   std::string name_;
   std::size_t participants_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<KernelTeam> team_;
   MetricNames metrics_;
 };
 

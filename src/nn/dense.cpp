@@ -4,7 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hpc/parallel_for.hpp"
 #include "tensor/blas.hpp"
+#include "tensor/gemm_kernel.hpp"
 
 namespace geonas::nn {
 
@@ -17,7 +19,9 @@ Dense::Dense(std::size_t in_features, std::size_t out_features,
       w_(in_features, out_features),
       b_(1, out_features),
       w_grad_(in_features, out_features),
-      b_grad_(1, out_features) {
+      b_grad_(1, out_features),
+      pack_sites_{{{&w_pack_, &w_, Trans::kNone, 0, out_features},
+                   {&w_t_pack_, &w_, Trans::kTranspose, 0, out_features}}} {
   if (in_ == 0 || out_ == 0) {
     throw std::invalid_argument("Dense: zero-sized feature dimension");
   }
@@ -60,33 +64,38 @@ void Dense::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
   const std::size_t rows = x.dim0() * x.dim1();
 
   // Treat [B,T,F] as (B*T) x F; both tensors are contiguous row-major,
-  // so the whole layer is one GEMM (against the prepacked weight panel,
-  // re-validated per pass) plus a bias broadcast.
+  // so the whole layer is one fork-join over row slices: each chunk runs
+  // its rows of the GEMM (against the prepacked weight panel,
+  // re-validated per pass) inline, then the bias and the activation on
+  // the same rows while they are in cache.
   w_pack_.ensure(w_, Trans::kNone);
-  gemm_raw(Trans::kNone, rows, 1.0, x.flat().data(), in_, w_pack_, 0.0,
-           out.flat().data(), out_);
-  if (use_bias_) {
-    const double* bias = b_.flat().data();
-    double* op = out.flat().data();
-    for (std::size_t r = 0; r < rows; ++r) {
-      double* orow = op + r * out_;
-      for (std::size_t j = 0; j < out_; ++j) orow[j] += bias[j];
-    }
-  }
-
+  const double* bias = use_bias_ ? b_.flat().data() : nullptr;
+  const bool cache = training && activation_ != Activation::kIdentity;
+  double* preact = cache ? preact_cache_.flat().data() : nullptr;
+  double* postact = cache ? output_cache_.flat().data() : nullptr;
+  const double* xp = x.flat().data();
+  double* op = out.flat().data();
+  const double flops = 2.0 * static_cast<double>(rows) *
+                       static_cast<double>(in_) * static_cast<double>(out_);
+  hpc::parallel_for(
+      0, rows, flops, detail::kMR, [&](std::size_t lo, std::size_t hi) {
+        const std::size_t n = (hi - lo) * out_;
+        double* orows = op + lo * out_;
+        gemm_raw(Trans::kNone, hi - lo, 1.0, xp + lo * in_, in_, w_pack_,
+                 0.0, orows, out_);
+        if (bias != nullptr) {
+          for (std::size_t r = 0; r < hi - lo; ++r) {
+            double* orow = orows + r * out_;
+            for (std::size_t j = 0; j < out_; ++j) orow[j] += bias[j];
+          }
+        }
+        if (activation_ == Activation::kIdentity) return;
+        if (preact != nullptr) std::copy_n(orows, n, preact + lo * out_);
+        // Span form dispatches tanh/sigmoid to the tensor::vmath backend.
+        apply_activation(activation_, {orows, n});
+        if (postact != nullptr) std::copy_n(orows, n, postact + lo * out_);
+      });
   if (training) input_cache_ = &x;
-  if (activation_ != Activation::kIdentity) {
-    if (training) {
-      std::copy(out.flat().begin(), out.flat().end(),
-                preact_cache_.flat().begin());
-    }
-    // Span form dispatches tanh/sigmoid to the tensor::vmath backend.
-    apply_activation(activation_, out.flat());
-    if (training) {
-      std::copy(out.flat().begin(), out.flat().end(),
-                output_cache_.flat().begin());
-    }
-  }
 }
 
 void Dense::backward_into(const Tensor3& grad_output,
@@ -116,27 +125,38 @@ void Dense::backward_into(const Tensor3& grad_output,
     dz = dz_.flat().data();
   }
 
-  // dW += X^T dZ and dX = dZ W^T as whole-batch slab GEMMs (the dX side
-  // consumes the prepacked transposed panel).
+  // dW += X^T dZ and, in the same fork-join over the rows of
+  // [W_grad; b_grad], the bias gradient (the gradient of a constant-one
+  // input row) as the last row: every column sum runs rows ascending.
+  // Then dX = dZ W^T as one slab GEMM against the prepacked transposed
+  // panel. Matrix::flat() bumps the version counter, so the gradient
+  // pointers are taken here rather than in the chunks.
   Tensor3& dx = *input_grads[0];
   w_t_pack_.ensure(w_, Trans::kTranspose);
-  gemm_raw(Trans::kTranspose, Trans::kNone, in_, out_, rows, 1.0,
-           input_cache_->flat().data(), in_, dz, out_, 1.0,
-           w_grad_.flat().data(), out_);
+  const double* xp = input_cache_->flat().data();
+  double* wg = w_grad_.flat().data();
+  double* bg = use_bias_ ? b_grad_.flat().data() : nullptr;
+  const std::size_t grad_rows = in_ + (use_bias_ ? 1 : 0);
+  const double weight_flops = 2.0 * static_cast<double>(rows) *
+                              static_cast<double>(out_) *
+                              static_cast<double>(grad_rows);
+  hpc::parallel_for(
+      0, grad_rows, weight_flops, detail::kMR,
+      [&](std::size_t lo, std::size_t hi) {
+        if (lo < in_) {
+          const std::size_t end = std::min(hi, in_);
+          gemm_raw(Trans::kTranspose, Trans::kNone, end - lo, out_, rows, 1.0,
+                   xp + lo, in_, dz, out_, 1.0, wg + lo * out_, out_);
+        }
+        if (bg != nullptr && hi == grad_rows) {
+          for (std::size_t r = 0; r < rows; ++r) {
+            const double* dzrow = dz + r * out_;
+            for (std::size_t j = 0; j < out_; ++j) bg[j] += dzrow[j];
+          }
+        }
+      });
   gemm_raw(Trans::kNone, rows, 1.0, dz, out_, w_t_pack_, 0.0,
            dx.flat().data(), in_);
-  if (use_bias_) {
-    double* bg = b_grad_.flat().data();
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double* dzrow = dz + r * out_;
-      for (std::size_t j = 0; j < out_; ++j) bg[j] += dzrow[j];
-    }
-  }
-}
-
-void Dense::repack_weights() {
-  w_pack_.ensure(w_, Trans::kNone);
-  w_t_pack_.ensure(w_, Trans::kTranspose);
 }
 
 std::vector<Matrix*> Dense::parameters() {

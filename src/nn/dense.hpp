@@ -6,11 +6,18 @@
 // skip-connection tensors to the incumbent layer's width (§III-A; the
 // projection dense layers carry no activation).
 //
-// The training forward caches the input by POINTER (the hot-path input
-// contract of layer.hpp) and the pre-/post-activation values in arena
-// workspaces carved by a training bind, so a bound Dense allocates
-// nothing per step; inference needs no workspace at all.
+// The forward is one kernel-pool fork-join over row slices: a chunk runs
+// its rows of the GEMM inline, then the bias and the activation on the
+// same rows. The backward is one fork-join over the rows of
+// [W_grad; b_grad] (the bias gradient, a column sum in row-ascending
+// order, is the last row) plus the dX GEMM. The training forward caches
+// the input by POINTER (the hot-path input contract of layer.hpp) and
+// the pre-/post-activation values in arena workspaces carved by a
+// training bind, so a bound Dense allocates nothing per step; inference
+// needs no workspace at all.
 #pragma once
+
+#include <array>
 
 #include "nn/activations.hpp"
 #include "nn/layer.hpp"
@@ -27,7 +34,9 @@ class Dense final : public Layer {
   void backward_into(const Tensor3& grad_output,
                      std::span<Tensor3* const> input_grads) override;
   void init_params(Rng& rng) override;
-  void repack_weights() override;
+  [[nodiscard]] std::span<const PackSite> pack_sites() const override {
+    return pack_sites_;
+  }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   std::vector<Matrix*> parameters() override;
   std::vector<Matrix*> gradients() override;
@@ -58,6 +67,7 @@ class Dense final : public Layer {
   // Pack-once weight panels (see lstm.hpp): forward x*W, backward dZ*W^T.
   tensor::PackedPanels w_pack_;    // op = W
   tensor::PackedPanels w_t_pack_;  // op = W^T
+  std::array<PackSite, 2> pack_sites_;
 
   // Training-mode caches: the input stays with its owner (pointer), the
   // pre-/post-activation copies live in the bound arena. For an identity

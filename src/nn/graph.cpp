@@ -1,9 +1,30 @@
 #include "nn/graph.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
+#include "hpc/parallel_for.hpp"
+#include "tensor/gemm_kernel.hpp"
+
 namespace geonas::nn {
+
+namespace {
+
+/// Rough cost of packing one double (a strided gather and a store,
+/// ~1.5 ns), in blocked-GEMM flops of the same duration. Sizes the
+/// parallel_for threshold test of the re-pack fork-join.
+constexpr double kPackFlopsPerDouble = 8.0;
+
+/// Doubles in the panel a pack site holds.
+std::size_t packed_doubles(const PackSite& site) {
+  const bool transpose = site.trans == Trans::kTranspose;
+  const std::size_t k = transpose ? site.ncols : site.weights->rows();
+  const std::size_t n = transpose ? site.weights->rows() : site.ncols;
+  return detail::packed_b_doubles(k, n);
+}
+
+}  // namespace
 
 GraphNetwork::GraphNetwork() {
   // geonas-lint: allow(hot-path-alloc) construction: node 0 placeholder
@@ -36,6 +57,8 @@ std::size_t GraphNetwork::add_node(std::unique_ptr<Layer> layer,
   output_ = nodes_.size() - 1;
   bound_ = {};  // force a rebind
   grad_cache_.clear();
+  pack_sites_.clear();
+  pack_offsets_.clear();
   return output_;
 }
 
@@ -197,9 +220,34 @@ void GraphNetwork::zero_grad() {
 }
 
 void GraphNetwork::repack_weights() {
-  for (auto& node : nodes_) {
-    if (node.layer) node.layer->repack_weights();
+  if (pack_offsets_.empty()) {
+    // Cold: once per graph structure.
+    pack_offsets_.push_back(0);  // geonas-lint: allow(hot-path-alloc) collected once per structure
+    for (const Node& node : nodes_) {
+      if (!node.layer) continue;
+      for (const PackSite& site : node.layer->pack_sites()) {
+        // geonas-lint: allow(hot-path-alloc) collected once per structure
+        pack_sites_.push_back(site);
+        // geonas-lint: allow(hot-path-alloc) collected once per structure
+        pack_offsets_.push_back(pack_offsets_.back() + packed_doubles(site));
+      }
+    }
   }
+  // One fork-join over the packed doubles of every site: a chunk
+  // re-packs the sites that start inside it, so chunks balance by packed
+  // size. Each site writes only its own panel and reads only its
+  // weights, whose versions the optimizer bumped before the fork.
+  const std::size_t total = pack_offsets_.back();
+  hpc::parallel_for(
+      0, total, kPackFlopsPerDouble * static_cast<double>(total), 1,
+      [&](std::size_t lo, std::size_t hi) {
+        auto it = std::lower_bound(pack_offsets_.begin(),
+                                   pack_offsets_.end() - 1, lo);
+        for (; it != pack_offsets_.end() - 1 && *it < hi; ++it) {
+          pack_sites_[static_cast<std::size_t>(it - pack_offsets_.begin())]
+              .ensure();
+        }
+      });
 }
 
 std::vector<Matrix*> GraphNetwork::parameters() {

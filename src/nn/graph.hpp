@@ -89,8 +89,9 @@ class GraphNetwork {
   void bind(const WorkspaceShape& shape);
 
   void zero_grad();
-  /// Re-packs every layer's prepacked weight panels (Layer::
-  /// repack_weights); the trainer calls this after each optimizer step.
+  /// Re-packs every layer's prepacked weight panels (Layer::pack_sites)
+  /// in one fork-join balanced by packed size; the trainer calls this
+  /// after each optimizer step.
   void repack_weights();
   [[nodiscard]] std::vector<Matrix*> parameters();
   [[nodiscard]] std::vector<Matrix*> gradients();
@@ -135,6 +136,11 @@ class GraphNetwork {
   // Cached gradients() result for zero_grad (rebuilt after add_node);
   // the pointees are owned by the layers, so moves keep it valid.
   std::vector<Matrix*> grad_cache_;
+  // Every layer's pack sites and the running total of their packed
+  // doubles (one entry more than sites), collected by the first
+  // repack_weights() after add_node; the layers own the pointees.
+  std::vector<PackSite> pack_sites_;
+  std::vector<std::size_t> pack_offsets_;
   std::unique_ptr<tensor::Arena> arena_;
   const Tensor3* external_input_ = nullptr;
   WorkspaceShape bound_;

@@ -19,7 +19,13 @@ GRU::GRU(std::size_t in_features, std::size_t units)
       b_(1, 3 * units),
       wx_grad_(in_features, 3 * units),
       wh_grad_(units, 3 * units),
-      b_grad_(1, 3 * units) {
+      b_grad_(1, 3 * units),
+      pack_sites_{{{&wx_pack_, &wx_, Trans::kNone, 0, 3 * units},
+                   {&wh_zr_pack_, &wh_, Trans::kNone, 0, 2 * units},
+                   {&wh_h_pack_, &wh_, Trans::kNone, 2 * units, units},
+                   {&wh_zr_t_pack_, &wh_, Trans::kTranspose, 0, 2 * units},
+                   {&wh_h_t_pack_, &wh_, Trans::kTranspose, 2 * units, units},
+                   {&wx_t_pack_, &wx_, Trans::kTranspose, 0, 3 * units}}} {
   if (in_ == 0 || units_ == 0) {
     throw std::invalid_argument("GRU: zero-sized dimension");
   }
@@ -70,41 +76,25 @@ void GRU::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
   const std::size_t rows = batch * steps;
   batch_ = batch;
 
-  // Zero initial state h_0 = 0 for this batch (see LSTM::forward_into).
-  std::fill_n(h_seq_.flat().data(), batch * units_, 0.0);
-
-  for (std::size_t bi = 0; bi < batch; ++bi) {
-    const double* src = x.flat().data() + bi * steps * in_;
-    for (std::size_t t = 0; t < steps; ++t) {
-      std::copy(src + t * in_, src + (t + 1) * in_,
-                x_tm_.row_span(t * batch + bi).begin());
-    }
-  }
-
   // Weight panels: packed once, re-validated per pass (a version-counter
   // compare unless the optimizer touched the weights since last pack).
   wx_pack_.ensure(wx_, Trans::kNone);
   wh_zr_pack_.ensure_block(wh_, Trans::kNone, 0, 2 * units_);
   wh_h_pack_.ensure_block(wh_, Trans::kNone, 2 * units_, units_);
-
-  // Input projection for the entire sequence in one GEMM, then the bias.
-  gemm_raw(Trans::kNone, rows, 1.0, x_tm_.flat().data(), in_, wx_pack_, 0.0,
-           gates_.flat().data(), g3);
   const double* bias = b_.flat().data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* arow = gates_.flat().data() + r * g3;
-    for (std::size_t j = 0; j < g3; ++j) arow[j] += bias[j];
-  }
 
-  // The recurrence: one fork-join over batch-row slices for the whole
-  // sequence (see LSTM::forward_into).
-  const double recurrent_flops = 2.0 * static_cast<double>(rows) *
-                                 static_cast<double>(units_) *
-                                 static_cast<double>(g3);
+  // The whole pass is one fork-join over batch-row slices (see
+  // LSTM::forward_into): each chunk zeroes its rows of h_0, gathers its
+  // rows of x time-major, projects them through Wx and adds the bias,
+  // then steps them through the recurrence.
+  const double flops = 2.0 * static_cast<double>(rows) *
+                       static_cast<double>(g3) *
+                       static_cast<double>(in_ + units_);
   hpc::parallel_for(
-      0, batch, recurrent_flops, detail::kMR,
-      [&](std::size_t lo, std::size_t hi) {
+      0, batch, flops, detail::kMR, [&](std::size_t lo, std::size_t hi) {
         const std::size_t n = hi - lo;
+        std::fill_n(h_seq_.flat().data() + lo * units_, n * units_, 0.0);
+        project_input_rows(x, lo, hi, x_tm_, wx_pack_, bias, gates_);
         for (std::size_t t = 0; t < steps; ++t) {
           const std::size_t row = t * batch + lo;
           double* a = gates_.flat().data() + row * g3;
@@ -235,15 +225,6 @@ void GRU::backward_into(const Tensor3& grad_output,
                                       bg);
         }
       });
-}
-
-void GRU::repack_weights() {
-  wx_pack_.ensure(wx_, Trans::kNone);
-  wh_zr_pack_.ensure_block(wh_, Trans::kNone, 0, 2 * units_);
-  wh_h_pack_.ensure_block(wh_, Trans::kNone, 2 * units_, units_);
-  wh_zr_t_pack_.ensure_block(wh_, Trans::kTranspose, 0, 2 * units_);
-  wh_h_t_pack_.ensure_block(wh_, Trans::kTranspose, 2 * units_, units_);
-  wx_t_pack_.ensure(wx_, Trans::kTranspose);
 }
 
 std::vector<Matrix*> GRU::parameters() { return {&wx_, &wh_, &b_}; }

@@ -12,16 +12,18 @@
 //
 // Like LSTM, both passes run in the batched-GEMM formulation over
 // time-major workspaces with a constant number of kernel-pool
-// fork-joins: one whole-sequence GEMM for X * Wx, then one fork-join
-// over batch-row slices that runs each timestep's two recurrent GEMMs
-// (the z/r block against h_{t-1}, the candidate block against
-// r .* h_{t-1}) and fused stages for its rows; BPTT is one fork-join
-// over the same slices for the data path and one over the
-// weight-gradient rows. The strided gemm_raw interface lets the z/r and
+// fork-joins: the forward is one fork-join over batch-row slices that
+// gathers, projects through Wx and biases its rows, then runs each
+// timestep's two recurrent GEMMs (the z/r block against h_{t-1}, the
+// candidate block against r .* h_{t-1}) and fused stages for them; BPTT
+// is one fork-join over the same slices for the data path and one over
+// the weight-gradient rows. The strided gemm_raw interface lets the z/r and
 // candidate column blocks of the fused Wh matrix be updated in place.
 // Workspaces are carved from an Arena at bind time: steady-state
 // training performs no allocation (see DESIGN.md, "Memory model").
 #pragma once
+
+#include <array>
 
 #include "nn/layer.hpp"
 
@@ -36,7 +38,9 @@ class GRU final : public Layer {
   void backward_into(const Tensor3& grad_output,
                      std::span<Tensor3* const> input_grads) override;
   void init_params(Rng& rng) override;
-  void repack_weights() override;
+  [[nodiscard]] std::span<const PackSite> pack_sites() const override {
+    return pack_sites_;
+  }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   std::vector<Matrix*> parameters() override;
   std::vector<Matrix*> gradients() override;
@@ -74,6 +78,7 @@ class GRU final : public Layer {
   tensor::PackedPanels wh_zr_t_pack_;  // op = Wh[:, z|r]^T
   tensor::PackedPanels wh_h_t_pack_;   // op = Wh[:, h]^T
   tensor::PackedPanels wx_t_pack_;     // op = Wx^T
+  std::array<PackSite, 6> pack_sites_;
 
   // Time-major workspaces carved from the bound arena for the bound
   // batch B and reused across calls; a forward at batch b <= B uses the

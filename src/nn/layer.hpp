@@ -63,6 +63,20 @@ struct WorkspaceShape {
   }
 };
 
+/// One prepacked weight panel of a layer and the weights it packs: the
+/// arguments of its PackedPanels::ensure_block call. Layers keep a fixed
+/// table of these, pointing at their own members, built at construction.
+struct PackSite {
+  tensor::PackedPanels* panel;
+  const Matrix* weights;
+  Trans trans;
+  std::size_t col0;
+  std::size_t ncols;
+
+  /// Re-packs the panel if the weights changed since its last pack.
+  void ensure() const { panel->ensure_block(*weights, trans, col0, ncols); }
+};
+
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -117,14 +131,16 @@ class Layer {
   /// Randomly (re-)initialize parameters.
   virtual void init_params(Rng& /*rng*/) {}
 
-  /// Re-packs any prepacked weight panels (tensor::PackedPanels) against
-  /// the current parameter values. The trainer calls this right after
-  /// each optimizer step so the next forward starts with warm panels;
-  /// layers ALSO lazily re-validate before every use (the Matrix
-  /// version() counter makes stale panels structurally impossible), so
-  /// skipping this call costs latency, never correctness. Default:
-  /// layer has no packed weights.
-  virtual void repack_weights() {}
+  /// The layer's prepacked weight panels (tensor::PackedPanels), each
+  /// with the weights it packs. GraphNetwork::repack_weights re-packs
+  /// them right after each optimizer step so the next forward starts
+  /// with warm panels; layers ALSO lazily re-validate before every use
+  /// (the Matrix version() counter makes stale panels structurally
+  /// impossible), so skipping the re-pack costs latency, never
+  /// correctness. Default: the layer has no packed weights.
+  [[nodiscard]] virtual std::span<const PackSite> pack_sites() const {
+    return {};
+  }
 
   /// Mutable views of parameters and their accumulated gradients; the two
   /// lists are parallel.
@@ -192,6 +208,46 @@ inline const Tensor3& single_input(std::span<const Tensor3* const> inputs,
                                 ": expected exactly one input");
   }
   return *inputs[0];
+}
+
+/// The input half of a recurrent (LSTM, GRU) forward for batch rows
+/// [lo, hi) of `x` [batch, steps, in]: gathers those rows into the
+/// time-major `x_tm` (row t * batch + b), projects them through the
+/// packed Wx into `gates` and adds `bias`. The projection is one GEMM
+/// per timestep, or one over the whole sequence when the rows are the
+/// whole batch (they are then contiguous). Every gate element gets the
+/// operations of a whole-sequence projection GEMM, in order — its
+/// K-ordered x*Wx chain, which an M split never changes, then + b — so
+/// the bits do not depend on the slicing.
+inline void project_input_rows(const Tensor3& x, std::size_t lo,
+                               std::size_t hi, tensor::ArenaMatrix& x_tm,
+                               const tensor::PackedPanels& wx,
+                               const double* bias,
+                               tensor::ArenaMatrix& gates) {
+  const std::size_t batch = x.dim0(), steps = x.dim1(), in = x.dim2();
+  const std::size_t g = wx.n(), n = hi - lo;
+  for (std::size_t b = lo; b < hi; ++b) {
+    const double* src = x.flat().data() + b * steps * in;
+    for (std::size_t t = 0; t < steps; ++t) {
+      std::copy_n(src + t * in, in, x_tm.row_span(t * batch + b).begin());
+    }
+  }
+  if (n == batch) {
+    gemm_raw(Trans::kNone, steps * batch, 1.0, x_tm.flat().data(), in, wx,
+             0.0, gates.flat().data(), g);
+  }
+  for (std::size_t t = 0; t < steps; ++t) {
+    const std::size_t row = t * batch + lo;
+    double* z = gates.flat().data() + row * g;
+    if (n != batch) {
+      gemm_raw(Trans::kNone, n, 1.0, x_tm.flat().data() + row * in, in, wx,
+               0.0, z, g);
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      double* zrow = z + r * g;
+      for (std::size_t j = 0; j < g; ++j) zrow[j] += bias[j];
+    }
+  }
 }
 
 }  // namespace geonas::nn

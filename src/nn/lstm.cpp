@@ -19,7 +19,11 @@ LSTM::LSTM(std::size_t in_features, std::size_t units)
       b_(1, 4 * units),
       wx_grad_(in_features, 4 * units),
       wh_grad_(units, 4 * units),
-      b_grad_(1, 4 * units) {
+      b_grad_(1, 4 * units),
+      pack_sites_{{{&wx_pack_, &wx_, Trans::kNone, 0, 4 * units},
+                   {&wh_pack_, &wh_, Trans::kNone, 0, 4 * units},
+                   {&wh_t_pack_, &wh_, Trans::kTranspose, 0, 4 * units},
+                   {&wx_t_pack_, &wx_, Trans::kTranspose, 0, 4 * units}}} {
   if (in_ == 0 || units_ == 0) {
     throw std::invalid_argument("LSTM: zero-sized dimension");
   }
@@ -75,45 +79,29 @@ void LSTM::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
   const std::size_t rows = batch * steps;
   batch_ = batch;
 
-  // Zero initial state h_0 = c_0 = 0 for this batch: a larger earlier
-  // batch left its t=0 state in these rows.
-  std::fill_n(h_seq_.flat().data(), batch * units_, 0.0);
-  std::fill_n(c_seq_.flat().data(), batch * units_, 0.0);
-
-  // Gather the batch-major input into time-major rows t*B + b so each
-  // timestep's slab is contiguous.
-  for (std::size_t bi = 0; bi < batch; ++bi) {
-    const double* src = x.flat().data() + bi * steps * in_;
-    for (std::size_t t = 0; t < steps; ++t) {
-      std::copy(src + t * in_, src + (t + 1) * in_,
-                x_tm_.row_span(t * batch + bi).begin());
-    }
-  }
-
   // Weight panels: packed once, re-validated per pass (a version-counter
   // compare unless the optimizer touched the weights since last pack).
   wx_pack_.ensure(wx_, Trans::kNone);
   wh_pack_.ensure(wh_, Trans::kNone);
-
-  // Input projection for the entire sequence in one GEMM, then the bias.
-  gemm_raw(Trans::kNone, rows, 1.0, x_tm_.flat().data(), in_, wx_pack_, 0.0,
-           gates_.flat().data(), g4);
   const double* bias = b_.flat().data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* zrow = gates_.flat().data() + r * g4;
-    for (std::size_t j = 0; j < g4; ++j) zrow[j] += bias[j];
-  }
 
-  // The recurrence: one fork-join over batch-row slices for the whole
-  // sequence. Rows never interact, so each chunk steps its own rows
-  // through every timestep; the GEMMs it issues run inline in the chunk.
-  const double recurrent_flops = 2.0 * static_cast<double>(rows) *
-                                 static_cast<double>(units_) *
-                                 static_cast<double>(g4);
+  // The whole pass is one fork-join over batch-row slices. Rows never
+  // interact, so each chunk zeroes its rows of h_0 and c_0, gathers,
+  // projects and biases its rows of x (project_input_rows), and steps
+  // them through the recurrence; the GEMMs it issues run inline in the
+  // chunk. Every gate element still gets x*Wx, then + b, then
+  // + h_{t-1} Wh.
+  const double flops = 2.0 * static_cast<double>(rows) *
+                       static_cast<double>(g4) *
+                       static_cast<double>(in_ + units_);
   hpc::parallel_for(
-      0, batch, recurrent_flops, detail::kMR,
-      [&](std::size_t lo, std::size_t hi) {
+      0, batch, flops, detail::kMR, [&](std::size_t lo, std::size_t hi) {
         const std::size_t n = hi - lo;
+        // Zero initial state h_0 = c_0 = 0 for these rows: a larger
+        // earlier batch left its t=0 state in them.
+        std::fill_n(h_seq_.flat().data() + lo * units_, n * units_, 0.0);
+        std::fill_n(c_seq_.flat().data() + lo * units_, n * units_, 0.0);
+        project_input_rows(x, lo, hi, x_tm_, wx_pack_, bias, gates_);
         for (std::size_t t = 0; t < steps; ++t) {
           const std::size_t row = t * batch + lo;
           // z_t += h_{t-1} Wh for this slice's rows.
@@ -225,13 +213,6 @@ void LSTM::backward_into(const Tensor3& grad_output,
                                       bg);
         }
       });
-}
-
-void LSTM::repack_weights() {
-  wx_pack_.ensure(wx_, Trans::kNone);
-  wh_pack_.ensure(wh_, Trans::kNone);
-  wh_t_pack_.ensure(wh_, Trans::kTranspose);
-  wx_t_pack_.ensure(wx_, Trans::kTranspose);
 }
 
 std::vector<Matrix*> LSTM::parameters() { return {&wx_, &wh_, &b_}; }

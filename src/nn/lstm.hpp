@@ -9,15 +9,20 @@
 //
 // Both passes run in the batched-GEMM formulation over time-major
 // workspaces (row t * batch + b), with a constant number of kernel-pool
-// fork-joins per pass (see DESIGN.md, "Kernel layer"): the input
-// projection X * Wx is one GEMM over the whole (batch * steps) slab, and
-// the recurrence runs as one parallel_for over batch-row slices that
-// steps its rows through every timestep (H_{t-1} * Wh, then the fused
-// gate stage). BPTT is one fork-join over the same slices for the data
-// path (gate backward, dH, dX) and one over the weight-gradient rows.
-// The workspaces are carved from an Arena at bind time, so steady-state
-// training performs no allocation at all.
+// fork-joins per pass (see DESIGN.md, "Kernel layer"). The forward is
+// one parallel_for over batch-row slices: each chunk gathers its rows of
+// x time-major, projects them through Wx, adds the bias and steps them
+// through every timestep (H_{t-1} * Wh, then the fused gate stage); an
+// undispatched pass projects the whole (batch * steps) slab in one GEMM.
+// BPTT is one fork-join over the same slices for the data path (gate
+// backward, dH, dX) and one over the weight-gradient rows. Every element
+// keeps the operation order of the whole-slab formulation, so results
+// are bitwise identical at every thread count. The workspaces are carved
+// from an Arena at bind time, so steady-state training performs no
+// allocation at all.
 #pragma once
+
+#include <array>
 
 #include "nn/layer.hpp"
 
@@ -32,7 +37,9 @@ class LSTM final : public Layer {
   void backward_into(const Tensor3& grad_output,
                      std::span<Tensor3* const> input_grads) override;
   void init_params(Rng& rng) override;
-  void repack_weights() override;
+  [[nodiscard]] std::span<const PackSite> pack_sites() const override {
+    return pack_sites_;
+  }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   std::vector<Matrix*> parameters() override;
   std::vector<Matrix*> gradients() override;
@@ -64,12 +71,14 @@ class LSTM final : public Layer {
   // weights (forward x*Wx / h*Wh, backward dZ*Wh^T / dZ*Wx^T); the
   // gradient GEMMs multiply activations on both sides and stay on the
   // per-call path. Re-validated lazily against Matrix::version() before
-  // each use and re-packed eagerly by repack_weights() after optimizer
-  // steps. Owned storage, not the self-arena (which resets per rebind).
+  // each use and re-packed eagerly through pack_sites() by
+  // GraphNetwork::repack_weights after optimizer steps. Owned storage,
+  // not the arena (which resets per rebind).
   tensor::PackedPanels wx_pack_;    // op = Wx
   tensor::PackedPanels wh_pack_;    // op = Wh
   tensor::PackedPanels wh_t_pack_;  // op = Wh^T
   tensor::PackedPanels wx_t_pack_;  // op = Wx^T
+  std::array<PackSite, 4> pack_sites_;
 
   // Time-major workspaces carved from the bound arena for the bound
   // batch B; a forward at batch b <= B uses the first rows, indexed

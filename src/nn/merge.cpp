@@ -7,6 +7,14 @@
 
 namespace geonas::nn {
 
+namespace {
+
+/// Elements per AddMerge block: small enough that a block of the output
+/// and of every input stays in L1 between the passes over it.
+constexpr std::size_t kBlock = 512;
+
+}  // namespace
+
 AddMerge::AddMerge(std::size_t arity, bool relu_after)
     : arity_(arity), relu_(relu_after) {
   if (arity_ < 1) throw std::invalid_argument("AddMerge: arity must be >= 1");
@@ -30,23 +38,30 @@ void AddMerge::forward_into(std::span<const Tensor3* const> inputs,
   }
   const Tensor3& first = *inputs[0];
   require_bound(first, training);
-  std::copy(first.flat().begin(), first.flat().end(), out.flat().begin());
   for (std::size_t i = 1; i < inputs.size(); ++i) {
     const Tensor3& in = *inputs[i];
     if (in.dim0() != first.dim0() || in.dim1() != first.dim1() ||
         in.dim2() != first.dim2()) {
       throw std::invalid_argument("AddMerge: input shape mismatch");
     }
-    auto of = out.flat();
-    const auto inf = in.flat();
-    for (std::size_t k = 0; k < of.size(); ++k) of[k] += inf[k];
   }
-  if (relu_) {
-    if (training) {
-      std::copy(out.flat().begin(), out.flat().end(),
-                sum_cache_.flat().begin());
+  // One pass over memory: block by block (each block stays in L1), the
+  // inputs are summed in input order, then (with ReLU) the sum is cached
+  // for the backward mask and rectified.
+  const std::size_t n = first.size();
+  double* op = out.flat().data();
+  double* cache = relu_ && training ? sum_cache_.flat().data() : nullptr;
+  for (std::size_t b = 0; b < n; b += kBlock) {
+    const std::size_t len = std::min(kBlock, n - b);
+    double* o = op + b;
+    std::copy_n(first.flat().data() + b, len, o);
+    for (std::size_t i = 1; i < inputs.size(); ++i) {
+      const double* in = inputs[i]->flat().data() + b;
+      for (std::size_t k = 0; k < len; ++k) o[k] += in[k];
     }
-    apply_activation(Activation::kReLU, out.flat());
+    if (!relu_) continue;
+    if (cache != nullptr) std::copy_n(o, len, cache + b);
+    for (std::size_t k = 0; k < len; ++k) o[k] = relu(o[k]);
   }
 }
 
@@ -55,28 +70,33 @@ void AddMerge::backward_into(const Tensor3& grad_output,
   if (input_grads.size() != arity_ || input_grads[0] == nullptr) {
     throw std::invalid_argument("AddMerge::backward: wrong gradient count");
   }
-  // d(sum)/d(input_i) = 1 for every input: compute the (possibly ReLU-
-  // masked) sum gradient into the first slot, then copy to the others.
-  Tensor3& dsum = *input_grads[0];
-  if (dsum.size() != grad_output.size()) {
+  // d(sum)/d(input_i) = 1 for every input: one pass writes the (possibly
+  // ReLU-masked) sum gradient into every slot.
+  const std::size_t n = grad_output.size();
+  if (input_grads[0]->size() != n || (relu_ && n > sum_cache_.size())) {
     throw std::invalid_argument("AddMerge::backward: shape mismatch");
-  }
-  std::copy(grad_output.flat().begin(), grad_output.flat().end(),
-            dsum.flat().begin());
-  if (relu_) {
-    auto df = dsum.flat();
-    if (df.size() > sum_cache_.size()) {
-      throw std::invalid_argument("AddMerge::backward: shape mismatch");
-    }
-    const auto sf = sum_cache_.flat().first(df.size());
-    activation_grad_mul(Activation::kReLU, df, sf, sf);
   }
   for (std::size_t i = 1; i < input_grads.size(); ++i) {
     if (input_grads[i] == nullptr) {
       throw std::invalid_argument("AddMerge::backward: null gradient slot");
     }
-    std::copy(dsum.flat().begin(), dsum.flat().end(),
-              input_grads[i]->flat().begin());
+  }
+  // One pass over memory: block by block, the (possibly ReLU-masked)
+  // gradient lands in the first slot and is copied to the others.
+  const double* g = grad_output.flat().data();
+  const double* sum = relu_ ? sum_cache_.flat().data() : nullptr;
+  double* d0 = input_grads[0]->flat().data();
+  for (std::size_t b = 0; b < n; b += kBlock) {
+    const std::size_t len = std::min(kBlock, n - b);
+    double* d = d0 + b;
+    std::copy_n(g + b, len, d);
+    if (sum != nullptr) {
+      const double* s = sum + b;
+      for (std::size_t k = 0; k < len; ++k) d[k] *= relu_grad_from_input(s[k]);
+    }
+    for (std::size_t i = 1; i < input_grads.size(); ++i) {
+      std::copy_n(d, len, input_grads[i]->flat().data() + b);
+    }
   }
 }
 

@@ -3,8 +3,12 @@
 // AddMerge implements the paper's skip-connection semantics: the incumbent
 // tensor and all projected skip tensors are summed, then "after each add
 // operation, the ReLU activation function [is] applied to the tensor"
-// (§IV). Identity is the zero-parameter passthrough used when a variable
-// LSTM node selects the Identity operation.
+// (§IV). Each direction is one pass over memory, in L1-sized blocks:
+// forward sums the inputs in input order and writes the pre-ReLU cache
+// and the output; backward masks the gradient and copies it to every
+// input. Both stay serial: their cost is below the kernel-pool
+// threshold. Identity is the zero-parameter passthrough used when a
+// variable LSTM node selects the Identity operation.
 #pragma once
 
 #include "nn/layer.hpp"

@@ -4,8 +4,17 @@
 // training optimizer; plain SGD is kept for tests and the PPO policy
 // updates. Optimizers bind to a parameter/gradient list once and keep
 // per-parameter state (Adam moments) across steps.
+//
+// Adam's step is one kernel-pool fork-join over the concatenated
+// elements of every parameter. The update is elementwise and every
+// element keeps the scalar expression (sqrt and division are correctly
+// rounded, and the baseline x86-64 build contracts no multiply-add into
+// an FMA), so the split leaves the bits unchanged. Matrix::flat() bumps
+// the version counter that invalidates packed weight panels, so the
+// element pointers are taken once per step, before the fork.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -59,10 +68,21 @@ class Adam final : public Optimizer {
   }
 
  private:
+  /// One parameter's element pointers for the current step.
+  struct Slot {
+    double* param;
+    const double* grad;
+    double* m;
+    double* v;
+  };
+
   Config cfg_;
   long t_ = 0;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;
+  std::vector<std::size_t> offsets_;  // element offset of each parameter,
+                                      // then the total
+  std::vector<Slot> slots_;           // refreshed by every step()
 };
 
 /// Global-norm gradient clipping; returns the pre-clip norm. Takes the

@@ -6,8 +6,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "hpc/kernel_team.hpp"
 #include "hpc/parallel_for.hpp"
-#include "hpc/thread_pool.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define GEONAS_GEMM_X86_DISPATCH 1
@@ -144,7 +144,7 @@ void pack_b_full(double* dst, const double* b, std::size_t ldb, bool trans,
 namespace {
 
 // Per-thread pack scratch, sized once (kMC*kKC + kKC*kNC doubles) and
-// reused across every gemm on the thread. File-scope so the pool
+// reused across every gemm on the thread. File-scope so the worker
 // warm-up hook can pre-reserve it before a worker's first dispatch.
 thread_local std::vector<double> t_a_pack;
 thread_local std::vector<double> t_b_pack;
@@ -292,10 +292,10 @@ void scale_c(std::size_t m, std::size_t n, double beta, double* c,
   }
 }
 
-// Pre-reserve pack scratch on every pool worker before it claims its
-// first task, so the thread_local first-allocation cannot land inside a
-// steady-state (alloc-audited) dispatch. Registered from a static
-// initializer: pools are created lazily at first over-threshold
+// Pre-reserve pack scratch on every kernel team worker before it takes
+// its first chunk, so the thread_local first-allocation cannot land
+// inside a steady-state (alloc-audited) dispatch. Registered from a
+// static initializer: teams are created lazily at first over-threshold
 // dispatch, which is always after static init completes.
 [[maybe_unused]] const bool g_warmup_registered = [] {
   hpc::set_worker_warmup(&reserve_gemm_scratch);

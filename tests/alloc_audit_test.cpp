@@ -37,14 +37,16 @@
 #include "nn/trainer.hpp"
 #include "obs/metrics.hpp"
 #include "searchspace/architecture.hpp"
+#include "searchspace/space.hpp"
 #include "serve/frozen_plan.hpp"
 #include "tensor/random.hpp"
 
 #ifndef GEONAS_SANITIZE_BUILD
 
 namespace {
-// Relaxed is enough: the audited sections pin kernel_threads to 1, so
-// counted allocations are same-thread; the flag flips only outside them.
+// Relaxed is enough: the flag flips only outside audited regions, and a
+// kernel worker's allocations inside one happen-before the join of its
+// dispatch, which precedes the audit's read of the count.
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_alloc_count{0};
 
@@ -115,9 +117,8 @@ class AllocCountScope {
 };
 #endif
 
-/// Serial kernels for the audited region: ThreadPool::submit allocates a
-/// shared task state, so a multi-threaded dispatch can never be
-/// heap-free. Restores the hardware default on scope exit.
+/// Pins the kernel thread count for the audited region and restores the
+/// hardware default on scope exit.
 struct KernelThreadsGuard {
   explicit KernelThreadsGuard(std::size_t threads) {
     hpc::set_kernel_threads(threads);
@@ -190,6 +191,62 @@ TEST(AllocAudit, LstmTrainStepSteadyStateIsHeapFree) {
   const tensor::Arena* arena = net.arena();
   ASSERT_NE(arena, nullptr);
   EXPECT_GT(arena->high_water_bytes(), 0u);
+#endif
+}
+
+TEST(AllocAudit, WinnerTrainStepAtFourThreadsIsHeapFree) {
+#ifdef GEONAS_SANITIZE_BUILD
+  GTEST_SKIP() << "allocator overrides disabled under sanitizers";
+#else
+  // The Table-II winner at batch 64 on 4 kernel threads: every recurrent
+  // pass, the update and the re-pack fork-join over the kernel team, and
+  // a multi-threaded dispatch allocates nothing — no task objects, no
+  // futures, no worker-side scratch.
+  obs::set_registry(nullptr);
+  KernelThreadsGuard four(4);
+
+  constexpr std::size_t kB = 64, kT = 8, kF = 5;
+  const searchspace::StackedLSTMSpace space;
+  nn::GraphNetwork net = space.build(
+      searchspace::Architecture::from_key("5-1-3-1-1-3-1-0-0-0-1-0-0-1"));
+  net.init_params(1);
+
+  Tensor3 x(kB, kT, kF), y(kB, kT, kF);
+  Rng rng(2);
+  for (double& v : x.flat()) v = rng.uniform(-1.0, 1.0);
+  for (double& v : y.flat()) v = rng.uniform(-1.0, 1.0);
+
+  nn::Adam optimizer(net.parameters(), net.gradients(),
+                     {.learning_rate = 1e-3});
+  const std::vector<Matrix*> grad_list = net.gradients();
+
+  // The exact Trainer::fit inner step, re-pack included.
+  Tensor3 grad;
+  double loss_sink = 0.0;
+  const auto step = [&] {
+    net.zero_grad();
+    const Tensor3& pred = net.forward_ref(x, /*training=*/true);
+    loss_sink += nn::mse_loss(y, pred);
+    nn::mse_grad_into(y, pred, grad);
+    net.backward_ref(grad);
+    nn::clip_gradients_by_norm(grad_list, 10.0);
+    optimizer.step();
+    net.repack_weights();
+  };
+
+  // Warm-up binds the workspaces, packs every panel and starts the team.
+  step();
+  step();
+
+  std::size_t allocations = 0;
+  {
+    const AllocCountScope audit;
+    for (int i = 0; i < 3; ++i) step();
+    allocations = audit.count();
+  }
+  EXPECT_EQ(allocations, 0u)
+      << "steady-state 4-thread winner step touched the heap";
+  EXPECT_GT(loss_sink, 0.0);
 #endif
 }
 
@@ -312,15 +369,14 @@ TEST(AllocAudit, FirstGemmDispatchAfterResizeMatchesSteadyState) {
   GTEST_SKIP() << "allocator overrides disabled under sanitizers";
 #else
   obs::set_registry(nullptr);
-  // A multi-threaded dispatch can never be heap-free (ThreadPool::submit
-  // allocates shared task state), but its allocation count must not
-  // depend on whether a worker has ever run a GEMM: the worker warmup
-  // hook (hpc::set_worker_warmup, registered by the blocked GEMM)
-  // reserves the thread_local pack scratch when the pool spins up, so
-  // the first GEMM dispatched into a fresh pool costs exactly as many
-  // allocations as every later one. Without the hook, the first dispatch
-  // after a set_kernel_threads resize would add the pack-buffer resizes
-  // of every worker seeing its first stripe.
+  // A multi-threaded dispatch is heap-free, and stays so whether or not
+  // a worker has ever run a GEMM: the worker warmup hook
+  // (hpc::set_worker_warmup, registered by the blocked GEMM) reserves
+  // the thread_local pack scratch when the team spins up, so the first
+  // GEMM dispatched into a fresh team costs exactly as many allocations
+  // as every later one. Without the hook, the first dispatch after a
+  // set_kernel_threads resize would add the pack-buffer resizes of every
+  // worker seeing its first stripe.
   constexpr std::size_t kDim = 128;  // 2*128^3 FLOPs: well over the
                                      // parallel_for engage threshold
   Matrix a(kDim, kDim), b(kDim, kDim), c(kDim, kDim);
@@ -368,7 +424,7 @@ TEST(AllocAudit, FirstGemmDispatchAfterResizeMatchesSteadyState) {
   EXPECT_EQ(first, steady)
       << "first GEMM dispatch into a fresh pool allocated beyond its "
          "steady state";
-  EXPECT_GT(steady, 0u);  // sanity: the MT dispatch itself does allocate
+  EXPECT_EQ(steady, 0u) << "a multi-threaded GEMM dispatch touched the heap";
 #endif
 }
 

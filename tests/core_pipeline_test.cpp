@@ -339,6 +339,42 @@ class ShardProbeEvaluator final : public hpc::ArchitectureEvaluator {
   std::vector<std::size_t> participants_;
 };
 
+/// Returns scripted rewards in call order (the driver's serial and
+/// one-worker orders are the ask order).
+class ScriptedEvaluator final : public hpc::ArchitectureEvaluator {
+ public:
+  explicit ScriptedEvaluator(std::vector<double> rewards)
+      : rewards_(std::move(rewards)) {}
+  hpc::EvalOutcome evaluate(const searchspace::Architecture& /*arch*/,
+                            std::uint64_t /*eval_seed*/) override {
+    return {.reward = rewards_.at(next_++)};
+  }
+  [[nodiscard]] bool thread_safe() const override { return true; }
+
+ private:
+  std::vector<double> rewards_;
+  std::atomic<std::size_t> next_{0};
+};
+
+TEST(NasDriver, DivergedFirstTrainingDoesNotPinBest) {
+  // A NaN first reward (a diverged training, retries off by default)
+  // must not become a best that nothing can beat: x > NaN is false.
+  const searchspace::StackedLSTMSpace space;
+  const std::vector<double> rewards = {
+      std::numeric_limits<double>::quiet_NaN(), 0.5, 0.3};
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel, 1 worker" : "serial");
+    ScriptedEvaluator evaluator(rewards);
+    search::RandomSearch rs(space, 3);
+    const LocalSearchResult result =
+        parallel ? run_local_search_parallel(rs, evaluator, 3, 1, 5)
+                 : run_local_search(rs, evaluator, 3, 5);
+    ASSERT_EQ(result.history.size(), 3u);
+    EXPECT_DOUBLE_EQ(result.best_reward, 0.5);
+    EXPECT_EQ(result.best.key(), result.history[1].arch.key());
+  }
+}
+
 TEST(NasDriver, WorkersRunKernelsOnPrivateShards) {
   // Every parallel-campaign worker gets a private kernel shard of
   // kernel_threads() / workers participants: with as many workers as

@@ -1,19 +1,23 @@
 // TSan-targeted stress tests for the concurrent evaluation stack
-// (DESIGN.md "Correctness tooling"): the shared kernel ThreadPool,
-// parallel_for reconfiguration under fire, the parallel local NAS
-// driver, threaded multi-agent PPO rounds, and concurrent
-// cluster-simulator campaigns sharing one evaluator. These
-// run in every flavor, but their purpose is the TSan preset — each test
-// creates genuine cross-thread contention on the exact structures a
-// scaled NAS campaign leans on.
+// (DESIGN.md "Correctness tooling"): the ThreadPool, concurrent
+// dispatchers sharing one kernel team, parallel_for reconfiguration
+// under fire, the parallel local NAS driver, threaded multi-agent PPO
+// rounds, and concurrent cluster-simulator campaigns sharing one
+// evaluator. These run in every flavor, but their purpose is the TSan
+// preset — each test creates genuine cross-thread contention on the
+// exact structures a scaled NAS campaign leans on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/eval_policy.hpp"
@@ -28,6 +32,8 @@
 #include "search/ppo.hpp"
 #include "search/random_search.hpp"
 #include "searchspace/space.hpp"
+#include "tensor/blas.hpp"
+#include "tensor/random.hpp"
 
 namespace geonas {
 namespace {
@@ -161,6 +167,63 @@ TEST(ParallelForStress, NestedDispatchFromConcurrentCallers) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(total.load(), kCallers * rounds * kOuter * kInner);
+}
+
+TEST(ParallelForStress, ConcurrentDispatchersShareOneTeam) {
+  // Four threads dispatch at once: two on the global team, two on one
+  // shared shard. A team runs one job at a time and a dispatch that
+  // finds it busy runs inline on its caller, so every dispatch must
+  // still cover its range exactly once, and a GEMM must give the serial
+  // bits however its rows were split.
+  KernelThreadsGuard guard(4);
+  hpc::PoolShard shared("shared", 4);
+  constexpr std::size_t kDim = 96;  // 2 * 96^3 flops: over the threshold
+  constexpr std::size_t kN = 1009;
+  Matrix a(kDim, kDim), b(kDim, kDim), want(kDim, kDim);
+  Rng rng(21);
+  for (double& v : a.flat()) v = rng.uniform(-1.0, 1.0);
+  for (double& v : b.flat()) v = rng.uniform(-1.0, 1.0);
+  const auto gemm = [&a, &b](Matrix& c) {
+    gemm_raw(Trans::kNone, Trans::kNone, kDim, kDim, kDim, 1.0,
+             std::as_const(a).flat().data(), kDim,
+             std::as_const(b).flat().data(), kDim, 0.0, c.flat().data(),
+             kDim);
+  };
+  {
+    hpc::PoolShard solo("solo", 1);
+    const hpc::ScopedPoolShard serial(solo);
+    gemm(want);
+  }
+
+  const std::size_t rounds = 40 * kScale;
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> dispatchers;
+  for (std::size_t d = 0; d < 4; ++d) {
+    dispatchers.emplace_back([&, d] {
+      std::optional<hpc::ScopedPoolShard> scope;
+      if (d % 2 == 1) scope.emplace(shared);
+      Matrix c(kDim, kDim);
+      std::vector<int> visits(kN);
+      for (std::size_t r = 0; r < rounds; ++r) {
+        std::fill(visits.begin(), visits.end(), 0);
+        hpc::parallel_for(0, kN, kAboveThreshold, 1 + d,
+                          [&visits](std::size_t lo, std::size_t hi) {
+                            for (std::size_t i = lo; i < hi; ++i) ++visits[i];
+                          });
+        for (const int v : visits) {
+          if (v != 1) failed.store(true);
+        }
+        gemm(c);
+        if (std::memcmp(std::as_const(c).flat().data(),
+                        std::as_const(want).flat().data(),
+                        kDim * kDim * sizeof(double)) != 0) {
+          failed.store(true);
+        }
+      }
+    });
+  }
+  for (auto& t : dispatchers) t.join();
+  EXPECT_FALSE(failed.load());
 }
 
 TEST(NasDriverStress, ParallelLocalSearchSharedEvaluator) {

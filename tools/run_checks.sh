@@ -9,6 +9,7 @@
 #                                  run + release alloc audit + ASan+UBSan
 #                                  tier-1 suite + TSan over the threaded
 #                                  kernel layer (determinism + vmath +
+#                                  kernel team + pool shards +
 #                                  hpc stress + memoizer + serve suites +
 #                                  concurrent simulator campaigns +
 #                                  recurrent layers, trainer, NAS driver,
@@ -37,7 +38,7 @@ while [[ $# -gt 0 ]]; do
     --quick) quick=1 ;;
     --analyze) analyze_only=1 ;;
     --jobs) jobs="$2"; shift ;;
-    -h|--help) sed -n '2,19p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,20p' "$0"; exit 0 ;;
     *) echo "run_checks: unknown argument: $1" >&2; exit 2 ;;
   esac
   shift
@@ -147,7 +148,10 @@ run_flavor asan
 if [[ $quick -eq 1 ]]; then
   # Pre-merge TSan slice: the suites that exercise the kernel pool from
   # multiple threads (vmath spans, GEMM splits, recurrent fused kernels,
-  # stress rigs), the observability registry, which is written by
+  # stress rigs — ParallelFor* covers the kernel team's job slot, worker
+  # flags and completion count, including concurrent dispatchers and the
+  # wake-up after parking), PoolShard* the shards' private teams, the
+  # observability registry, which is written by
   # kernel-pool and driver worker threads while an exporter reads it —
   # races there corrupt every NAS reward / telemetry report downstream —
   # and the memoizer stress suite (concurrent evaluate vs checkpoint
@@ -166,7 +170,7 @@ if [[ $quick -eq 1 ]]; then
   # PPOStress runs PPO agents that sample and compute gradients
   # concurrently against one shared evaluator between per-round joins.
   run_flavor tsan \
-    '^(Determinism|Vmath|ParallelFor|ThreadPool|Obs|Memoizer|Serve|Prepack|Net|SST|ClusterSimStress|PPOStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
+    '^(Determinism|Vmath|ParallelFor|PoolShard|ThreadPool|Obs|Memoizer|Serve|Prepack|Net|SST|ClusterSimStress|PPOStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
   run_analyze_smoke
 else
   run_flavor tsan
