@@ -109,8 +109,7 @@ void BM_ServeEngineThroughput(benchmark::State& state) {
   serve::ServeEngine engine(table2_plan(32),
                             {.streams = streams,
                              .max_delay_seconds = 0.0002,
-                             .queue_capacity = 4096,
-                             .shard_threads = 1});
+                             .queue_capacity = 4096});
   Rng rng(29);
   std::vector<std::vector<double>> windows(64);
   for (auto& w : windows) {
@@ -144,8 +143,7 @@ void BM_ServeEngineUnbatched(benchmark::State& state) {
   serve::ServeEngine engine(table2_plan(1),
                             {.streams = 1,
                              .max_delay_seconds = 0.0,
-                             .queue_capacity = 4096,
-                             .shard_threads = 1});
+                             .queue_capacity = 4096});
   Rng rng(31);
   std::vector<double> window(kSteps * kModes);
   for (double& v : window) v = rng.uniform(-2.0, 2.0);

@@ -3,8 +3,8 @@
 // Reproduces the paper's §IV-D methodology at arbitrary node counts: runs
 // AE, RL and RS campaigns of a chosen simulated wall time and reports
 // utilization, throughput and search quality. Also demonstrates the real
-// shared-memory path: the same aging-evolution search executed by a
-// ThreadPool of workers with genuinely concurrent evaluations.
+// shared-memory path: the same aging-evolution search executed by worker
+// shards (hpc::PoolShard) with genuinely concurrent evaluations.
 //
 // Usage: scaling_study [nodes] [minutes] [metrics-out]
 // (defaults: 128, 180, no telemetry). With a third argument, the whole
@@ -18,7 +18,6 @@
 #include "core/surrogate.hpp"
 #include "hpc/cluster_sim.hpp"
 #include "hpc/parallel_for.hpp"
-#include "hpc/thread_pool.hpp"
 #include "obs/json_export.hpp"
 #include "obs/metrics.hpp"
 #include "search/aging_evolution.hpp"
@@ -71,7 +70,8 @@ int main(int argc, char** argv) {
 
   // Real shared-memory workers: the asynchronous campaign pattern executed
   // by actual threads (the surrogate stands in for per-node trainings).
-  std::printf("\nreal ThreadPool campaign (4 workers, 2000 evaluations):\n");
+  std::printf("\nreal parallel campaign (4 worker shards, 2000 "
+              "evaluations):\n");
   search::AgingEvolution ae_local(space, {.population_size = 100,
                                           .sample_size = 10, .seed = 13});
   const core::LocalSearchResult local =

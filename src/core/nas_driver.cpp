@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/thread_annotations.hpp"
 #include "hpc/parallel_for.hpp"
+#include "hpc/thread_pool.hpp"
 #include "io/atomic_file.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/random.hpp"
@@ -23,47 +27,6 @@ constexpr const char* kCheckpointMagic = "GEONASC1";
 //     (between the failure counter and the method state).
 constexpr std::uint32_t kCheckpointVersion = 2;
 constexpr std::uint32_t kCheckpointMinVersion = 1;
-
-/// Evaluator stack for one campaign: inner evaluator, optionally wrapped
-/// by the retry policy, optionally wrapped by the memoization cache (in
-/// that order — a cache hit skips the retry machinery). With both
-/// features off the raw evaluator is used and behaviour is unchanged.
-struct EvalStack {
-  RetryingEvaluator retrying;
-  MemoizingEvaluator memo;
-  hpc::ArchitectureEvaluator* active;
-  bool memoized;
-
-  EvalStack(hpc::ArchitectureEvaluator& inner,
-            const SearchRunOptions& options)
-      : retrying(inner, options.retry),
-        memo(options.retry.enabled()
-                 ? static_cast<hpc::ArchitectureEvaluator&>(retrying)
-                 : inner),
-        active(options.retry.enabled()
-                   ? static_cast<hpc::ArchitectureEvaluator*>(&retrying)
-                   : &inner),
-        memoized(options.memoize) {
-    if (memoized) active = &memo;
-  }
-  void harvest(LocalSearchResult& result) const {
-    if (retrying.policy().enabled()) {
-      result.eval_retries = retrying.retries();
-      result.eval_failures = retrying.failures();
-    }
-    if (memoized) {
-      result.cache_hits = memo.hits();
-      result.cache_misses = memo.misses();
-    }
-  }
-  /// What the checkpoint writer should serialize (nullptr = no cache).
-  [[nodiscard]] const MemoizingEvaluator* checkpoint_memo() const {
-    return memoized ? &memo : nullptr;
-  }
-  [[nodiscard]] MemoizingEvaluator* resume_memo() {
-    return memoized ? &memo : nullptr;
-  }
-};
 
 /// True when `reward` becomes the campaign's best: the first reward
 /// always does; after it, a finite reward beats a non-finite best and a
@@ -175,8 +138,9 @@ std::size_t load_search_checkpoint(search::SearchMethod& method,
     throw std::runtime_error(
         "load_search_checkpoint: implausible completed-evaluation count");
   }
+  // No reserve() from file counts: a hostile count must fail on the
+  // stream, not in the allocator.
   LocalSearchResult loaded;
-  loaded.history.reserve(static_cast<std::size_t>(completed));
   for (std::uint64_t i = 0; i < completed; ++i) {
     LocalEval eval;
     eval.arch = search::read_architecture(reader);
@@ -197,7 +161,6 @@ std::size_t load_search_checkpoint(search::SearchMethod& method,
       throw std::runtime_error(
           "load_search_checkpoint: implausible cache entry count");
     }
-    entries.reserve(static_cast<std::size_t>(cached));
     for (std::uint64_t i = 0; i < cached; ++i) {
       MemoizingEvaluator::Entry entry;
       entry.key = reader.str("cache key", 4096);
@@ -217,45 +180,174 @@ std::size_t load_search_checkpoint(search::SearchMethod& method,
   return state.history.size();
 }
 
+namespace {
+
+/// One campaign's state and the worker loop both drivers run: the
+/// serial driver once on the calling thread, the parallel one on every
+/// worker's shard. ask/tell are serialized; evaluations overlap.
+///
+/// Evaluator stack: the inner evaluator, optionally wrapped by the retry
+/// policy, optionally wrapped by the memoization cache (in that order —
+/// a cache hit skips the retry machinery). With both features off the
+/// raw evaluator is used and behaviour is unchanged.
+///
+/// Lock hierarchy (DESIGN.md): method_mutex_ acquires before
+/// result_mutex_, never the reverse, so tell and the checkpoint writer
+/// can never deadlock.
+class Campaign {
+ public:
+  Campaign(search::SearchMethod& method, hpc::ArchitectureEvaluator& inner,
+           std::size_t evaluations, std::uint64_t seed,
+           const SearchRunOptions& options)
+      : method_(&method),
+        retrying_(inner, options.retry),
+        retried_(options.retry.enabled()
+                     ? static_cast<hpc::ArchitectureEvaluator&>(retrying_)
+                     : inner),
+        memo_(retried_),
+        evaluator_(options.memoize ? memo_ : retried_),
+        options_(options),
+        evaluations_(evaluations),
+        seed_(seed) {
+    result_.best_reward = -1e300;
+    if (options.resume) {
+      issued_ = load_search_checkpoint(method, result_, seed,
+                                       options.checkpoint_path, memo());
+    }
+  }
+
+  /// Asks, evaluates, tells and records until every evaluation has been
+  /// issued, checkpointing at the configured cadence.
+  void worker_loop() GEONAS_EXCLUDES(method_mutex_, result_mutex_) {
+    obs::MetricsRegistry* reg = obs::registry();
+    const obs::ScopedTimer worker_span(reg, "search.worker");
+    obs::StopWatch busy_watch;
+    double busy_seconds = 0.0;
+    const obs::StopWatch worker_watch;
+    for (;;) {
+      searchspace::Architecture arch;
+      std::uint64_t eval_seed = 0;
+      {
+        core::MutexLock lock(method_mutex_);
+        if (issued_ >= evaluations_) break;
+        eval_seed = hash_combine(seed_, issued_++);
+        arch = method_->ask();
+      }
+      if (reg != nullptr) reg->counter("search.evals_started").add(1);
+      busy_watch.reset();
+      const hpc::EvalOutcome outcome = evaluator_.evaluate(arch, eval_seed);
+      busy_seconds += busy_watch.seconds();
+      core::MutexLock method_lock(method_mutex_);
+      core::MutexLock result_lock(result_mutex_);
+      method_->tell(arch, outcome.reward);
+      record_outcome(result_, std::move(arch), outcome);
+      harvest();
+      if (options_.checkpoint_every > 0 &&
+          result_.history.size() % options_.checkpoint_every == 0) {
+        checkpoint();
+      }
+    }
+    if (reg != nullptr) {
+      const double wall = worker_watch.seconds();
+      reg->histogram("driver.worker_busy_fraction")
+          .observe(wall > 0.0 ? busy_seconds / wall : 0.0);
+    }
+  }
+
+  /// Harvests the evaluator counters and writes the final checkpoint;
+  /// call once every worker has returned.
+  LocalSearchResult finish() GEONAS_EXCLUDES(method_mutex_, result_mutex_) {
+    core::MutexLock method_lock(method_mutex_);
+    core::MutexLock result_lock(result_mutex_);
+    harvest();
+    checkpoint();
+    return std::move(result_);
+  }
+
+ private:
+  /// The cache a checkpoint carries (null when memoization is off).
+  MemoizingEvaluator* memo() { return options_.memoize ? &memo_ : nullptr; }
+
+  void harvest() GEONAS_REQUIRES(result_mutex_) {
+    if (options_.retry.enabled()) {
+      result_.eval_retries = retrying_.retries();
+      result_.eval_failures = retrying_.failures();
+    }
+    if (options_.memoize) {
+      result_.cache_hits = memo_.hits();
+      result_.cache_misses = memo_.misses();
+    }
+  }
+
+  void checkpoint() GEONAS_REQUIRES(method_mutex_, result_mutex_) {
+    if (options_.checkpoint_path.empty()) return;
+    save_search_checkpoint(*method_, result_, seed_, options_.checkpoint_path,
+                           memo());
+  }
+
+  core::Mutex method_mutex_;  // the "coordinator"
+  core::Mutex result_mutex_;
+  search::SearchMethod* const method_ GEONAS_PT_GUARDED_BY(method_mutex_);
+  std::size_t issued_ GEONAS_GUARDED_BY(method_mutex_) = 0;
+  LocalSearchResult result_ GEONAS_GUARDED_BY(result_mutex_);
+  RetryingEvaluator retrying_;
+  hpc::ArchitectureEvaluator& retried_;  // retrying_ or the inner evaluator
+  MemoizingEvaluator memo_;
+  hpc::ArchitectureEvaluator& evaluator_;  // the top of the stack
+  const SearchRunOptions& options_;
+  const std::size_t evaluations_;
+  const std::uint64_t seed_;
+};
+
+/// Runs a campaign on `shards` worker shards, or on the calling thread
+/// when `shards` is 0.
+LocalSearchResult run_campaign(search::SearchMethod& method,
+                               hpc::ArchitectureEvaluator& evaluator,
+                               std::size_t evaluations, std::uint64_t seed,
+                               const SearchRunOptions& options,
+                               std::size_t shards) {
+  Campaign campaign(method, evaluator, evaluations, seed, options);
+  obs::MetricsRegistry* reg = obs::registry();
+  const obs::ScopedTimer campaign_span(reg, "search.campaign");
+  if (reg != nullptr) {
+    reg->gauge("driver.workers")
+        .set(static_cast<double>(std::max<std::size_t>(shards, 1)));
+  }
+  if (shards == 0) {
+    campaign.worker_loop();
+    return campaign.finish();
+  }
+  // Each worker's shard gets its share of the kernel budget. With as
+  // many workers as kernel threads every shard has one participant and
+  // every campaign kernel runs inline on its worker.
+  const std::size_t participants =
+      std::max<std::size_t>(1, hpc::kernel_threads() / shards);
+  std::vector<std::unique_ptr<hpc::PoolShard>> workers;
+  workers.reserve(shards);
+  for (std::size_t w = 0; w < shards; ++w) {
+    std::string name = "w";
+    name += std::to_string(w);
+    workers.push_back(std::make_unique<hpc::PoolShard>(
+        std::move(name), participants,
+        [&campaign] { campaign.worker_loop(); }));
+  }
+  std::exception_ptr error;
+  for (const auto& worker : workers) {
+    std::exception_ptr e = worker->join();
+    if (!error) error = std::move(e);
+  }
+  if (error) std::rethrow_exception(error);
+  return campaign.finish();
+}
+
+}  // namespace
+
 LocalSearchResult run_local_search(search::SearchMethod& method,
                                    hpc::ArchitectureEvaluator& evaluator,
                                    std::size_t evaluations,
                                    std::uint64_t seed,
                                    const SearchRunOptions& options) {
-  EvalStack stack(evaluator, options);
-
-  LocalSearchResult result;
-  result.best_reward = -1e300;
-  std::size_t start = 0;
-  if (options.resume) {
-    start = load_search_checkpoint(method, result, seed,
-                                   options.checkpoint_path,
-                                   stack.resume_memo());
-  }
-
-  obs::MetricsRegistry* reg = obs::registry();
-  const obs::ScopedTimer campaign_span(reg, "search.campaign");
-  if (reg != nullptr) reg->gauge("driver.workers").set(1.0);
-
-  for (std::size_t i = start; i < evaluations; ++i) {
-    searchspace::Architecture arch = method.ask();
-    if (reg != nullptr) reg->counter("search.evals_started").add(1);
-    const auto outcome = stack.active->evaluate(arch, hash_combine(seed, i));
-    method.tell(arch, outcome.reward);
-    record_outcome(result, std::move(arch), outcome);
-    stack.harvest(result);
-    if (!options.checkpoint_path.empty() && options.checkpoint_every > 0 &&
-        result.history.size() % options.checkpoint_every == 0) {
-      save_search_checkpoint(method, result, seed, options.checkpoint_path,
-                             stack.checkpoint_memo());
-    }
-  }
-  stack.harvest(result);
-  if (!options.checkpoint_path.empty()) {
-    save_search_checkpoint(method, result, seed, options.checkpoint_path,
-                           stack.checkpoint_memo());
-  }
-  return result;
+  return run_campaign(method, evaluator, evaluations, seed, options, 0);
 }
 
 LocalSearchResult run_local_search_parallel(
@@ -269,104 +361,7 @@ LocalSearchResult run_local_search_parallel(
   if (workers == 0) {
     throw std::invalid_argument("run_local_search_parallel: zero workers");
   }
-  EvalStack stack(evaluator, options);
-
-  LocalSearchResult result;
-  result.best_reward = -1e300;
-  // Lock hierarchy (DESIGN.md): method_mutex acquires before result_mutex,
-  // never the reverse. Thread-safety analysis cannot attach GUARDED_BY to
-  // the captured locals below, so the ordering contract lives here and in
-  // the acquisition sites.
-  // geonas-lint: allow(mutex-needs-annotation) local capability; guarded state (method, issued) is stack-captured, not a member
-  core::Mutex method_mutex;  // serializes ask/tell (the "coordinator")
-  // geonas-lint: allow(mutex-needs-annotation) local capability; guarded state (result) is stack-captured, not a member
-  core::Mutex result_mutex;
-  std::size_t issued = 0;
-  if (options.resume) {
-    issued = load_search_checkpoint(method, result, seed,
-                                    options.checkpoint_path,
-                                    stack.resume_memo());
-  }
-
-  obs::MetricsRegistry* reg = obs::registry();
-  const obs::ScopedTimer campaign_span(reg, "search.campaign");
-  if (reg != nullptr) {
-    reg->gauge("driver.workers").set(static_cast<double>(workers));
-  }
-  // One private kernel pool shard per worker, sized to the worker's
-  // share of the kernel budget (declared before the worker pool so every
-  // dispatched kernel drains before the shards die). With as many
-  // workers as kernel threads every shard has one participant and every
-  // campaign kernel runs inline on its worker.
-  const std::size_t shard_threads =
-      std::max<std::size_t>(1, hpc::kernel_threads() / workers);
-  std::vector<std::unique_ptr<hpc::PoolShard>> shards;
-  shards.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    std::string shard_name = "w";
-    shard_name += std::to_string(w);
-    shards.push_back(
-        std::make_unique<hpc::PoolShard>(std::move(shard_name), shard_threads));
-    shards.back()->register_metrics();
-  }
-  hpc::ThreadPool pool(workers);
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    futures.push_back(pool.submit([&, w] {
-      // Every parallel_for under an evaluation dispatches on the
-      // worker's private shard.
-      const hpc::ScopedPoolShard shard_scope(*shards[w]);
-      const obs::ScopedTimer worker_span(reg, "search.worker");
-      obs::StopWatch busy_watch;
-      double busy_seconds = 0.0;
-      const obs::StopWatch worker_watch;
-      for (;;) {
-        searchspace::Architecture arch;
-        std::uint64_t eval_seed = 0;
-        {
-          core::MutexLock lock(method_mutex);
-          if (issued >= evaluations) {
-            if (reg != nullptr) {
-              const double wall = worker_watch.seconds();
-              reg->histogram("driver.worker_busy_fraction")
-                  .observe(wall > 0.0 ? busy_seconds / wall : 0.0);
-            }
-            return;
-          }
-          eval_seed = hash_combine(seed, issued++);
-          arch = method.ask();
-        }
-        if (reg != nullptr) reg->counter("search.evals_started").add(1);
-        busy_watch.reset();
-        const auto outcome = stack.active->evaluate(arch, eval_seed);
-        busy_seconds += busy_watch.seconds();
-        // Lock order is always method -> result (tell and checkpoint
-        // both honor it), so the pair can never deadlock. Sequential
-        // acquisition in hierarchy order replaces scoped_lock's runtime
-        // deadlock avoidance with the statically documented order.
-        core::MutexLock method_lock(method_mutex);
-        core::MutexLock result_lock(result_mutex);
-        method.tell(arch, outcome.reward);
-        record_outcome(result, std::move(arch), outcome);
-        stack.harvest(result);
-        if (!options.checkpoint_path.empty() &&
-            options.checkpoint_every > 0 &&
-            result.history.size() % options.checkpoint_every == 0) {
-          save_search_checkpoint(method, result, seed,
-                                 options.checkpoint_path,
-                                 stack.checkpoint_memo());
-        }
-      }
-    }));
-  }
-  for (auto& f : futures) f.get();
-  stack.harvest(result);
-  if (!options.checkpoint_path.empty()) {
-    save_search_checkpoint(method, result, seed, options.checkpoint_path,
-                           stack.checkpoint_memo());
-  }
-  return result;
+  return run_campaign(method, evaluator, evaluations, seed, options, workers);
 }
 
 }  // namespace geonas::core

@@ -1,10 +1,11 @@
 // Local NAS campaign driver.
 //
 // Runs an ask/tell search against an evaluator on the local machine —
-// serially, or genuinely in parallel on a ThreadPool where each pool
-// thread behaves like an asynchronous Theta worker (ask -> evaluate ->
-// tell). Used by the examples and by benches that need "the best
-// architecture AE found" before post-training.
+// serially on the calling thread, or genuinely in parallel on worker
+// shards (hpc::PoolShard), each behaving like an asynchronous Theta
+// worker. Both drivers run one worker loop: ask -> evaluate -> tell ->
+// record -> checkpoint cadence. Used by the examples and by benches that
+// need "the best architecture AE found" before post-training.
 //
 // Campaigns are fault-tolerant and resumable: a SearchRunOptions can
 // attach a retry/timeout policy (failing evaluations are retried with a
@@ -22,7 +23,6 @@
 
 #include "core/eval_policy.hpp"
 #include "hpc/evaluator.hpp"
-#include "hpc/thread_pool.hpp"
 #include "search/search_method.hpp"
 
 namespace geonas::core {
@@ -67,7 +67,8 @@ struct SearchRunOptions {
   bool memoize = false;
 };
 
-/// Runs `evaluations` sequential ask/evaluate/tell cycles.
+/// Runs `evaluations` sequential ask/evaluate/tell cycles on the calling
+/// thread; its kernels dispatch on the global pool.
 [[nodiscard]] LocalSearchResult run_local_search(
     search::SearchMethod& method, hpc::ArchitectureEvaluator& evaluator,
     std::size_t evaluations, std::uint64_t seed = 0,
@@ -76,11 +77,12 @@ struct SearchRunOptions {
 /// Same, with `workers` concurrent evaluations (evaluator must be
 /// thread_safe()). ask/tell are serialized; evaluations overlap — the
 /// shared-memory equivalent of the paper's asynchronous AE/RS campaigns.
-/// Every worker runs its kernels on a private hpc::PoolShard of
-/// max(1, kernel_threads() / workers) participants, bound for the
-/// worker's lifetime, so concurrent evaluations split the kernel budget
-/// instead of queueing their chunks behind each other on the global
-/// pool; each shard exports "kernel.shard.w<idx>.*" metrics.
+/// Every worker is an hpc::PoolShard ("w<idx>") of
+/// max(1, kernel_threads() / workers) participants, so concurrent
+/// evaluations split the kernel budget instead of queueing their chunks
+/// behind each other on the global pool; each shard exports
+/// "kernel.shard.w<idx>.*" metrics. A worker's exception is rethrown
+/// once every worker has returned (the first by worker index).
 /// Checkpoint/resume works here too, but completion order (and therefore
 /// the resumed trajectory) depends on thread timing; only the serial
 /// driver guarantees bitwise-identical resumption.

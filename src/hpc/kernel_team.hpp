@@ -16,7 +16,8 @@
 // their workers awake; past it, an idle team costs no CPU.
 //
 // A team runs one job at a time. A dispatch that finds it busy (two
-// threads dispatching on one pool at once) does not wait: parallel_for
+// threads dispatching on the global pool at once; a shard's team has
+// one dispatching thread, the shard's own) does not wait: parallel_for
 // runs that range inline on its caller, as it runs a nested dispatch.
 #pragma once
 

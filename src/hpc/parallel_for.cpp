@@ -30,10 +30,6 @@ KernelPoolState& state() {
   return s;
 }
 
-// Shard bound by ScopedPoolShard; dispatches without an explicit shard
-// resolve through this before falling back to the global pool.
-thread_local PoolShard* t_bound_shard = nullptr;
-
 std::size_t configured_threads_locked(KernelPoolState& s)
     GEONAS_REQUIRES(s.mutex) {
   return s.configured == 0 ? hardware_threads() : s.configured;
@@ -75,12 +71,6 @@ constexpr MetricViews kGlobalMetrics{
     "kernel.dispatches", "kernel.chunks", "kernel.queue_depth",
     "kernel.chunk_seconds", "kernel.worker_busy_seconds"};
 
-MetricViews shard_metrics(const PoolShard& shard) {
-  const PoolShard::MetricNames& n = shard.metric_names();
-  return {n.dispatches, n.chunks, n.queue_depth, n.chunk_seconds,
-          n.worker_busy_seconds};
-}
-
 }  // namespace
 
 std::size_t kernel_threads() noexcept {
@@ -103,17 +93,8 @@ void set_kernel_threads(std::size_t threads) {
   // performs the join.
 }
 
-PoolShard* current_pool_shard() noexcept { return t_bound_shard; }
-
-ScopedPoolShard::ScopedPoolShard(PoolShard& shard) noexcept
-    : previous_(t_bound_shard) {
-  t_bound_shard = &shard;
-}
-
-ScopedPoolShard::~ScopedPoolShard() { t_bound_shard = previous_; }
-
 void parallel_for(std::size_t begin, std::size_t end, double cost_flops,
-                  std::size_t grain, KernelBody body, PoolShard* shard) {
+                  std::size_t grain, KernelBody body) {
   if (begin >= end) return;
   if (cost_flops < kParallelMinFlops || in_kernel_chunk()) {
     body(begin, end);
@@ -125,11 +106,12 @@ void parallel_for(std::size_t begin, std::size_t end, double cost_flops,
   KernelTeam* team = nullptr;
   std::shared_ptr<KernelTeam> global_team;  // keeps a retiring team alive
   MetricViews metrics = kGlobalMetrics;
-  if (shard == nullptr) shard = t_bound_shard;
-  if (shard != nullptr) {
+  if (PoolShard* shard = current_pool_shard()) {
     participants = shard->participants();
     team = shard->pool();
-    metrics = shard_metrics(*shard);
+    const PoolShard::MetricNames& n = shard->metric_names();
+    metrics = {n.dispatches, n.chunks, n.queue_depth, n.chunk_seconds,
+               n.worker_busy_seconds};
   } else {
     global_team = acquire_team(participants);
     team = global_team.get();
@@ -145,8 +127,9 @@ void parallel_for(std::size_t begin, std::size_t end, double cost_flops,
   // serial fast path above pays nothing even with metrics enabled).
   // `reg` stays valid through the join because the obs lifetime
   // contract requires quiescence before registry teardown. A dispatch
-  // that finds the team busy runs its range as one inline chunk and
-  // observes one job ahead of it in kernel.queue_depth.
+  // that finds the global team busy runs its range as one inline chunk
+  // and observes one job ahead of it in kernel.queue_depth (a shard's
+  // team has one dispatching thread, so it is never found busy).
   obs::MetricsRegistry* reg = obs::registry();
   const bool claimed = team->try_acquire();
   if (reg != nullptr) {

@@ -12,13 +12,13 @@
 // can pin a thread count. A dispatch allocates nothing: the team's one
 // job slot holds the body, the range, the grain and the chunk count.
 //
-// Pool sharding: concurrent campaign/evaluation streams can each own a
-// PoolShard (hpc/thread_pool.hpp) with a team of its own instead of
-// contending for the global one. Resolution order per dispatch:
-// explicit `shard` argument, then the thread-bound shard
-// (ScopedPoolShard), then the global pool. A team runs one job at a
-// time; a dispatch that finds it busy runs its range inline on the
-// caller, as a nested dispatch does.
+// Pool sharding: a concurrent worker runs on a PoolShard
+// (hpc/thread_pool.hpp), which owns the worker's thread and a team of
+// its own. A dispatch picks its pool from the calling thread alone: that
+// thread's shard, else the global pool. A team runs one job at a time; a
+// dispatch that finds the global team busy (two unsharded threads
+// dispatching at once) runs its range inline on the caller, as a nested
+// dispatch does. A shard's team has one dispatching thread, its own.
 //
 // Re-entrancy: a parallel_for issued from inside any chunk of a
 // dispatched parallel_for (on a team worker or on the dispatching
@@ -102,49 +102,30 @@ inline constexpr double kParallelMinFlops = 1.0e6;
 /// the join, outside the configuration lock. Does not affect PoolShards.
 void set_kernel_threads(std::size_t threads);
 
-/// Runs body(lo, hi) over a partition of [begin, end).
+/// Runs body(lo, hi) over a partition of [begin, end), on the calling
+/// thread's shard when it has one, else on the global pool.
 ///
 /// `cost_flops` is the arithmetic cost of the whole range; when it is
-/// below kParallelMinFlops, the resolved participant count is 1, or the
-/// call is issued from inside a chunk of a dispatched parallel_for, the
-/// body runs inline as body(begin, end). Otherwise the range is split
-/// into near-equal chunks whose sizes are multiples of `grain` (except
-/// the last), one chunk per participant; the caller executes the last
-/// chunk itself. When the resolved team is busy with another caller's
-/// dispatch, the body runs inline as one chunk instead.
+/// below kParallelMinFlops, the pool has one participant, or the call is
+/// issued from inside a chunk of a dispatched parallel_for, the body
+/// runs inline as body(begin, end). Otherwise the range is split into
+/// near-equal chunks whose sizes are multiples of `grain` (except the
+/// last), one chunk per participant; the caller executes the last chunk
+/// itself. When the global team is busy with another caller's dispatch,
+/// the body runs inline as one chunk instead.
 /// The partition depends only on (range, participant count, grain), so a
 /// body that is deterministic per index stays deterministic. The first
 /// exception a chunk throws is rethrown after every chunk has finished.
-///
-/// `shard` selects the pool: non-null dispatches on that shard; null
-/// falls back to the thread-bound shard (ScopedPoolShard), then the
-/// global pool.
 void parallel_for(std::size_t begin, std::size_t end, double cost_flops,
-                  std::size_t grain, KernelBody body,
-                  PoolShard* shard = nullptr);
+                  std::size_t grain, KernelBody body);
 
 inline void parallel_for(std::size_t begin, std::size_t end,
                          double cost_flops, KernelBody body) {
   parallel_for(begin, end, cost_flops, 1, body);
 }
 
-/// The shard bound to the current thread (null when unbound).
+/// The calling thread's shard (null on a thread no shard started).
 [[nodiscard]] PoolShard* current_pool_shard() noexcept;
-
-/// Binds `shard` to the current thread for the scope's duration: every
-/// parallel_for without an explicit shard dispatches on it. Nests
-/// (restores the previous binding on destruction).
-class ScopedPoolShard {
- public:
-  explicit ScopedPoolShard(PoolShard& shard) noexcept;
-  ~ScopedPoolShard();
-
-  ScopedPoolShard(const ScopedPoolShard&) = delete;
-  ScopedPoolShard& operator=(const ScopedPoolShard&) = delete;
-
- private:
-  PoolShard* previous_;
-};
 
 /// Pre-registers the global kernel pool's obs instruments
 /// (kernel.dispatches, kernel.chunks, kernel.queue_depth,

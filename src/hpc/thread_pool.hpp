@@ -1,26 +1,24 @@
 // Real shared-memory parallel primitives.
 //
 // Beyond the discrete-event simulator, geonas runs genuinely parallel
-// work on the local machine: a FIFO ThreadPool for long-running tasks
-// (the serve engine's stream loops, the parallel campaign's workers),
-// PoolShards, which give one such stream a private kernel team
-// (hpc/kernel_team.hpp) for its parallel_for dispatches, and a bounded
-// Channel for send/recv between threads. Kernel fork-joins never go
-// through the ThreadPool: a queued, future-returning task costs a heap
-// allocation and a futex wake-up per chunk. The RL agents' gradient
-// reduction is search::all_reduce_mean_gradients, called at each
-// synchronous round's join.
+// work on the local machine through two primitives. A PoolShard is one
+// concurrent worker (a parallel campaign's worker, a serve stream): it
+// starts and owns the thread that runs its body, and every parallel_for
+// issued from that thread dispatches on the shard's private kernel team
+// (hpc/kernel_team.hpp). A bounded Channel carries send/recv between
+// threads. The RL agents' gradient reduction is
+// search::all_reduce_mean_gradients, called at each synchronous round's
+// join.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/thread_annotations.hpp"
 
@@ -28,77 +26,36 @@ namespace geonas::hpc {
 
 class KernelTeam;  // hpc/kernel_team.hpp
 
-/// Fixed-size pool executing submitted tasks FIFO.
+/// One concurrent worker with a private share of the kernel threads.
 ///
-/// Shutdown contract: the destructor drains the queue and joins every
-/// worker, even when tasks threw — submit() stores task exceptions in
-/// the returned future, and the worker loop additionally refuses to let
-/// any exception escape the thread function (which would terminate the
-/// process and make the join unreachable).
-class ThreadPool {
- public:
-  explicit ThreadPool(std::size_t threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; returns a future for its result.
-  template <typename F>
-  std::future<std::invoke_result_t<F>> submit(F&& fn)
-      GEONAS_EXCLUDES(mutex_) {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    {
-      core::MutexLock lock(mutex_);
-      if (stopping_) {
-        throw std::runtime_error("ThreadPool: submit after shutdown");
-      }
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
- private:
-  void worker_loop() GEONAS_EXCLUDES(mutex_);
-
-  std::vector<std::thread> workers_;  // written only by the constructor
-  core::Mutex mutex_;
-  std::deque<std::function<void()>> queue_ GEONAS_GUARDED_BY(mutex_);
-  std::condition_variable cv_;
-  bool stopping_ GEONAS_GUARDED_BY(mutex_) = false;
-};
-
-/// Named, independently-owned kernel pool shard.
+/// The constructor starts one thread, which runs `body` once. That
+/// thread is bound to the shard for its whole life: every parallel_for
+/// it issues dispatches on the shard's team, so concurrent workers split
+/// the kernel budget instead of contending for the global team. The
+/// shard's obs instruments ("kernel.shard.<name>.{dispatches, chunks,
+/// queue_depth, chunk_seconds, worker_busy_seconds}") are registered at
+/// construction, and their names are built once so the dispatch path
+/// never concatenates strings.
 ///
-/// Concurrent campaign/evaluation streams that each run their own
-/// parallel GEMMs would contend on the single process-wide kernel team
-/// (a dispatch that finds a team busy runs inline). A PoolShard gives
-/// one stream a private team: pass it explicitly to parallel_for, or
-/// bind it to the current thread with ScopedPoolShard so every
-/// parallel_for issued underneath uses the shard automatically.
-///
-/// The shard must outlive every dispatch issued against it. Per-shard
-/// observability instruments ("kernel.shard.<name>.{dispatches, chunks,
-/// queue_depth, chunk_seconds, worker_busy_seconds}") have their names
-/// pre-built at construction so the dispatch path never concatenates
-/// strings.
+/// A shard cannot move (its thread holds `this`); keep it in a
+/// std::unique_ptr.
 class PoolShard {
  public:
-  /// `threads` is the total participant count including the dispatching
-  /// caller; 0 adopts the process-wide kernel_threads() setting at
-  /// construction time. A shard with one participant runs everything
-  /// inline (no worker threads are spawned).
-  explicit PoolShard(std::string name, std::size_t threads = 0);
+  /// `participants` counts the shard's own thread; with 1 there is no
+  /// team and every kernel runs inline. Throws std::invalid_argument
+  /// for 0.
+  PoolShard(std::string name, std::size_t participants,
+            std::function<void()> body);
+  /// Joins the thread; never throws (an exception join() did not hand
+  /// back is dropped).
   ~PoolShard();
 
   PoolShard(const PoolShard&) = delete;
   PoolShard& operator=(const PoolShard&) = delete;
+
+  /// Waits for the body to finish and hands back the exception it threw;
+  /// null when it returned normally, and on every later call.
+  std::exception_ptr join();
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t participants() const noexcept {
@@ -119,16 +76,13 @@ class PoolShard {
     return metrics_;
   }
 
-  /// Pre-registers the shard's obs instruments at zero in the installed
-  /// registry (no-op without one), so sidecars show the shard section
-  /// even before its first over-threshold dispatch.
-  void register_metrics() const;
-
  private:
   std::string name_;
   std::size_t participants_;
   std::unique_ptr<KernelTeam> team_;
   MetricNames metrics_;
+  std::exception_ptr error_;  // the body's, written by thread_
+  std::thread thread_;  // last: starts after, and is joined before, the rest
 };
 
 /// Bounded multi-producer multi-consumer channel (MPI-style mailbox).

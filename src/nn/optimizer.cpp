@@ -18,57 +18,23 @@ constexpr double kAdamFlopsPerElement = 20.0;
 
 }  // namespace
 
-Optimizer::Optimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads)
-    : params_(std::move(params)), grads_(std::move(grads)) {
-  if (params_.size() != grads_.size()) {
-    throw std::invalid_argument("Optimizer: parameter/gradient list mismatch");
-  }
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    if (params_[i] == nullptr || grads_[i] == nullptr ||
-        params_[i]->rows() != grads_[i]->rows() ||
-        params_[i]->cols() != grads_[i]->cols()) {
-      throw std::invalid_argument("Optimizer: parameter/gradient shape clash");
-    }
-  }
-}
-
-SGD::SGD(std::vector<Matrix*> params, std::vector<Matrix*> grads,
-         double learning_rate, double momentum)
-    : Optimizer(std::move(params), std::move(grads)),
-      lr_(learning_rate),
-      momentum_(momentum) {
-  if (momentum_ != 0.0) {
-    velocity_.reserve(params_.size());
-    for (const Matrix* p : params_) {
-      velocity_.emplace_back(p->rows(), p->cols());
-    }
-  }
-}
-
-void SGD::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto pf = params_[i]->flat();
-    const auto gf = grads_[i]->flat();
-    if (momentum_ != 0.0) {
-      auto vf = velocity_[i].flat();
-      for (std::size_t k = 0; k < pf.size(); ++k) {
-        vf[k] = momentum_ * vf[k] - lr_ * gf[k];
-        pf[k] += vf[k];
-      }
-    } else {
-      for (std::size_t k = 0; k < pf.size(); ++k) pf[k] -= lr_ * gf[k];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Matrix*> params, std::vector<Matrix*> grads,
            Config config)
-    : Optimizer(std::move(params), std::move(grads)), cfg_(config) {
+    : params_(std::move(params)), grads_(std::move(grads)), cfg_(config) {
+  if (params_.size() != grads_.size()) {
+    throw std::invalid_argument("Adam: parameter/gradient list mismatch");
+  }
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   offsets_.reserve(params_.size() + 1);
   offsets_.push_back(0);
-  for (const Matrix* p : params_) {
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    const Matrix* p = params_[i];
+    const Matrix* g = grads_[i];
+    if (p == nullptr || g == nullptr || p->rows() != g->rows() ||
+        p->cols() != g->cols()) {
+      throw std::invalid_argument("Adam: parameter/gradient shape clash");
+    }
     m_.emplace_back(p->rows(), p->cols());
     v_.emplace_back(p->rows(), p->cols());
     offsets_.push_back(offsets_.back() + p->size());

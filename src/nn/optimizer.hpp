@@ -1,9 +1,8 @@
-// First-order optimizers.
+// The training optimizer.
 //
-// Adam (Kingma & Ba) with the paper's hyperparameters (lr = 0.001) is the
-// training optimizer; plain SGD is kept for tests and the PPO policy
-// updates. Optimizers bind to a parameter/gradient list once and keep
-// per-parameter state (Adam moments) across steps.
+// Adam (Kingma & Ba) with the paper's hyperparameters (lr = 0.001). It
+// binds to a parameter/gradient list once and keeps the per-parameter
+// moments across steps.
 //
 // Adam's step is one kernel-pool fork-join over the concatenated
 // elements of every parameter. The update is elementwise and every
@@ -21,32 +20,7 @@
 
 namespace geonas::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Applies one update using the bound gradients. Call after backward().
-  virtual void step() = 0;
-
- protected:
-  Optimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads);
-
-  std::vector<Matrix*> params_;
-  std::vector<Matrix*> grads_;
-};
-
-class SGD final : public Optimizer {
- public:
-  SGD(std::vector<Matrix*> params, std::vector<Matrix*> grads,
-      double learning_rate, double momentum = 0.0);
-  void step() override;
-
- private:
-  double lr_;
-  double momentum_;
-  std::vector<Matrix> velocity_;
-};
-
-class Adam final : public Optimizer {
+class Adam {
  public:
   struct Config {
     double learning_rate = 1e-3;
@@ -57,11 +31,14 @@ class Adam final : public Optimizer {
     double weight_decay = 0.0;
   };
 
+  /// Throws std::invalid_argument when the lists differ in length or a
+  /// parameter and its gradient differ in shape.
   Adam(std::vector<Matrix*> params, std::vector<Matrix*> grads,
        Config config);
   Adam(std::vector<Matrix*> params, std::vector<Matrix*> grads)
       : Adam(std::move(params), std::move(grads), Config{}) {}
-  void step() override;
+  /// Applies one update using the bound gradients. Call after backward().
+  void step();
   void set_learning_rate(double lr) noexcept { cfg_.learning_rate = lr; }
   [[nodiscard]] double learning_rate() const noexcept {
     return cfg_.learning_rate;
@@ -76,6 +53,8 @@ class Adam final : public Optimizer {
     double* v;
   };
 
+  std::vector<Matrix*> params_;
+  std::vector<Matrix*> grads_;
   Config cfg_;
   long t_ = 0;
   std::vector<Matrix> m_;

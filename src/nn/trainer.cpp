@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "hpc/parallel_for.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
@@ -79,9 +78,6 @@ TrainHistory Trainer::fit(GraphNetwork& net, const ExampleSource& train,
   }
   if (val != nullptr && val->size() == 0) val = nullptr;
   const std::size_t bs = std::max<std::size_t>(1, cfg_.batch_size);
-  if (cfg_.kernel_threads != 0) {
-    hpc::set_kernel_threads(cfg_.kernel_threads);
-  }
 
   Adam optimizer(net.parameters(), net.gradients(),
                  {.learning_rate = cfg_.learning_rate,

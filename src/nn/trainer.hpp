@@ -10,6 +10,11 @@
 // forward_ref/backward_ref, so the steady-state step performs zero heap
 // allocation (see tests/alloc_audit_test.cpp). The classic tensor-pair
 // overload adapts through TensorPairSource.
+//
+// Kernel threads: fit() leaves the kernel pool as it finds it. Its
+// kernels dispatch on the calling thread's pool (a campaign worker's
+// shard, else the global pool); a caller that wants to pin the global
+// thread count calls hpc::set_kernel_threads itself.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +38,6 @@ struct TrainConfig {
   double lr_step_decay = 1.0;
   std::uint64_t seed = 42;       // shuffling seed
   bool shuffle = true;
-  /// Threads for the kernel-layer parallel_for (blocked GEMM splits).
-  /// 0 leaves the current process-wide setting untouched; any other
-  /// value pins hpc::set_kernel_threads before the first epoch.
-  std::size_t kernel_threads = 0;
 };
 
 struct TrainHistory {

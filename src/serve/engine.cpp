@@ -5,15 +5,12 @@
 #include <stdexcept>
 #include <utility>
 
-#include "hpc/parallel_for.hpp"
 #include "obs/metrics.hpp"
 
 namespace geonas::serve {
 
-ServeEngine::Stream::Stream(FrozenPlan p, std::string shard_name,
-                            std::size_t shard_threads)
+ServeEngine::Stream::Stream(FrozenPlan p)
     : plan(std::move(p)),
-      shard(std::move(shard_name), shard_threads),
       batch_input(plan.max_batch(), plan.steps(), plan.input_features()) {}
 
 ServeEngine::ServeEngine(FrozenPlan plan, ServeConfig config)
@@ -21,20 +18,15 @@ ServeEngine::ServeEngine(FrozenPlan plan, ServeConfig config)
       in_features_(plan.input_features()),
       out_features_(plan.output_features()),
       max_batch_(plan.max_batch()),
-      cfg_(config),
-      pool_(std::max<std::size_t>(config.streams, 1)) {
+      cfg_(config) {
   if (cfg_.queue_capacity == 0) {
     throw std::invalid_argument("ServeEngine: queue_capacity must be > 0");
   }
   const std::size_t n = std::max<std::size_t>(cfg_.streams, 1);
   stream_states_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    FrozenPlan stream_plan =
-        i + 1 < n ? plan.clone_stream() : std::move(plan);
     stream_states_.push_back(std::make_unique<Stream>(
-        std::move(stream_plan), "serve.stream" + std::to_string(i),
-        cfg_.shard_threads));
-    stream_states_.back()->shard.register_metrics();
+        i + 1 < n ? plan.clone_stream() : std::move(plan)));
   }
   // Pre-register the serve instruments so telemetry.json shows the
   // section before the first request (no-op without a registry).
@@ -47,10 +39,12 @@ ServeEngine::ServeEngine(FrozenPlan plan, ServeConfig config)
     reg->histogram("serve.batch_size");
     reg->histogram("serve.e2e_seconds");
   }
-  stream_done_.reserve(stream_states_.size());
-  for (auto& stream : stream_states_) {
-    Stream* s = stream.get();
-    stream_done_.push_back(pool_.submit([this, s] { stream_loop(*s); }));
+  shards_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Stream* stream = stream_states_[i].get();
+    shards_.push_back(std::make_unique<hpc::PoolShard>(
+        "serve.stream" + std::to_string(i), 1,
+        [this, stream] { stream_loop(*stream); }));
   }
 }
 
@@ -109,12 +103,10 @@ void ServeEngine::shutdown() {
   not_empty_.notify_all();
   not_full_.notify_all();
   // Drain protocol: each stream exits only once the queue is empty AND
-  // stopping_ is set, so waiting on the stream futures guarantees every
-  // accepted request was answered before shutdown() returns. (~ThreadPool
-  // would join too, but shutdown() promises drained-on-return mid-life.)
-  for (std::future<void>& done : stream_done_) {
-    done.wait();
-  }
+  // stopping_ is set, so joining the streams guarantees every accepted
+  // request was answered before shutdown() returns. A stream's exception
+  // is dropped: the promises of its batch are already broken.
+  for (const auto& shard : shards_) (void)shard->join();
 }
 
 std::size_t ServeEngine::queue_depth() const {
@@ -172,14 +164,9 @@ void ServeEngine::run_batch(Stream& stream, std::vector<Request>& batch) {
               gathered + i * window_len);
   }
 
-  const Tensor3* out = nullptr;
-  {
-    hpc::ScopedPoolShard bind(stream.shard);
-    out = &stream.plan.run(stream.batch_input);
-  }
-
+  const Tensor3& out = stream.plan.run(stream.batch_input);
   const std::size_t forecast_len = steps_ * out_features_;
-  const double* results = out->flat().data();
+  const double* results = out.flat().data();
   for (std::size_t i = 0; i < b; ++i) {
     batch[i].promise.set_value(Forecast(results + i * forecast_len,
                                         results + (i + 1) * forecast_len));

@@ -9,9 +9,10 @@
 // max_batch requests per pass, waiting at most max_delay_seconds for
 // stragglers before flushing (the classic latency/throughput knob).
 //
-// Each stream owns a FrozenPlan clone (a private network copy) and a
-// named hpc::PoolShard, so concurrent streams never
-// contend on each other's kernel pools; the plan's per-example bitwise
+// Each stream owns a FrozenPlan clone (a private network copy) and runs
+// on a one-participant hpc::PoolShard ("serve.stream<i>"), so its
+// kernels run inline on its own thread and concurrent streams never
+// contend for a kernel team; the plan's per-example bitwise
 // independence makes coalescing transparent — a request's forecast is
 // identical whether it ran alone or packed into a full batch.
 //
@@ -43,7 +44,7 @@
 namespace geonas::serve {
 
 struct ServeConfig {
-  /// Serving streams (each with its own plan clone and kernel shard).
+  /// Serving streams (each with its own plan clone and thread).
   std::size_t streams = 2;
   /// Wait at most this long for a batch to fill before flushing a
   /// partial one. 0 flushes immediately with whatever is queued.
@@ -51,8 +52,6 @@ struct ServeConfig {
   /// Bound on queued-but-unclaimed requests; submit() blocks when full
   /// (backpressure, never unbounded memory).
   std::size_t queue_capacity = 1024;
-  /// Participants per stream's kernel shard (1 = inline kernels).
-  std::size_t shard_threads = 1;
 };
 
 /// One forecast: the plan's output for one window, flattened
@@ -109,9 +108,8 @@ class ServeEngine {
 
   /// Per-stream serving state, touched only by its own stream thread.
   struct Stream {
-    Stream(FrozenPlan p, std::string shard_name, std::size_t shard_threads);
+    explicit Stream(FrozenPlan p);
     FrozenPlan plan;
-    hpc::PoolShard shard;
     Tensor3 batch_input;  // gather buffer, capacity max_batch x steps x in
   };
 
@@ -133,13 +131,10 @@ class ServeEngine {
   std::condition_variable not_full_;
 
   std::vector<std::unique_ptr<Stream>> stream_states_;
-  // Stream-loop completion futures; shutdown() waits on them so "drained
-  // on return" holds mid-life, not just at destruction.
-  std::vector<std::future<void>> stream_done_;
-
-  // Declared last so destruction joins the stream threads before any
-  // member they touch (queue_, cvs, stream_states_) is destroyed.
-  hpc::ThreadPool pool_;
+  // One shard per stream, running stream_loop. Declared last so
+  // destruction joins the stream threads before any member they touch
+  // (queue_, cvs, stream_states_) is destroyed.
+  std::vector<std::unique_ptr<hpc::PoolShard>> shards_;
 };
 
 }  // namespace geonas::serve

@@ -70,16 +70,6 @@ double* Arena::alloc_doubles(std::size_t count) {
   return p;
 }
 
-Arena::Marker Arena::mark() const noexcept {
-  return {current_, offset_, in_use_};
-}
-
-void Arena::release(const Marker& m) noexcept {
-  current_ = m.slab;
-  offset_ = m.offset;
-  in_use_ = m.in_use;
-}
-
 void Arena::reset() {
   if (slabs_.size() > 1) {
     // Coalesce so the carve sequence that overflowed into extra slabs

@@ -5,9 +5,7 @@
 // touches the heap zero times: the general-purpose allocator is replaced
 // by a pointer bump inside pre-sized 64-byte-aligned slabs. Slabs are
 // retained across reset(), which means a bind at an already-seen shape is
-// pure pointer arithmetic. LIFO frames (mark/release, or the RAII Frame)
-// give transient consumers scoped scratch without disturbing long-lived
-// carvings below the mark. See DESIGN.md, "Memory model".
+// pure pointer arithmetic. See DESIGN.md, "Memory model".
 #pragma once
 
 #include <cstddef>
@@ -37,31 +35,6 @@ class Arena {
   std::span<double> alloc_span(std::size_t count) {
     return {alloc_doubles(count), count};
   }
-
-  /// Position token for LIFO scoped frames.
-  struct Marker {
-    std::size_t slab = 0;
-    std::size_t offset = 0;
-    std::size_t in_use = 0;
-  };
-  [[nodiscard]] Marker mark() const noexcept;
-  /// Rewinds to `m`. Markers must be released in LIFO order; releasing a
-  /// stale (non-innermost) marker invalidates everything carved after it.
-  void release(const Marker& m) noexcept;
-
-  /// RAII frame: everything carved while the frame is alive is reclaimed
-  /// when it goes out of scope.
-  class Frame {
-   public:
-    explicit Frame(Arena& arena) : arena_(&arena), marker_(arena.mark()) {}
-    ~Frame() { arena_->release(marker_); }
-    Frame(const Frame&) = delete;
-    Frame& operator=(const Frame&) = delete;
-
-   private:
-    Arena* arena_;
-    Marker marker_;
-  };
 
   /// Rewinds to empty. Retains a single slab of the combined capacity so
   /// the next carve sequence of the same total size allocates nothing;

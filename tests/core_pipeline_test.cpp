@@ -3,12 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <mutex>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/nas_driver.hpp"
@@ -403,6 +411,92 @@ TEST(NasDriver, WorkersRunKernelsOnPrivateShards) {
   EXPECT_EQ(global_after_four, 0u);
   EXPECT_EQ(global_after_two, 0u);
   EXPECT_EQ(shard_dispatches, 16u);  // every 2-participant shard splits
+}
+
+TEST(NasDriver, OneWorkerParallelMatchesSerial) {
+  // Both entry points run one campaign loop, so a one-worker parallel
+  // campaign must replay the serial one bitwise: the history, the best
+  // and every checkpoint byte.
+  const searchspace::StackedLSTMSpace space;
+  SurrogateEvaluator oracle(space);
+  const auto run = [&](bool parallel) {
+    const std::string path = parallel ? "/tmp/geonas_one_worker_parallel.bin"
+                                      : "/tmp/geonas_one_worker_serial.bin";
+    search::AgingEvolution ae(space, {.population_size = 20,
+                                      .sample_size = 5, .seed = 4});
+    SearchRunOptions opts;
+    opts.checkpoint_path = path;
+    opts.checkpoint_every = 10;
+    LocalSearchResult result =
+        parallel ? run_local_search_parallel(ae, oracle, 60, 1, 9, opts)
+                 : run_local_search(ae, oracle, 60, 9, opts);
+    std::ifstream is(path, std::ios::binary);
+    std::string bytes{std::istreambuf_iterator<char>(is), {}};
+    std::remove(path.c_str());
+    return std::pair{std::move(result), std::move(bytes)};
+  };
+  const auto [serial, serial_bytes] = run(false);
+  const auto [parallel, parallel_bytes] = run(true);
+  ASSERT_EQ(serial.history.size(), 60u);
+  ASSERT_EQ(parallel.history.size(), serial.history.size());
+  for (std::size_t i = 0; i < serial.history.size(); ++i) {
+    ASSERT_EQ(parallel.history[i].arch.key(), serial.history[i].arch.key())
+        << "diverged at evaluation " << i;
+    ASSERT_EQ(std::memcmp(&parallel.history[i].reward,
+                          &serial.history[i].reward, sizeof(double)),
+              0)
+        << "reward diverged at evaluation " << i;
+  }
+  EXPECT_EQ(parallel.best.key(), serial.best.key());
+  EXPECT_EQ(std::memcmp(&parallel.best_reward, &serial.best_reward,
+                        sizeof(double)),
+            0);
+  ASSERT_FALSE(serial_bytes.empty());
+  EXPECT_EQ(parallel_bytes, serial_bytes);
+}
+
+/// Throws on its `fail_at`-th call and tracks the calls made and the
+/// calls still running.
+class ThrowingEvaluator final : public hpc::ArchitectureEvaluator {
+ public:
+  explicit ThrowingEvaluator(std::size_t fail_at) : fail_at_(fail_at) {}
+  hpc::EvalOutcome evaluate(const searchspace::Architecture& /*arch*/,
+                            std::uint64_t /*eval_seed*/) override {
+    const std::size_t call = calls_.fetch_add(1) + 1;
+    in_flight_.fetch_add(1);
+    // Long enough for the workers' evaluations to overlap.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    in_flight_.fetch_sub(1);
+    if (call == fail_at_) throw std::runtime_error("evaluation failed");
+    return {.reward = 0.5};
+  }
+  [[nodiscard]] bool thread_safe() const override { return true; }
+  [[nodiscard]] std::size_t calls() const { return calls_.load(); }
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_.load(); }
+
+ private:
+  const std::size_t fail_at_;
+  std::atomic<std::size_t> calls_{0};
+  std::atomic<std::size_t> in_flight_{0};
+};
+
+TEST(NasDriver, ParallelWorkerExceptionSurfacesAfterJoin) {
+  // With retries off, a throwing evaluation ends its worker. The other
+  // workers finish the campaign, and the exception reaches the caller
+  // only once every worker has returned.
+  const searchspace::StackedLSTMSpace space;
+  ThrowingEvaluator evaluator(5);
+  search::RandomSearch rs(space, 3);
+  bool caught = false;
+  try {
+    (void)run_local_search_parallel(rs, evaluator, 20, 3, 5);
+  } catch (const std::runtime_error& e) {
+    caught = true;
+    EXPECT_STREQ(e.what(), "evaluation failed");
+    EXPECT_EQ(evaluator.calls(), 20u);
+    EXPECT_EQ(evaluator.in_flight(), 0u);
+  }
+  EXPECT_TRUE(caught);
 }
 
 TEST(Scale, EnvironmentDetection) {

@@ -1,12 +1,16 @@
-// Real parallel primitives: thread pool, MPI-style channel, and the
-// kernel-layer parallel_for built on top of the pool.
+// Real parallel primitives: pool shards, the MPI-style channel, and the
+// kernel-layer parallel_for that dispatches on a shard's team or the
+// global one.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,35 +21,6 @@
 
 namespace geonas::hpc {
 namespace {
-
-TEST(ThreadPool, ExecutesAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, ReturnsValues) {
-  ThreadPool pool(2);
-  auto f1 = pool.submit([] { return 21 * 2; });
-  auto f2 = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(1);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW((void)f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, RejectsZeroThreads) {
-  EXPECT_THROW(ThreadPool(0), std::invalid_argument);
-}
 
 TEST(Channel, SendRecvOrdered) {
   Channel<int> ch;
@@ -234,30 +209,51 @@ TEST(ParallelFor, SetKernelThreadsReconfigures) {
   EXPECT_EQ(kernel_threads(), hw);
 }
 
-TEST(PoolShard, AdoptsKernelThreadsWhenUnsized) {
-  KernelThreadsGuard guard(3);
-  PoolShard shard("adopt");
-  EXPECT_EQ(shard.participants(), 3u);
-  ASSERT_NE(shard.pool(), nullptr);  // 3 participants -> 2 workers
-  EXPECT_EQ(shard.name(), "adopt");
+/// Runs `body` on a fresh shard's thread and joins it, rethrowing what
+/// the body threw.
+void run_on_shard(const char* name, std::size_t participants,
+                  std::function<void()> body) {
+  PoolShard shard(name, participants, std::move(body));
+  if (std::exception_ptr error = shard.join()) std::rethrow_exception(error);
+}
+
+TEST(PoolShard, RejectsZeroParticipants) {
+  bool ran = false;
+  EXPECT_THROW(PoolShard("none", 0, [&ran] { ran = true; }),
+               std::invalid_argument);
+  EXPECT_FALSE(ran);
+}
+
+TEST(PoolShard, JoinHandsBackTheBodyException) {
+  PoolShard shard("boom", 1, [] { throw std::runtime_error("boom"); });
+  const std::exception_ptr error = shard.join();
+  ASSERT_NE(error, nullptr);
+  EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
+  EXPECT_EQ(shard.join(), nullptr);  // handed back once
+  PoolShard clean("clean", 2, [] {});
+  EXPECT_EQ(clean.join(), nullptr);
 }
 
 TEST(PoolShard, SingleParticipantRunsInline) {
-  PoolShard shard("solo", 1);
+  std::vector<int> visits(64, 0);
+  std::set<std::thread::id> threads;
+  PoolShard shard("solo", 1, [&visits, &threads] {
+    // Dispatching on the shard must still cover the range, serially.
+    parallel_for(0, 64, kAboveThreshold, 1,
+                 [&visits, &threads](std::size_t lo, std::size_t hi) {
+                   threads.insert(std::this_thread::get_id());
+                   for (std::size_t i = lo; i < hi; ++i) ++visits[i];
+                 });
+  });
   EXPECT_EQ(shard.participants(), 1u);
   EXPECT_EQ(shard.pool(), nullptr);
-  // Dispatching on the shard must still cover the range, serially.
-  std::vector<int> visits(64, 0);
-  parallel_for(0, 64, kAboveThreshold, 1,
-               [&visits](std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) ++visits[i];
-               },
-               &shard);
+  ASSERT_EQ(shard.join(), nullptr);
+  EXPECT_EQ(threads.size(), 1u);
   for (int v : visits) ASSERT_EQ(v, 1);
 }
 
 TEST(PoolShard, MetricNamesCarryShardPrefix) {
-  const PoolShard shard("w3", 2);
+  const PoolShard shard("w3", 2, [] {});
   const PoolShard::MetricNames& names = shard.metric_names();
   EXPECT_EQ(names.dispatches, "kernel.shard.w3.dispatches");
   EXPECT_EQ(names.chunks, "kernel.shard.w3.chunks");
@@ -267,49 +263,62 @@ TEST(PoolShard, MetricNamesCarryShardPrefix) {
             "kernel.shard.w3.worker_busy_seconds");
 }
 
+TEST(PoolShard, InstrumentsExistOnceConstructed) {
+  // The body dispatches nothing, so only the constructor can have
+  // registered the shard's instruments.
+  obs::MetricsRegistry registry;
+  obs::set_registry(&registry);
+  PoolShard shard("fresh", 2, [] {});
+  (void)shard.join();
+  obs::set_registry(nullptr);
+  std::set<std::string> names;
+  for (const auto& [name, c] : registry.counters()) names.insert(name);
+  for (const auto& [name, h] : registry.histograms()) names.insert(name);
+  for (const auto& [name, g] : registry.gauges()) names.insert(name);
+  const PoolShard::MetricNames& want = shard.metric_names();
+  for (const std::string& name :
+       {want.dispatches, want.chunks, want.queue_depth, want.chunk_seconds,
+        want.worker_busy_seconds}) {
+    EXPECT_EQ(names.count(name), 1u) << name;
+  }
+}
+
 TEST(PoolShard, ExplicitShardCoversRangeExactlyOnce) {
   KernelThreadsGuard guard(1);  // prove the shard, not the global pool
-  PoolShard shard("explicit", 4);
   constexpr std::size_t kN = 997;
   std::vector<int> visits(kN, 0);
-  parallel_for(0, kN, kAboveThreshold, 1,
-               [&visits](std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) ++visits[i];
-               },
-               &shard);
+  run_on_shard("explicit", 4, [&visits] {
+    parallel_for(0, kN, kAboveThreshold, 1,
+                 [&visits](std::size_t lo, std::size_t hi) {
+                   for (std::size_t i = lo; i < hi; ++i) ++visits[i];
+                 });
+  });
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(visits[i], 1) << "index " << i;
   }
 }
 
-TEST(PoolShard, ScopedBindingRoutesImplicitDispatches) {
-  KernelThreadsGuard guard(1);
-  PoolShard shard("bound", 3);
-  EXPECT_EQ(current_pool_shard(), nullptr);
-  {
-    const ScopedPoolShard scope(shard);
-    EXPECT_EQ(current_pool_shard(), &shard);
-    // No explicit shard argument: the thread binding must route here.
-    std::vector<int> visits(512, 0);
+TEST(PoolShard, BodyDispatchesOnItsOwnTeam) {
+  KernelThreadsGuard guard(1);  // the global pool would run inline
+  constexpr std::size_t kParticipants = 3;
+  std::vector<int> visits(512, 0);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  const PoolShard* inside = nullptr;
+  PoolShard shard("bound", kParticipants, [&] {
+    inside = current_pool_shard();
     parallel_for(0, 512, kAboveThreshold, 1,
-                 [&visits](std::size_t lo, std::size_t hi) {
+                 [&](std::size_t lo, std::size_t hi) {
                    for (std::size_t i = lo; i < hi; ++i) ++visits[i];
+                   const std::lock_guard<std::mutex> lock(mu);
+                   threads.insert(std::this_thread::get_id());
                  });
-    for (int v : visits) ASSERT_EQ(v, 1);
-  }
+  });
   EXPECT_EQ(current_pool_shard(), nullptr);
-}
-
-TEST(PoolShard, ScopedBindingNestsAndRestores) {
-  PoolShard outer("outer", 2);
-  PoolShard inner("inner", 2);
-  const ScopedPoolShard outer_scope(outer);
-  EXPECT_EQ(current_pool_shard(), &outer);
-  {
-    const ScopedPoolShard inner_scope(inner);
-    EXPECT_EQ(current_pool_shard(), &inner);
-  }
-  EXPECT_EQ(current_pool_shard(), &outer);
+  ASSERT_EQ(shard.join(), nullptr);
+  EXPECT_EQ(inside, &shard);
+  EXPECT_EQ(threads.size(), kParticipants);
+  for (int v : visits) ASSERT_EQ(v, 1);
 }
 
 TEST(PoolShard, ShardedDispatchStaysBitwiseDeterministic) {
@@ -322,21 +331,20 @@ TEST(PoolShard, ShardedDispatchStaysBitwiseDeterministic) {
   for (std::size_t i = 0; i < kN; ++i) {
     x[i] = 1.0 / static_cast<double>(i + 1);
   }
-  const auto chunk_sums = [&x](PoolShard* shard) {
+  const auto chunk_sums = [&x](const char* shard) {
     std::vector<double> sums(kN, 0.0);  // slot per chunk start
-    parallel_for(0, kN, kAboveThreshold, 1,
-                 [&x, &sums](std::size_t lo, std::size_t hi) {
-                   double acc = 0.0;
-                   for (std::size_t i = lo; i < hi; ++i) acc += x[i];
-                   sums[lo] = acc;
-                 },
-                 shard);
+    run_on_shard(shard, 4, [&x, &sums] {
+      parallel_for(0, kN, kAboveThreshold, 1,
+                   [&x, &sums](std::size_t lo, std::size_t hi) {
+                     double acc = 0.0;
+                     for (std::size_t i = lo; i < hi; ++i) acc += x[i];
+                     sums[lo] = acc;
+                   });
+    });
     return sums;
   };
-  PoolShard a("det-a", 4);
-  PoolShard b("det-b", 4);
-  const std::vector<double> via_a = chunk_sums(&a);
-  const std::vector<double> via_b = chunk_sums(&b);
+  const std::vector<double> via_a = chunk_sums("det-a");
+  const std::vector<double> via_b = chunk_sums("det-b");
   ASSERT_EQ(via_a, via_b);
 }
 

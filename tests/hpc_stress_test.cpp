@@ -1,11 +1,11 @@
 // TSan-targeted stress tests for the concurrent evaluation stack
-// (DESIGN.md "Correctness tooling"): the ThreadPool, concurrent
-// dispatchers sharing one kernel team, parallel_for reconfiguration
-// under fire, the parallel local NAS driver, threaded multi-agent PPO
-// rounds, and concurrent cluster-simulator campaigns sharing one
-// evaluator. These run in every flavor, but their purpose is the TSan
-// preset — each test creates genuine cross-thread contention on the
-// exact structures a scaled NAS campaign leans on.
+// (DESIGN.md "Correctness tooling"): pool shards whose bodies throw,
+// concurrent dispatchers sharing one kernel team, parallel_for
+// reconfiguration under fire, the parallel local NAS driver, threaded
+// multi-agent PPO rounds, and concurrent cluster-simulator campaigns
+// sharing one evaluator. These run in every flavor, but their purpose
+// is the TSan preset — each test creates genuine cross-thread
+// contention on the exact structures a scaled NAS campaign leans on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,8 +13,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
-#include <optional>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -56,48 +57,23 @@ struct KernelThreadsGuard {
 
 constexpr double kAboveThreshold = 2.0 * hpc::kParallelMinFlops;
 
-TEST(ThreadPoolStress, ConcurrentProducersAllTasksRun) {
-  constexpr std::size_t kProducers = 4;
-  const std::size_t tasks_per_producer = 100 * kScale;
-  hpc::ThreadPool pool(3);
-  std::atomic<std::size_t> executed{0};
-  std::vector<std::thread> producers;
-  std::vector<std::vector<std::future<std::size_t>>> futures(kProducers);
-  producers.reserve(kProducers);
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      futures[p].reserve(tasks_per_producer);
-      for (std::size_t i = 0; i < tasks_per_producer; ++i) {
-        futures[p].push_back(pool.submit([&executed, p, i] {
-          executed.fetch_add(1, std::memory_order_relaxed);
-          return p * 1000 + i;
-        }));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    for (std::size_t i = 0; i < futures[p].size(); ++i) {
-      EXPECT_EQ(futures[p][i].get(), p * 1000 + i);
-    }
-  }
-  EXPECT_EQ(executed.load(), kProducers * tasks_per_producer);
-}
-
-TEST(ThreadPoolStress, DestructorJoinsWithThrownTasksAndDroppedFutures) {
-  std::future<void> kept;
+TEST(PoolShardStress, DestructorJoinsThrowingBodiesWithoutJoin) {
+  // Bodies throw on every shard, with and without a kernel team, and no
+  // join() collects the exceptions: the destructors must still join
+  // every thread without std::terminate.
+  constexpr std::size_t kShards = 8;
+  std::atomic<std::size_t> ran{0};
   {
-    hpc::ThreadPool pool(2);
-    for (int i = 0; i < 16; ++i) {
-      // Futures intentionally discarded: the stored exceptions must not
-      // affect shutdown.
-      (void)pool.submit([] { throw std::runtime_error("task boom"); });
+    std::vector<std::unique_ptr<hpc::PoolShard>> shards;
+    for (std::size_t i = 0; i < kShards; ++i) {
+      shards.push_back(std::make_unique<hpc::PoolShard>(
+          "throw" + std::to_string(i), 1 + i % 2, [&ran] {
+            ran.fetch_add(1);
+            throw std::runtime_error("body boom");
+          }));
     }
-    kept = pool.submit([] { throw std::runtime_error("kept boom"); });
-    // Pool destructor runs here with throwing tasks possibly still
-    // queued; it must drain and join without terminating.
   }
-  EXPECT_THROW(kept.get(), std::runtime_error);
+  EXPECT_EQ(ran.load(), kShards);
 }
 
 TEST(ParallelForStress, ReconfigureConcurrentWithRunningKernels) {
@@ -170,13 +146,11 @@ TEST(ParallelForStress, NestedDispatchFromConcurrentCallers) {
 }
 
 TEST(ParallelForStress, ConcurrentDispatchersShareOneTeam) {
-  // Four threads dispatch at once: two on the global team, two on one
-  // shared shard. A team runs one job at a time and a dispatch that
-  // finds it busy runs inline on its caller, so every dispatch must
-  // still cover its range exactly once, and a GEMM must give the serial
-  // bits however its rows were split.
+  // Four threads dispatch on the global team at once. A team runs one
+  // job at a time and a dispatch that finds it busy runs inline on its
+  // caller, so every dispatch must still cover its range exactly once,
+  // and a GEMM must give the serial bits however its rows were split.
   KernelThreadsGuard guard(4);
-  hpc::PoolShard shared("shared", 4);
   constexpr std::size_t kDim = 96;  // 2 * 96^3 flops: over the threshold
   constexpr std::size_t kN = 1009;
   Matrix a(kDim, kDim), b(kDim, kDim), want(kDim, kDim);
@@ -189,19 +163,14 @@ TEST(ParallelForStress, ConcurrentDispatchersShareOneTeam) {
              std::as_const(b).flat().data(), kDim, 0.0, c.flat().data(),
              kDim);
   };
-  {
-    hpc::PoolShard solo("solo", 1);
-    const hpc::ScopedPoolShard serial(solo);
-    gemm(want);
-  }
+  hpc::PoolShard solo("solo", 1, [&gemm, &want] { gemm(want); });
+  ASSERT_EQ(solo.join(), nullptr);
 
   const std::size_t rounds = 40 * kScale;
   std::atomic<bool> failed{false};
   std::vector<std::thread> dispatchers;
   for (std::size_t d = 0; d < 4; ++d) {
     dispatchers.emplace_back([&, d] {
-      std::optional<hpc::ScopedPoolShard> scope;
-      if (d % 2 == 1) scope.emplace(shared);
       Matrix c(kDim, kDim);
       std::vector<int> visits(kN);
       for (std::size_t r = 0; r < rounds; ++r) {

@@ -25,10 +25,10 @@ void sleep_past_spin() {
       std::chrono::duration<double>(10.0 * kTeamSpinSeconds + 0.02));
 }
 
-/// Dispatches one over-threshold loop; returns the number of distinct
-/// threads that ran its chunks, after checking it covered every index
-/// exactly once.
-std::size_t dispatch_and_count_threads(PoolShard* shard) {
+/// Dispatches one over-threshold loop on the calling thread's pool;
+/// returns the number of distinct threads that ran its chunks, after
+/// checking it covered every index exactly once.
+std::size_t dispatch_and_count_threads() {
   constexpr std::size_t kN = 4096;
   std::vector<int> visits(kN, 0);
   std::mutex mu;
@@ -38,8 +38,7 @@ std::size_t dispatch_and_count_threads(PoolShard* shard) {
                  for (std::size_t i = lo; i < hi; ++i) ++visits[i];
                  const std::lock_guard<std::mutex> lock(mu);
                  threads.insert(std::this_thread::get_id());
-               },
-               shard);
+               });
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(visits[i], 1) << "index " << i;
   }
@@ -48,14 +47,19 @@ std::size_t dispatch_and_count_threads(PoolShard* shard) {
 
 TEST(ParallelFor, WakesAfterIdleBeyondSpin) {
   set_kernel_threads(4);
-  PoolShard shard("idle", 3);
+  // The global team from the test thread, the shard's from its body;
+  // every chunk runs on its own thread: the parked workers woke up.
   for (int round = 0; round < 3; ++round) {
-    // Every chunk runs on its own thread: the parked workers woke up.
     sleep_past_spin();
-    EXPECT_EQ(dispatch_and_count_threads(nullptr), 4u) << "round " << round;
-    sleep_past_spin();
-    EXPECT_EQ(dispatch_and_count_threads(&shard), 3u) << "round " << round;
+    EXPECT_EQ(dispatch_and_count_threads(), 4u) << "round " << round;
   }
+  PoolShard shard("idle", 3, [] {
+    for (int round = 0; round < 3; ++round) {
+      sleep_past_spin();
+      EXPECT_EQ(dispatch_and_count_threads(), 3u) << "round " << round;
+    }
+  });
+  EXPECT_EQ(shard.join(), nullptr);
   set_kernel_threads(0);
 }
 

@@ -46,23 +46,6 @@ TEST(Loss, ShapeMismatchThrows) {
   EXPECT_THROW((void)mse_loss(a, b), std::invalid_argument);
 }
 
-TEST(Optimizer, SgdStep) {
-  Matrix w(1, 2, 1.0);
-  Matrix g(1, 2, 0.5);
-  SGD sgd({&w}, {&g}, 0.1);
-  sgd.step();
-  EXPECT_DOUBLE_EQ(w(0, 0), 1.0 - 0.1 * 0.5);
-}
-
-TEST(Optimizer, SgdMomentumAccumulates) {
-  Matrix w(1, 1, 0.0);
-  Matrix g(1, 1, 1.0);
-  SGD sgd({&w}, {&g}, 0.1, 0.9);
-  sgd.step();  // v = -0.1, w = -0.1
-  sgd.step();  // v = -0.19, w = -0.29
-  EXPECT_NEAR(w(0, 0), -0.29, 1e-12);
-}
-
 TEST(Optimizer, AdamFirstStepIsLearningRateSized) {
   Matrix w(1, 1, 0.0);
   Matrix g(1, 1, 3.0);
@@ -87,8 +70,8 @@ TEST(Optimizer, AdamConvergesOnQuadratic) {
 TEST(Optimizer, ShapeClashThrows) {
   Matrix w(1, 2);
   Matrix g(2, 1);
-  EXPECT_THROW(SGD({&w}, {&g}, 0.1), std::invalid_argument);
-  EXPECT_THROW(SGD({&w}, {}, 0.1), std::invalid_argument);
+  EXPECT_THROW(Adam({&w}, {&g}), std::invalid_argument);
+  EXPECT_THROW(Adam({&w}, {}), std::invalid_argument);
 }
 
 TEST(Optimizer, GradientClipping) {
@@ -149,23 +132,6 @@ TEST(Trainer, LossDecreasesMonotonicallyOnAverage) {
           .fit(net, x, y, Tensor3{}, Tensor3{});
   EXPECT_LT(hist.train_loss.back(), 1e-3);
   EXPECT_TRUE(hist.val_r2.empty());
-}
-
-TEST(Trainer, KernelThreadsConfigPinsKernelPool) {
-  Rng rng(10);
-  const Tensor3 x = random_tensor(8, 3, 2, rng);
-  Tensor3 y = x;
-  GraphNetwork net;
-  net.add_node(std::make_unique<Dense>(2, 2), {GraphNetwork::input_id()});
-  net.init_params(11);
-  Trainer({.epochs = 1, .kernel_threads = 2})
-      .fit(net, x, y, Tensor3{}, Tensor3{});
-  EXPECT_EQ(hpc::kernel_threads(), 2u);
-  // 0 leaves the process-wide setting alone.
-  Trainer({.epochs = 1, .kernel_threads = 0})
-      .fit(net, x, y, Tensor3{}, Tensor3{});
-  EXPECT_EQ(hpc::kernel_threads(), 2u);
-  hpc::set_kernel_threads(0);  // restore the hardware default
 }
 
 TEST(Trainer, WinnerStepDispatchBudget) {

@@ -173,6 +173,51 @@ TEST(SearchCheckpoint, NonCheckpointableMethodIsRefused) {
       std::invalid_argument);
 }
 
+TEST(SearchCheckpoint, HugeCountsFailOnTheStreamNotTheAllocator) {
+  // A valid header followed by a count of 2^32 and no records: the
+  // loader must report the truncated field, never reserve from the count.
+  const StackedLSTMSpace space;
+  const std::uint64_t seed = 3;
+  const auto expect_truncated = [&](const std::string& path,
+                                    const std::function<void(
+                                        io::BinaryWriter&)>& body,
+                                    std::size_t bytes,
+                                    const std::string& diagnostic) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      io::BinaryWriter writer(os, "GEONASC1", 2);
+      writer.str("AE");
+      writer.u64(seed);
+      body(writer);
+      ASSERT_EQ(writer.offset(), bytes);
+    }
+    AgingEvolution ae(space, {.population_size = 10, .sample_size = 3});
+    LocalSearchResult state;
+    try {
+      (void)load_search_checkpoint(ae, state, seed, path);
+      ADD_FAILURE() << path << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(diagnostic), std::string::npos)
+          << e.what();
+    }
+    std::remove(path.c_str());
+  };
+  constexpr std::uint64_t kHuge = 1ULL << 32;
+  expect_truncated("/tmp/geonas_ckpt_huge_history.bin",
+                   [&](io::BinaryWriter& w) { w.u64(kHuge); }, 38,
+                   "'architecture gene count' at byte offset 38");
+  expect_truncated("/tmp/geonas_ckpt_huge_cache.bin",
+                   [&](io::BinaryWriter& w) {
+                     w.u64(0);    // completed evaluations
+                     w.u64(0);    // best architecture: no genes
+                     w.f64(0.0);  // best reward
+                     // Retry, failure, cache hit and miss counters.
+                     for (int i = 0; i < 4; ++i) w.u64(0);
+                     w.u64(kHuge);  // cache entries
+                   },
+                   94, "'cache key' at byte offset 94");
+}
+
 /// Throws the first time it sees each architecture; any retry (of the
 /// same architecture) succeeds. Deterministic under thread interleaving,
 /// so an evaluation can never exhaust a >=2-attempt retry budget.

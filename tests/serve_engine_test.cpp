@@ -9,12 +9,12 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "hpc/thread_pool.hpp"
 #include "nn/graph.hpp"
 #include "nn/lstm.hpp"
 #include "obs/metrics.hpp"
@@ -178,31 +178,30 @@ TEST(ServeEngine, SubmitRejectsNonFiniteWindows) {
 }
 
 TEST(ServeEngine, ConcurrentSubmittersAllAnswered) {
-  // Multi-producer stress for the TSan slice: 4 submitter tasks flood a
+  // Multi-producer stress for the TSan slice: 4 submitter threads flood a
   // small-capacity queue (exercising the not_full_ backpressure path)
   // while 2 streams drain it.
   ServeEngine engine(small_plan(4), {.streams = 2,
                                      .max_delay_seconds = 0.0001,
                                      .queue_capacity = 8});
   constexpr int kPerProducer = 100;
-  hpc::ThreadPool producers(4);
-  std::vector<std::future<std::size_t>> answered;
+  std::vector<std::size_t> answered(4, 0);
+  std::vector<std::thread> producers;
   for (int p = 0; p < 4; ++p) {
-    answered.push_back(producers.submit([&engine, p]() -> std::size_t {
+    producers.emplace_back([&engine, &answered, p] {
       Rng rng(100 + static_cast<std::uint64_t>(p));
-      std::size_t ok = 0;
       std::vector<std::future<Forecast>> futures;
       for (int i = 0; i < kPerProducer; ++i) {
         futures.push_back(engine.submit(random_window(rng)));
       }
       for (auto& f : futures) {
-        if (f.get().size() == kSteps * kModes) ++ok;
+        if (f.get().size() == kSteps * kModes) ++answered[p];
       }
-      return ok;
-    }));
+    });
   }
+  for (std::thread& t : producers) t.join();
   std::size_t total = 0;
-  for (auto& f : answered) total += f.get();
+  for (const std::size_t ok : answered) total += ok;
   EXPECT_EQ(total, 4 * kPerProducer);
   engine.shutdown();
 }

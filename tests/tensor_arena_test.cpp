@@ -1,6 +1,6 @@
-// Arena bump-allocator unit tests: alignment, LIFO frames, high-water
-// accounting, and the reset() coalescing contract the zero-alloc hot
-// paths depend on (DESIGN.md "Memory model").
+// Arena bump-allocator unit tests: alignment, high-water accounting,
+// and the reset() coalescing contract the zero-alloc hot paths depend
+// on (DESIGN.md "Memory model").
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,39 +45,11 @@ TEST(Arena, BytesInUseGrowsByAlignedSizes) {
   EXPECT_EQ(arena.bytes_in_use(), 2 * Arena::kAlignment);
 }
 
-TEST(Arena, MarkReleaseRewindsLifo) {
-  Arena arena;
-  (void)arena.alloc_doubles(128);
-  const std::size_t base = arena.bytes_in_use();
-  const Arena::Marker m = arena.mark();
-  (void)arena.alloc_doubles(512);
-  (void)arena.alloc_doubles(64);
-  EXPECT_GT(arena.bytes_in_use(), base);
-  arena.release(m);
-  EXPECT_EQ(arena.bytes_in_use(), base);
-  // The rewound region is reusable: the next carve lands at the marker.
-  double* again = arena.alloc_doubles(512);
-  EXPECT_TRUE(is_aligned(again));
-}
-
-TEST(Arena, FrameReclaimsOnScopeExit) {
-  Arena arena;
-  (void)arena.alloc_doubles(32);
-  const std::size_t base = arena.bytes_in_use();
-  {
-    const Arena::Frame frame(arena);
-    (void)arena.alloc_doubles(2048);
-    EXPECT_GT(arena.bytes_in_use(), base);
-  }
-  EXPECT_EQ(arena.bytes_in_use(), base);
-}
-
 TEST(Arena, HighWaterTracksPeakNotCurrent) {
   Arena arena;
-  const Arena::Marker m = arena.mark();
   (void)arena.alloc_doubles(4096);
   const std::size_t peak = arena.bytes_in_use();
-  arena.release(m);
+  arena.reset();
   EXPECT_EQ(arena.bytes_in_use(), 0u);
   EXPECT_GE(arena.high_water_bytes(), peak);
   (void)arena.alloc_doubles(8);

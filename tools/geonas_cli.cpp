@@ -25,7 +25,7 @@
 //   geonas_cli serve     --arch GENE-KEY [--weights weights.bin]
 //                        [--modes 5] [--window 8] [--streams 4]
 //                        [--max-batch 32] [--max-delay-ms 0.5]
-//                        [--requests 20000] [--shard-threads 1] [--seed 1]
+//                        [--requests 20000] [--seed 1]
 //
 // `serve` freezes the architecture (trained weights from --weights, or
 // seeded initial weights for smoke runs) into a forward-only
@@ -552,8 +552,6 @@ int cmd_serve(const Args& args) {
   const double max_delay_ms = args.get_real("max-delay-ms", 0.5);
   const auto requests =
       static_cast<std::size_t>(args.get_long("requests", 20000));
-  const auto shard_threads =
-      static_cast<std::size_t>(args.get_long("shard-threads", 1));
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   if (streams == 0 || max_batch == 0 || requests == 0) {
     std::fprintf(stderr,
@@ -581,14 +579,12 @@ int cmd_serve(const Args& args) {
 
   serve::FrozenPlan plan = serve::FrozenPlan::compile(net, window, max_batch);
   std::printf("%s", plan.describe().c_str());
-  std::printf("workspace: %zu bytes/stream, %zu streams x %zu shard "
-              "threads\n",
-              plan.workspace_bytes(), streams, shard_threads);
+  std::printf("workspace: %zu bytes/stream, %zu streams\n",
+              plan.workspace_bytes(), streams);
 
   serve::ServeEngine engine(
       std::move(plan), {.streams = streams,
-                        .max_delay_seconds = max_delay_ms / 1000.0,
-                        .shard_threads = shard_threads});
+                        .max_delay_seconds = max_delay_ms / 1000.0});
 
   // A pool of seeded windows reused round-robin: the engine copies each
   // submission, so the pool only has to decorrelate neighboring batches.

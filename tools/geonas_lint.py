@@ -5,7 +5,7 @@ Rules (see DESIGN.md "Correctness tooling"):
 
   thread-outside-hpc   std::thread / std::jthread / std::async are only
                        created inside src/hpc/ — every other library layer
-                       must go through hpc::ThreadPool / hpc::parallel_for
+                       must go through hpc::PoolShard / hpc::parallel_for
                        so the concurrency surface stays auditable (and
                        TSan-testable) in one place. Tests and tools may
                        spawn threads freely.
@@ -335,7 +335,7 @@ def lint_file(path: Path, repo: Path) -> list[Finding]:
             if m and not THREAD_QUERY_RE.search(code):
                 report("thread-outside-hpc",
                        f"std::{m.group(1)} outside src/hpc/ — use "
-                       "hpc::ThreadPool / hpc::parallel_for")
+                       "hpc::PoolShard / hpc::parallel_for")
 
         if in_src:
             m = RNG_RE.search(code)

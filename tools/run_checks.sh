@@ -79,9 +79,9 @@ run_analyze() {
 }
 
 # One-TU analyze smoke for --quick: syntax-only, no configure, seconds
-# not minutes. thread_pool.cpp pulls in the annotated ThreadPool /
-# PoolShard / Channel plus the core::Mutex wrapper itself, so a broken
-# annotation in the concurrency core fails pre-merge.
+# not minutes. thread_pool.cpp pulls in PoolShard and the annotated
+# Channel plus the core::Mutex wrapper itself, so a broken annotation in
+# the concurrency core fails pre-merge.
 run_analyze_smoke() {
   step "thread-safety smoke [one TU]"
   if ! command -v clang++ >/dev/null 2>&1; then
@@ -150,7 +150,8 @@ if [[ $quick -eq 1 ]]; then
   # multiple threads (vmath spans, GEMM splits, recurrent fused kernels,
   # stress rigs — ParallelFor* covers the kernel team's job slot, worker
   # flags and completion count, including concurrent dispatchers and the
-  # wake-up after parking), PoolShard* the shards' private teams, the
+  # wake-up after parking), PoolShard* the shards' threads and private
+  # teams (a body's dispatches, join and a throwing body's join), the
   # observability registry, which is written by
   # kernel-pool and driver worker threads while an exporter reads it —
   # races there corrupt every NAS reward / telemetry report downstream —
@@ -166,11 +167,12 @@ if [[ $quick -eq 1 ]]; then
   # GraphNetwork and Trainer cover the recurrent layers' batch-slice and
   # weight-row chunks, which write disjoint rows of shared workspaces
   # (gates, h/c sequences, dZ/dH/dC, gradient rows); NasDriver covers the
-  # per-worker kernel shards under the campaign's worker threads;
+  # campaign loop on its worker shards, including a worker's exception
+  # surfacing after every worker joined;
   # PPOStress runs PPO agents that sample and compute gradients
   # concurrently against one shared evaluator between per-round joins.
   run_flavor tsan \
-    '^(Determinism|Vmath|ParallelFor|PoolShard|ThreadPool|Obs|Memoizer|Serve|Prepack|Net|SST|ClusterSimStress|PPOStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
+    '^(Determinism|Vmath|ParallelFor|PoolShard|Obs|Memoizer|Serve|Prepack|Net|SST|ClusterSimStress|PPOStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
   run_analyze_smoke
 else
   run_flavor tsan
