@@ -95,11 +95,10 @@ BENCHMARK(BM_GemmNaive)->Arg(32)->Arg(128)->Arg(256);
 
 // Pack-once vs per-call B packing at the small-M shapes the recurrent
 // per-timestep and serve paths issue. The weight is the LSTM(64)
-// recurrent operand (64 x 256 = 128 KiB packed — inside the prepack L2
-// bound, so the packed dispatch also drops the jc/ic blocking loops);
-// m = 1 is the single-request serve shape, m = 8 a micro-batch. The
-// paired BM_GemmPerCallPack runs the identical GEMM through the raw
-// kernel, which re-packs B every call.
+// recurrent operand (64 x 256, 128 KiB packed); m = 1 is the
+// single-request serve shape, m = 8 a micro-batch. The paired
+// BM_GemmPerCallPack runs the identical GEMM through the raw kernel,
+// which runs the same loop nest but re-packs B every call.
 void BM_GemmPrepacked(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kK = 64, kN = 256;

@@ -70,9 +70,8 @@ void Adam::step() {
                      (1.0 - cfg.beta2) * s.grad[k] * s.grad[k];
             const double mhat = s.m[k] / bias1;
             const double vhat = s.v[k] / bias2;
-            s.param[k] -= cfg.learning_rate *
-                          (mhat / (std::sqrt(vhat) + cfg.epsilon) +
-                           cfg.weight_decay * s.param[k]);
+            s.param[k] -=
+                cfg.learning_rate * (mhat / (std::sqrt(vhat) + cfg.epsilon));
           }
           at = end;
         }

@@ -1,8 +1,8 @@
 // The training optimizer.
 //
-// Adam (Kingma & Ba) with the paper's hyperparameters (lr = 0.001). It
-// binds to a parameter/gradient list once and keeps the per-parameter
-// moments across steps.
+// Adam (Kingma & Ba) with the paper's hyperparameters (lr = 0.001) and
+// no weight decay. It binds to a parameter/gradient list once and keeps
+// the per-parameter moments across steps.
 //
 // Adam's step is one kernel-pool fork-join over the concatenated
 // elements of every parameter. The update is elementwise and every
@@ -27,8 +27,6 @@ class Adam {
     double beta1 = 0.9;
     double beta2 = 0.999;
     double epsilon = 1e-8;
-    /// Decoupled (AdamW) weight decay per step; 0 disables.
-    double weight_decay = 0.0;
   };
 
   /// Throws std::invalid_argument when the lists differ in length or a

@@ -80,8 +80,7 @@ TrainHistory Trainer::fit(GraphNetwork& net, const ExampleSource& train,
   const std::size_t bs = std::max<std::size_t>(1, cfg_.batch_size);
 
   Adam optimizer(net.parameters(), net.gradients(),
-                 {.learning_rate = cfg_.learning_rate,
-                  .weight_decay = cfg_.weight_decay});
+                 {.learning_rate = cfg_.learning_rate});
   // Hoisted: net.gradients() builds a fresh vector per call, which must
   // not happen once per batch.
   const std::vector<Matrix*> grad_list = net.gradients();
@@ -119,7 +118,7 @@ TrainHistory Trainer::fit(GraphNetwork& net, const ExampleSource& train,
       optimizer.set_learning_rate(optimizer.learning_rate() *
                                   cfg_.lr_step_decay);
     }
-    if (cfg_.shuffle) rng.shuffle(std::span<std::size_t>(order));
+    rng.shuffle(std::span<std::size_t>(order));
     double epoch_loss = 0.0;
     double fwd_seconds = 0.0, bwd_seconds = 0.0, opt_seconds = 0.0;
     for (std::size_t start = 0; start < n; start += bs) {

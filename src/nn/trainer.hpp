@@ -30,14 +30,10 @@ struct TrainConfig {
   std::size_t batch_size = 64;   // paper: 64
   double learning_rate = 1e-3;   // paper: 0.001 (Adam)
   double grad_clip_norm = 10.0;  // stabilizes deep skip-heavy stacks
-  /// Decoupled AdamW weight decay (counters memorization of the training
-  /// trajectory on small windowed datasets); 0 disables.
-  double weight_decay = 0.0;
   /// Learning rate decays by this factor at 1/2 and 3/4 of the epoch
   /// budget (1.0 = constant LR).
   double lr_step_decay = 1.0;
   std::uint64_t seed = 42;       // shuffling seed
-  bool shuffle = true;
 };
 
 struct TrainHistory {

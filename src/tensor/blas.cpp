@@ -4,9 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "tensor/gemm_kernel.hpp"
-#include "tensor/prepack.hpp"
-
 namespace geonas {
 
 namespace {
@@ -23,22 +20,6 @@ bool ranges_overlap(std::span<const double> a, std::span<const double> b) {
   return lt(a.data(), b.data() + b.size()) && lt(b.data(), a.data() + a.size());
 }
 }  // namespace
-
-void gemm_raw(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
-              std::size_t k, double alpha, const double* a, std::size_t lda,
-              const double* b, std::size_t ldb, double beta, double* c,
-              std::size_t ldc) {
-  detail::gemm_blocked(m, n, k, alpha, a, lda, trans_a == Trans::kTranspose,
-                       b, ldb, trans_b == Trans::kTranspose, beta, c, ldc);
-}
-
-void gemm_raw(Trans trans_a, std::size_t m, double alpha, const double* a,
-              std::size_t lda, const tensor::PackedPanels& b, double beta,
-              double* c, std::size_t ldc) {
-  detail::gemm_blocked_packed_b(m, b.n(), b.k(), alpha, a, lda,
-                                trans_a == Trans::kTranspose, b.data(), beta,
-                                c, ldc);
-}
 
 void gemm(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
           double beta) {
@@ -58,9 +39,8 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
               "gemm: C shape mismatch with beta != 0");
       tmp = c;
     }
-    detail::gemm_blocked(m, n, k, alpha, a.flat().data(), k, false,
-                         b.flat().data(), n, false, beta, tmp.flat().data(),
-                         n);
+    gemm_raw(Trans::kNone, Trans::kNone, m, n, k, alpha, a.flat().data(), k,
+             b.flat().data(), n, beta, tmp.flat().data(), n);
     c = std::move(tmp);
     return;
   }
@@ -69,8 +49,8 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c, double alpha,
     require(beta == 0.0, "gemm: C shape mismatch with beta != 0");
     c.resize(m, n, 0.0);
   }
-  detail::gemm_blocked(m, n, k, alpha, a.flat().data(), k, false,
-                       b.flat().data(), n, false, beta, c.flat().data(), n);
+  gemm_raw(Trans::kNone, Trans::kNone, m, n, k, alpha, a.flat().data(), k,
+           b.flat().data(), n, beta, c.flat().data(), n);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -83,8 +63,8 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
   const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
   require(b.rows() == k, "matmul_at_b: inner dimensions differ");
   Matrix c(m, n);
-  detail::gemm_blocked(m, n, k, 1.0, a.flat().data(), m, true,
-                       b.flat().data(), n, false, 0.0, c.flat().data(), n);
+  gemm_raw(Trans::kTranspose, Trans::kNone, m, n, k, 1.0, a.flat().data(), m,
+           b.flat().data(), n, 0.0, c.flat().data(), n);
   return c;
 }
 

@@ -42,12 +42,11 @@ void gemm_raw(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
 /// Prepacked-B variant: C (m x b.n(), leading dim ldc) =
 /// alpha * op(A) * B + beta * C, where B was packed once by a
 /// tensor::PackedPanels (n and k come from the pack, trans for B was
-/// chosen at pack time). Skips all per-call B packing and — for the
-/// small-M recurrent/serve shapes where the whole pack is L2-resident —
-/// the cache-blocking loops too. Bitwise identical to the equivalent
-/// unpacked gemm_raw call at every kernel thread count. The pack must
-/// be fresh for the weights it was built from (callers ensure() before
-/// use; see tensor/prepack.hpp).
+/// chosen at pack time). Skips all per-call B packing and otherwise
+/// runs the same loop nest, so it is bitwise identical to the
+/// equivalent unpacked gemm_raw call at every kernel thread count. The
+/// pack must be fresh for the weights it was built from (callers
+/// ensure() before use; see tensor/prepack.hpp).
 void gemm_raw(Trans trans_a, std::size_t m, double alpha, const double* a,
               std::size_t lda, const tensor::PackedPanels& b, double beta,
               double* c, std::size_t ldc);

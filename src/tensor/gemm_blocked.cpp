@@ -1,5 +1,6 @@
-// Cache-blocked, register-tiled GEMM with runtime micro-kernel dispatch.
-// See tensor/gemm_kernel.hpp for the blocking structure and contracts.
+// Cache-blocked, register-tiled GEMM with runtime micro-kernel dispatch:
+// both geonas::gemm_raw overloads (tensor/blas.hpp) run the one loop
+// nest here. See tensor/gemm_kernel.hpp for the blocking structure.
 #include "tensor/gemm_kernel.hpp"
 
 #include <algorithm>
@@ -8,13 +9,16 @@
 
 #include "hpc/kernel_team.hpp"
 #include "hpc/parallel_for.hpp"
+#include "tensor/blas.hpp"
+#include "tensor/prepack.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define GEONAS_GEMM_X86_DISPATCH 1
 #include <immintrin.h>
 #endif
 
-namespace geonas::detail {
+namespace geonas {
+namespace detail {
 namespace {
 
 // Micro-kernel contract: ab (kMR x kNR, row-major) = sum over p < kc of
@@ -92,8 +96,6 @@ MicroKernel micro_kernel() {
   return kernel;
 }
 
-}  // namespace
-
 // Packs the logical block op(A)(i0:i0+mc, p0:p0+kc) into kMR-row
 // slivers: sliver ir holds [p][r] = op(A)(i0+ir+r, p0+p), zero-padded
 // to kMR rows so edge tiles run the same full micro-kernel.
@@ -129,20 +131,6 @@ void pack_b(double* dst, const double* b, std::size_t ldb, bool trans,
   }
 }
 
-// Full-width prepack: every kKC-row block of op(B) packed across the
-// whole width n. Identical bytes to the per-call pack_b tiles laid
-// end-to-end (see gemm_kernel.hpp for the offset arithmetic).
-void pack_b_full(double* dst, const double* b, std::size_t ldb, bool trans,
-                 std::size_t k, std::size_t n) {
-  const std::size_t n_pad = packed_b_ncols(n);
-  for (std::size_t pc = 0; pc < k; pc += kKC) {
-    const std::size_t kc = std::min(kKC, k - pc);
-    pack_b(dst + pc * n_pad, b, ldb, trans, pc, 0, kc, n);
-  }
-}
-
-namespace {
-
 // Per-thread pack scratch, sized once (kMC*kKC + kKC*kNC doubles) and
 // reused across every gemm on the thread. File-scope so the worker
 // warm-up hook can pre-reserve it before a worker's first dispatch.
@@ -176,97 +164,51 @@ void write_tile(double* c, std::size_t ldc, const double* ab, std::size_t mr,
   }
 }
 
+// Where a product's B slivers come from: op(B) read through (data, ldb,
+// trans), or, when panel, a pack_b_full panel at data.
+struct BSource {
+  const double* data;
+  std::size_t ldb;
+  bool trans;
+  bool panel;
+};
+
 // One task's stripe: rows [i_begin, i_end) of C through the full
-// jc/pc/ic blocking. Each stripe packs its own panels into thread-local
-// buffers, so stripes are fully independent.
+// jc/pc/ic blocking. A raw B is packed per (jc, pc) block into the
+// thread-local t_b_pack; a panel's block is read in place at
+// pc * n_pad + jc * kc (kNC % kNR == 0, so jc starts a sliver). Both are
+// the same sliver bytes, so the two sources give bitwise-equal C, and
+// stripes share nothing writable.
 void gemm_stripe(std::size_t i_begin, std::size_t i_end, std::size_t n,
                  std::size_t k, double alpha, const double* a, std::size_t lda,
-                 bool trans_a, const double* b, std::size_t ldb, bool trans_b,
-                 double beta, double* c, std::size_t ldc) {
+                 bool trans_a, const BSource& b, double beta, double* c,
+                 std::size_t ldc) {
   std::vector<double>& a_pack = t_a_pack;
   std::vector<double>& b_pack = t_b_pack;
   a_pack.resize(kMC * kKC);
-  b_pack.resize(kKC * kNC);
-
-  const MicroKernel micro = micro_kernel();
-  double ab[kMR * kNR];
-
-  for (std::size_t jc = 0; jc < n; jc += kNC) {
-    const std::size_t nc = std::min(kNC, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += kKC) {
-      const std::size_t kc = std::min(kKC, k - pc);
-      const bool first_kblock = pc == 0;
-      pack_b(b_pack.data(), b, ldb, trans_b, pc, jc, kc, nc);
-      for (std::size_t ic = i_begin; ic < i_end; ic += kMC) {
-        const std::size_t mc = std::min(kMC, i_end - ic);
-        pack_a(a_pack.data(), a, lda, trans_a, ic, pc, mc, kc);
-        for (std::size_t jr = 0; jr < nc; jr += kNR) {
-          const std::size_t nr = std::min(kNR, nc - jr);
-          const double* b_sliver = b_pack.data() + (jr / kNR) * kNR * kc;
-          for (std::size_t ir = 0; ir < mc; ir += kMR) {
-            const std::size_t mr = std::min(kMR, mc - ir);
-            micro(kc, a_pack.data() + (ir / kMR) * kMR * kc, b_sliver, ab);
-            write_tile(c + (ic + ir) * ldc + jc + jr, ldc, ab, mr, nr, alpha,
-                       beta, first_kblock);
-          }
-        }
-      }
-    }
-  }
-}
-
-// gemm_stripe against a pack_b_full panel: no B packing, and when the
-// stripe is one kMC block tall with the whole panel L2-resident, no
-// jc/ic blocking either. The kKC K-partitioning and per-tile
-// accumulation order match gemm_stripe exactly (only the traversal
-// order over distinct C tiles differs), so every C element sees the
-// same floating-point operations in the same order.
-void gemm_stripe_packed(std::size_t i_begin, std::size_t i_end, std::size_t n,
-                        std::size_t k, double alpha, const double* a,
-                        std::size_t lda, bool trans_a, const double* bp,
-                        double beta, double* c, std::size_t ldc) {
-  std::vector<double>& a_pack = t_a_pack;
-  a_pack.resize(kMC * kKC);
+  if (!b.panel) b_pack.resize(kKC * kNC);
 
   const MicroKernel micro = micro_kernel();
   const std::size_t n_pad = packed_b_ncols(n);
   double ab[kMR * kNR];
 
-  if (i_end - i_begin <= kMC && k * n_pad * sizeof(double) <= kPrepackL2Bytes) {
-    // Small-M fast path: one A pack per K-block covers the whole stripe.
-    const std::size_t mc = i_end - i_begin;
-    for (std::size_t pc = 0; pc < k; pc += kKC) {
-      const std::size_t kc = std::min(kKC, k - pc);
-      const bool first_kblock = pc == 0;
-      const double* b_block = bp + pc * n_pad;
-      pack_a(a_pack.data(), a, lda, trans_a, i_begin, pc, mc, kc);
-      for (std::size_t jr = 0; jr < n; jr += kNR) {
-        const std::size_t nr = std::min(kNR, n - jr);
-        const double* b_sliver = b_block + (jr / kNR) * kNR * kc;
-        for (std::size_t ir = 0; ir < mc; ir += kMR) {
-          const std::size_t mr = std::min(kMR, mc - ir);
-          micro(kc, a_pack.data() + (ir / kMR) * kMR * kc, b_sliver, ab);
-          write_tile(c + (i_begin + ir) * ldc + jr, ldc, ab, mr, nr, alpha,
-                     beta, first_kblock);
-        }
-      }
-    }
-    return;
-  }
-
   for (std::size_t jc = 0; jc < n; jc += kNC) {
     const std::size_t nc = std::min(kNC, n - jc);
     for (std::size_t pc = 0; pc < k; pc += kKC) {
       const std::size_t kc = std::min(kKC, k - pc);
       const bool first_kblock = pc == 0;
-      const double* b_block = bp + pc * n_pad;
+      const double* b_block = b_pack.data();
+      if (b.panel) {
+        b_block = b.data + pc * n_pad + jc * kc;
+      } else {
+        pack_b(b_pack.data(), b.data, b.ldb, b.trans, pc, jc, kc, nc);
+      }
       for (std::size_t ic = i_begin; ic < i_end; ic += kMC) {
         const std::size_t mc = std::min(kMC, i_end - ic);
         pack_a(a_pack.data(), a, lda, trans_a, ic, pc, mc, kc);
         for (std::size_t jr = 0; jr < nc; jr += kNR) {
           const std::size_t nr = std::min(kNR, nc - jr);
-          // kNC % kNR == 0, so jc + jr always lands on a sliver start.
-          const double* b_sliver = b_block + ((jc + jr) / kNR) * kNR * kc;
+          const double* b_sliver = b_block + (jr / kNR) * kNR * kc;
           for (std::size_t ir = 0; ir < mc; ir += kMR) {
             const std::size_t mr = std::min(kMR, mc - ir);
             micro(kc, a_pack.data() + (ir / kMR) * kMR * kc, b_sliver, ab);
@@ -292,6 +234,27 @@ void scale_c(std::size_t m, std::size_t n, double beta, double* c,
   }
 }
 
+// C (m x n) = alpha * op(A) * op(B) + beta * C, M split across the kernel
+// pool on kMR grains. The cost model, grain and split do not depend on
+// B's source, so a product lands on the same stripes whether its B is
+// raw or a panel.
+void gemm_split(std::size_t m, std::size_t n, std::size_t k, double alpha,
+                const double* a, std::size_t lda, Trans trans_a,
+                const BSource& b, double beta, double* c, std::size_t ldc) {
+  if (m == 0 || n == 0) return;
+  if (alpha == 0.0 || k == 0) {
+    scale_c(m, n, beta, c, ldc);  // degenerate product: C = beta * C
+    return;
+  }
+  const double cost = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
+                      static_cast<double>(k);
+  const bool ta = trans_a == Trans::kTranspose;
+  hpc::parallel_for(
+      0, m, cost, kMR, [&](std::size_t lo, std::size_t hi) {
+        gemm_stripe(lo, hi, n, k, alpha, a, lda, ta, b, beta, c, ldc);
+      });
+}
+
 // Pre-reserve pack scratch on every kernel team worker before it takes
 // its first chunk, so the thread_local first-allocation cannot land
 // inside a steady-state (alloc-audited) dispatch. Registered from a
@@ -304,49 +267,39 @@ void scale_c(std::size_t m, std::size_t n, double beta, double* c,
 
 }  // namespace
 
+// Full-width prepack: every kKC-row block of op(B) packed across the
+// whole width n. Identical bytes to the per-call pack_b tiles laid
+// end-to-end (see gemm_kernel.hpp for the offset arithmetic).
+void pack_b_full(double* dst, const double* b, std::size_t ldb, bool trans,
+                 std::size_t k, std::size_t n) {
+  const std::size_t n_pad = packed_b_ncols(n);
+  for (std::size_t pc = 0; pc < k; pc += kKC) {
+    const std::size_t kc = std::min(kKC, k - pc);
+    pack_b(dst + pc * n_pad, b, ldb, trans, pc, 0, kc, n);
+  }
+}
+
 void reserve_gemm_scratch() {
   t_a_pack.resize(kMC * kKC);
   t_b_pack.resize(kKC * kNC);
 }
 
-void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, double alpha,
-                  const double* a, std::size_t lda, bool trans_a,
-                  const double* b, std::size_t ldb, bool trans_b, double beta,
-                  double* c, std::size_t ldc) {
-  if (m == 0 || n == 0) return;
-  if (alpha == 0.0 || k == 0) {
-    scale_c(m, n, beta, c, ldc);  // degenerate product: C = beta * C
-    return;
-  }
-  const double cost = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                      static_cast<double>(k);
-  hpc::parallel_for(
-      0, m, cost, kMR, [&](std::size_t lo, std::size_t hi) {
-        gemm_stripe(lo, hi, n, k, alpha, a, lda, trans_a, b, ldb, trans_b,
-                    beta, c, ldc);
-      });
+}  // namespace detail
+
+void gemm_raw(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
+              std::size_t k, double alpha, const double* a, std::size_t lda,
+              const double* b, std::size_t ldb, double beta, double* c,
+              std::size_t ldc) {
+  detail::gemm_split(m, n, k, alpha, a, lda, trans_a,
+                     {b, ldb, trans_b == Trans::kTranspose, false}, beta, c,
+                     ldc);
 }
 
-void gemm_blocked_packed_b(std::size_t m, std::size_t n, std::size_t k,
-                           double alpha, const double* a, std::size_t lda,
-                           bool trans_a, const double* packed_b, double beta,
-                           double* c, std::size_t ldc) {
-  if (m == 0 || n == 0) return;
-  if (alpha == 0.0 || k == 0) {
-    scale_c(m, n, beta, c, ldc);
-    return;
-  }
-  // Same cost model, grain and split as gemm_blocked: a given (m, n, k)
-  // lands on identical stripe boundaries, which (with the identical
-  // K-order inside the stripes) keeps packed and unpacked results
-  // bitwise equal at every thread count.
-  const double cost = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                      static_cast<double>(k);
-  hpc::parallel_for(
-      0, m, cost, kMR, [&](std::size_t lo, std::size_t hi) {
-        gemm_stripe_packed(lo, hi, n, k, alpha, a, lda, trans_a, packed_b,
-                           beta, c, ldc);
-      });
+void gemm_raw(Trans trans_a, std::size_t m, double alpha, const double* a,
+              std::size_t lda, const tensor::PackedPanels& b, double beta,
+              double* c, std::size_t ldc) {
+  detail::gemm_split(m, b.n(), b.k(), alpha, a, lda, trans_a,
+                     {b.data(), 0, false, true}, beta, c, ldc);
 }
 
-}  // namespace geonas::detail
+}  // namespace geonas

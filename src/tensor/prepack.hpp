@@ -10,10 +10,10 @@
 // tensor/gemm_kernel.hpp), re-packed only when the source Matrix's
 // version() counter says the weights actually changed. The packed
 // gemm_raw overload in tensor/blas.hpp then skips B packing entirely
-// and, for the small-M serve/per-timestep shapes, the jc/ic blocking
-// loops too. Because the packed bytes and the in-kernel operation
-// order are identical to the per-call path, results are bitwise equal
-// to the unpacked kernel at every thread count.
+// and otherwise runs the per-call path's loop nest. Because the packed
+// bytes and the operation order are identical to the per-call path,
+// results are bitwise equal to the unpacked kernel at every thread
+// count.
 #pragma once
 
 #include <cstddef>

@@ -21,10 +21,7 @@
 
 #include "hpc/parallel_for.hpp"
 
-// The AVX2 section is omitted entirely under GEONAS_SCALAR_MATH: the
-// scalar-reference build pins select_impl() to RefMath, and compiling
-// the then-unreachable SIMD kernels would only trip -Werror.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(GEONAS_SCALAR_MATH)
+#if defined(__x86_64__) && defined(__GNUC__)
 #define GEONAS_VMATH_X86_DISPATCH 1
 #include <immintrin.h>
 #endif
@@ -69,91 +66,69 @@ inline double pow2i(int n) noexcept {
 /// Every multiply/add pairing that the vector code fuses is written with
 /// std::fma (correctly rounded == the FMA instruction), every one it
 /// does not fuse stays a separate multiply and add.
-struct FmaMath {
-  static double exp(double x) noexcept {
-    const double xc = std::fmin(std::fmax(x, kExpLo), kExpHi);
-    const double nd = std::nearbyint(xc * kLog2E);
-    double r = std::fma(nd, -kLn2Hi, xc);
-    r = std::fma(nd, -kLn2Lo, r);
-    const double r2 = r * r;
-    double p = std::fma(kExpP0, r2, kExpP1);
-    p = std::fma(p, r2, kExpP2);
-    const double px = r * p;
-    double q = std::fma(kExpQ0, r2, kExpQ1);
-    q = std::fma(q, r2, kExpQ2);
-    q = std::fma(q, r2, kExpQ3);
-    const double e = px / (q - px);
-    double res = std::fma(2.0, e, 1.0);
-    // Two-step 2^n scaling: n can reach +/-1076 where a single 2^n is
-    // not representable although the final product is.
-    const int n = static_cast<int>(nd);
-    const int n1 = n >> 1;
-    res = (res * pow2i(n1)) * pow2i(n - n1);
-    res = x > kExpHi ? std::numeric_limits<double>::infinity() : res;
-    res = x < kExpLo ? 0.0 : res;
-    res = x != x ? x : res;  // NaN in, NaN out (the clamp destroys it)
-    return res;
-  }
+namespace portable {
 
-  static double tanh(double x) noexcept {
-    const double xa = std::fabs(x);
-    const double z = x * x;
-    double p = std::fma(kTanhP0, z, kTanhP1);
-    p = std::fma(p, z, kTanhP2);
-    double q = z + kTanhQ0;
-    q = std::fma(q, z, kTanhQ1);
-    q = std::fma(q, z, kTanhQ2);
-    // x * (1 + z P/Q) rather than Cephes' x + x z P/Q: multiplication
-    // preserves the sign of +/-0 where the trailing add would not.
-    const double small = x * std::fma(z, p / q, 1.0);
-    const double e = exp(-2.0 * xa);
-    const double big = 1.0 - (2.0 * e) / (1.0 + e);
-    return xa < kTanhSmall ? small : std::copysign(big, x);
-  }
+double exp(double x) noexcept {
+  const double xc = std::fmin(std::fmax(x, kExpLo), kExpHi);
+  const double nd = std::nearbyint(xc * kLog2E);
+  double r = std::fma(nd, -kLn2Hi, xc);
+  r = std::fma(nd, -kLn2Lo, r);
+  const double r2 = r * r;
+  double p = std::fma(kExpP0, r2, kExpP1);
+  p = std::fma(p, r2, kExpP2);
+  const double px = r * p;
+  double q = std::fma(kExpQ0, r2, kExpQ1);
+  q = std::fma(q, r2, kExpQ2);
+  q = std::fma(q, r2, kExpQ3);
+  const double e = px / (q - px);
+  double res = std::fma(2.0, e, 1.0);
+  // Two-step 2^n scaling: n can reach +/-1076 where a single 2^n is
+  // not representable although the final product is.
+  const int n = static_cast<int>(nd);
+  const int n1 = n >> 1;
+  res = (res * pow2i(n1)) * pow2i(n - n1);
+  res = x > kExpHi ? std::numeric_limits<double>::infinity() : res;
+  res = x < kExpLo ? 0.0 : res;
+  res = x != x ? x : res;  // NaN in, NaN out (the clamp destroys it)
+  return res;
+}
 
-  static double sigmoid(double x) noexcept {
-    const double e = exp(-std::fabs(x));
-    const double num = std::signbit(x) ? e : 1.0;
-    return num / (1.0 + e);
-  }
+double tanh(double x) noexcept {
+  const double xa = std::fabs(x);
+  const double z = x * x;
+  double p = std::fma(kTanhP0, z, kTanhP1);
+  p = std::fma(p, z, kTanhP2);
+  double q = z + kTanhQ0;
+  q = std::fma(q, z, kTanhQ1);
+  q = std::fma(q, z, kTanhQ2);
+  // x * (1 + z P/Q) rather than Cephes' x + x z P/Q: multiplication
+  // preserves the sign of +/-0 where the trailing add would not.
+  const double small = x * std::fma(z, p / q, 1.0);
+  const double e = exp(-2.0 * xa);
+  const double big = 1.0 - (2.0 * e) / (1.0 + e);
+  return xa < kTanhSmall ? small : std::copysign(big, x);
+}
 
-  /// a * b + c, fused — mirrors the vector code's FMA placement.
-  static double madd(double a, double b, double c) noexcept {
-    return std::fma(a, b, c);
-  }
-};
+double sigmoid(double x) noexcept {
+  const double e = exp(-std::fabs(x));
+  const double num = std::signbit(x) ? e : 1.0;
+  return num / (1.0 + e);
+}
 
-/// Scalar-reference backend (GEONAS_SCALAR_MATH): the pre-vmath
-/// numerics — std::exp/std::tanh and unfused multiply-add — kept as the
-/// A/B accuracy baseline.
-struct RefMath {
-  static double exp(double x) noexcept { return std::exp(x); }
-  static double tanh(double x) noexcept { return std::tanh(x); }
-  static double sigmoid(double x) noexcept {
-    // Stable two-sided form (same algorithm as the vector path; the
-    // one-sided 1/(1+exp(-x)) overflows exp for large negative x).
-    const double e = std::exp(-std::fabs(x));
-    const double num = std::signbit(x) ? e : 1.0;
-    return num / (1.0 + e);
-  }
-  static double madd(double a, double b, double c) noexcept {
-    return a * b + c;
-  }
-};
+}  // namespace portable
 
 // --- per-element fused-kernel bodies (shared by scalar loops and the
 // ----- AVX2 kernels' tails) ------------------------------------------
 
-template <class M>
 inline void lstm_fwd_elem(double* zr, const double* cp, double* cn,
                           double* hn, double* ho, std::size_t u,
                           std::size_t i) noexcept {
-  const double ig = M::sigmoid(zr[i]);
-  const double fg = M::sigmoid(zr[u + i]);
-  const double gg = M::tanh(zr[2 * u + i]);
-  const double og = M::sigmoid(zr[3 * u + i]);
-  const double c = M::madd(fg, cp[i], ig * gg);
-  const double h = og * M::tanh(c);
+  const double ig = portable::sigmoid(zr[i]);
+  const double fg = portable::sigmoid(zr[u + i]);
+  const double gg = portable::tanh(zr[2 * u + i]);
+  const double og = portable::sigmoid(zr[3 * u + i]);
+  const double c = std::fma(fg, cp[i], ig * gg);
+  const double h = og * portable::tanh(c);
   zr[i] = ig;
   zr[u + i] = fg;
   zr[2 * u + i] = gg;
@@ -163,7 +138,6 @@ inline void lstm_fwd_elem(double* zr, const double* cp, double* cn,
   ho[i] = h;
 }
 
-template <class M>
 inline void lstm_bwd_elem(const double* gr, const double* cpr,
                           const double* cnr, const double* gor,
                           const double* dhr, double* dcr, double* dzr,
@@ -172,10 +146,10 @@ inline void lstm_bwd_elem(const double* gr, const double* cpr,
   const double fg = gr[u + i];
   const double gg = gr[2 * u + i];
   const double og = gr[3 * u + i];
-  const double tanh_c = M::tanh(cnr[i]);
+  const double tanh_c = portable::tanh(cnr[i]);
   const double dh = gor[i] + dhr[i];
   // h = o * tanh(c): route dh into the o-gate and the cell state.
-  const double dc = M::madd(dh * og, 1.0 - tanh_c * tanh_c, dcr[i]);
+  const double dc = std::fma(dh * og, 1.0 - tanh_c * tanh_c, dcr[i]);
   const double d_og = dh * tanh_c;
   const double d_ig = dc * gg;
   const double d_fg = dc * cpr[i];
@@ -187,48 +161,42 @@ inline void lstm_bwd_elem(const double* gr, const double* cpr,
   dzr[3 * u + i] = d_og * (og * (1.0 - og));
 }
 
-template <class M>
 inline void gru_zr_elem(double* ar, const double* hp, double* rhr,
                         std::size_t u, std::size_t i) noexcept {
-  const double zg = M::sigmoid(ar[i]);
-  const double rg = M::sigmoid(ar[u + i]);
+  const double zg = portable::sigmoid(ar[i]);
+  const double rg = portable::sigmoid(ar[u + i]);
   ar[i] = zg;
   ar[u + i] = rg;
   rhr[i] = rg * hp[i];
 }
 
-template <class M>
 inline void gru_out_elem(double* ar, const double* hp, double* hn,
                          double* ho, std::size_t u, std::size_t i) noexcept {
   const double zg = ar[i];
-  const double hh = M::tanh(ar[2 * u + i]);
+  const double hh = portable::tanh(ar[2 * u + i]);
   ar[2 * u + i] = hh;
-  const double h = M::madd(zg, hh, (1.0 - zg) * hp[i]);
+  const double h = std::fma(zg, hh, (1.0 - zg) * hp[i]);
   hn[i] = h;
   ho[i] = h;
 }
 
-// --- scalar backends (portable-fma and scalar-reference) -------------
+// --- portable-fma backend --------------------------------------------
 
-template <class M>
-void exp_span_t(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = M::exp(x[i]);
+void exp_span_portable(const double* x, double* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = portable::exp(x[i]);
 }
 
-template <class M>
-void tanh_span_t(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = M::tanh(x[i]);
+void tanh_span_portable(const double* x, double* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = portable::tanh(x[i]);
 }
 
-template <class M>
-void sigmoid_span_t(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = M::sigmoid(x[i]);
+void sigmoid_span_portable(const double* x, double* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = portable::sigmoid(x[i]);
 }
 
-template <class M>
-void lstm_fwd_t(std::size_t rows, std::size_t u, double* z,
-                const double* c_prev, double* c_new, double* h_new,
-                double* h_out, std::size_t h_out_stride) {
+void lstm_fwd_portable(std::size_t rows, std::size_t u, double* z,
+                       const double* c_prev, double* c_new, double* h_new,
+                       double* h_out, std::size_t h_out_stride) {
   for (std::size_t r = 0; r < rows; ++r) {
     double* zr = z + r * 4 * u;
     const double* cp = c_prev + r * u;
@@ -236,47 +204,44 @@ void lstm_fwd_t(std::size_t rows, std::size_t u, double* z,
     double* hn = h_new + r * u;
     double* ho = h_out + r * h_out_stride;
     for (std::size_t i = 0; i < u; ++i) {
-      lstm_fwd_elem<M>(zr, cp, cn, hn, ho, u, i);
+      lstm_fwd_elem(zr, cp, cn, hn, ho, u, i);
     }
   }
 }
 
-template <class M>
-void lstm_bwd_t(std::size_t rows, std::size_t u, const double* gates,
-                const double* c_prev, const double* c_new,
-                const double* grad_out, std::size_t grad_out_stride,
-                const double* dh, double* dc, double* dz) {
+void lstm_bwd_portable(std::size_t rows, std::size_t u, const double* gates,
+                       const double* c_prev, const double* c_new,
+                       const double* grad_out, std::size_t grad_out_stride,
+                       const double* dh, double* dc, double* dz) {
   for (std::size_t r = 0; r < rows; ++r) {
     const double* gr = gates + r * 4 * u;
     double* dzr = dz + r * 4 * u;
     for (std::size_t i = 0; i < u; ++i) {
-      lstm_bwd_elem<M>(gr, c_prev + r * u, c_new + r * u,
-                       grad_out + r * grad_out_stride, dh + r * u,
-                       dc + r * u, dzr, u, i);
+      lstm_bwd_elem(gr, c_prev + r * u, c_new + r * u,
+                    grad_out + r * grad_out_stride, dh + r * u, dc + r * u,
+                    dzr, u, i);
     }
   }
 }
 
-template <class M>
-void gru_zr_t(std::size_t rows, std::size_t u, double* a,
-              const double* h_prev, double* rh) {
+void gru_zr_portable(std::size_t rows, std::size_t u, double* a,
+                     const double* h_prev, double* rh) {
   for (std::size_t r = 0; r < rows; ++r) {
     double* ar = a + r * 3 * u;
     const double* hp = h_prev + r * u;
     double* rhr = rh + r * u;
-    for (std::size_t i = 0; i < u; ++i) gru_zr_elem<M>(ar, hp, rhr, u, i);
+    for (std::size_t i = 0; i < u; ++i) gru_zr_elem(ar, hp, rhr, u, i);
   }
 }
 
-template <class M>
-void gru_out_t(std::size_t rows, std::size_t u, double* a,
-               const double* h_prev, double* h_new, double* h_out,
-               std::size_t h_out_stride) {
+void gru_out_portable(std::size_t rows, std::size_t u, double* a,
+                      const double* h_prev, double* h_new, double* h_out,
+                      std::size_t h_out_stride) {
   for (std::size_t r = 0; r < rows; ++r) {
     double* ar = a + r * 3 * u;
     for (std::size_t i = 0; i < u; ++i) {
-      gru_out_elem<M>(ar, h_prev + r * u, h_new + r * u,
-                      h_out + r * h_out_stride, u, i);
+      gru_out_elem(ar, h_prev + r * u, h_new + r * u, h_out + r * h_out_stride,
+                   u, i);
     }
   }
 }
@@ -306,7 +271,7 @@ __attribute__((target("avx2,fma"))) inline __m256d vexp4(__m256d x) {
   const __m256d e = _mm256_div_pd(px, _mm256_sub_pd(q, px));
   __m256d res = _mm256_fmadd_pd(_mm256_set1_pd(2.0), e,
                                 _mm256_set1_pd(1.0));
-  // Two-step 2^n scaling (see FmaMath::exp).
+  // Two-step 2^n scaling (see portable::exp).
   const __m128i n32 = _mm256_cvtpd_epi32(nd);
   const __m128i n1 = _mm_srai_epi32(n32, 1);
   const __m128i n2 = _mm_sub_epi32(n32, n1);
@@ -366,7 +331,7 @@ __attribute__((target("avx2,fma"))) void exp_span_avx2(const double* x,
   for (; i + 4 <= n; i += 4) {
     _mm256_storeu_pd(out + i, vexp4(_mm256_loadu_pd(x + i)));
   }
-  for (; i < n; ++i) out[i] = FmaMath::exp(x[i]);
+  for (; i < n; ++i) out[i] = portable::exp(x[i]);
 }
 
 __attribute__((target("avx2,fma"))) void tanh_span_avx2(const double* x,
@@ -376,7 +341,7 @@ __attribute__((target("avx2,fma"))) void tanh_span_avx2(const double* x,
   for (; i + 4 <= n; i += 4) {
     _mm256_storeu_pd(out + i, vtanh4(_mm256_loadu_pd(x + i)));
   }
-  for (; i < n; ++i) out[i] = FmaMath::tanh(x[i]);
+  for (; i < n; ++i) out[i] = portable::tanh(x[i]);
 }
 
 __attribute__((target("avx2,fma"))) void sigmoid_span_avx2(const double* x,
@@ -386,7 +351,7 @@ __attribute__((target("avx2,fma"))) void sigmoid_span_avx2(const double* x,
   for (; i + 4 <= n; i += 4) {
     _mm256_storeu_pd(out + i, vsigmoid4(_mm256_loadu_pd(x + i)));
   }
-  for (; i < n; ++i) out[i] = FmaMath::sigmoid(x[i]);
+  for (; i < n; ++i) out[i] = portable::sigmoid(x[i]);
 }
 
 __attribute__((target("avx2,fma"))) void lstm_fwd_avx2(
@@ -416,7 +381,7 @@ __attribute__((target("avx2,fma"))) void lstm_fwd_avx2(
       _mm256_storeu_pd(hn + i, h);
       _mm256_storeu_pd(ho + i, h);
     }
-    for (; i < u; ++i) lstm_fwd_elem<FmaMath>(zr, cp, cn, hn, ho, u, i);
+    for (; i < u; ++i) lstm_fwd_elem(zr, cp, cn, hn, ho, u, i);
   }
 }
 
@@ -465,7 +430,7 @@ __attribute__((target("avx2,fma"))) void lstm_bwd_avx2(
           _mm256_mul_pd(d_og, _mm256_mul_pd(og, _mm256_sub_pd(one, og))));
     }
     for (; i < u; ++i) {
-      lstm_bwd_elem<FmaMath>(gr, cpr, cnr, gor, dhr, dcr, dzr, u, i);
+      lstm_bwd_elem(gr, cpr, cnr, gor, dhr, dcr, dzr, u, i);
     }
   }
 }
@@ -488,7 +453,7 @@ __attribute__((target("avx2,fma"))) void gru_zr_avx2(std::size_t rows,
       _mm256_storeu_pd(rhr + i,
                        _mm256_mul_pd(rg, _mm256_loadu_pd(hp + i)));
     }
-    for (; i < u; ++i) gru_zr_elem<FmaMath>(ar, hp, rhr, u, i);
+    for (; i < u; ++i) gru_zr_elem(ar, hp, rhr, u, i);
   }
 }
 
@@ -512,7 +477,7 @@ __attribute__((target("avx2,fma"))) void gru_out_avx2(
       _mm256_storeu_pd(hn + i, h);
       _mm256_storeu_pd(ho + i, h);
     }
-    for (; i < u; ++i) gru_out_elem<FmaMath>(ar, hp, hn, ho, u, i);
+    for (; i < u; ++i) gru_out_elem(ar, hp, hn, ho, u, i);
   }
 }
 
@@ -536,21 +501,15 @@ struct VmathImpl {
 };
 
 VmathImpl select_impl() {
-#if defined(GEONAS_SCALAR_MATH)
-  return {"scalar-reference",   exp_span_t<RefMath>, tanh_span_t<RefMath>,
-          sigmoid_span_t<RefMath>, lstm_fwd_t<RefMath>, lstm_bwd_t<RefMath>,
-          gru_zr_t<RefMath>,    gru_out_t<RefMath>};
-#else
 #ifdef GEONAS_VMATH_X86_DISPATCH
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return {"avx2-fma",    exp_span_avx2, tanh_span_avx2, sigmoid_span_avx2,
             lstm_fwd_avx2, lstm_bwd_avx2, gru_zr_avx2,    gru_out_avx2};
   }
 #endif
-  return {"portable-fma",       exp_span_t<FmaMath>, tanh_span_t<FmaMath>,
-          sigmoid_span_t<FmaMath>, lstm_fwd_t<FmaMath>, lstm_bwd_t<FmaMath>,
-          gru_zr_t<FmaMath>,    gru_out_t<FmaMath>};
-#endif
+  return {"portable-fma",    exp_span_portable, tanh_span_portable,
+          sigmoid_span_portable, lstm_fwd_portable, lstm_bwd_portable,
+          gru_zr_portable,  gru_out_portable};
 }
 
 const VmathImpl& impl() {
@@ -577,9 +536,13 @@ const char* vmath_backend() noexcept { return impl().name; }
 
 namespace vref {
 
-double exp(double x) noexcept { return RefMath::exp(x); }
-double tanh(double x) noexcept { return RefMath::tanh(x); }
-double sigmoid(double x) noexcept { return RefMath::sigmoid(x); }
+double exp(double x) noexcept { return std::exp(x); }
+double tanh(double x) noexcept { return std::tanh(x); }
+double sigmoid(double x) noexcept {
+  const double e = std::exp(-std::fabs(x));
+  const double num = std::signbit(x) ? e : 1.0;
+  return num / (1.0 + e);
+}
 
 }  // namespace vref
 

@@ -1,27 +1,24 @@
 // Vectorized transcendental math and fused recurrent pointwise kernels.
 //
 // Every per-element sigmoid/tanh/exp in the training hot path funnels
-// through this layer. Three interchangeable backends sit behind one
+// through this layer. Two bitwise-identical backends sit behind one
 // runtime-dispatched table (the same mechanism gemm_blocked.cpp uses for
 // its micro-kernel):
 //
-//   avx2-fma          4-wide AVX2+FMA polynomial kernels (Cephes-style
-//                     rational approximations), selected at runtime via
-//                     __builtin_cpu_supports on x86-64.
-//   portable-fma      scalar mirror of the vector algorithm: the exact
-//                     same operation sequence written with std::fma, so a
-//                     value computed by the scalar path (loop tails,
-//                     non-AVX2 hosts) is bitwise identical to the same
-//                     element computed in a SIMD lane.
-//   scalar-reference  std::exp/std::tanh loops (the pre-vmath numerics),
-//                     compiled in with GEONAS_SCALAR_MATH=ON for A/B
-//                     accuracy baselines.
+//   avx2-fma      4-wide AVX2+FMA polynomial kernels (Cephes-style
+//                 rational approximations), selected at runtime via
+//                 __builtin_cpu_supports on x86-64.
+//   portable-fma  scalar mirror of the vector algorithm: the exact same
+//                 operation sequence written with std::fma, so a value
+//                 computed by the scalar path (loop tails, non-AVX2
+//                 hosts) is bitwise identical to the same element
+//                 computed in a SIMD lane.
 //
 // Accuracy budget (enforced by tests/tensor_vmath_test.cpp): vexp, vtanh
-// and vsigmoid stay within 4 ULP of the scalar reference on [-40, 40],
-// saturate exactly beyond (tanh -> +/-1, sigmoid -> 0/1, exp -> 0/inf at
-// the IEEE-754 double limits), preserve signed zero and denormal inputs
-// where the function is ~identity, and propagate NaN.
+// and vsigmoid stay within 4 ULP of the scalar reference (vref below) on
+// [-40, 40], saturate exactly beyond (tanh -> +/-1, sigmoid -> 0/1,
+// exp -> 0/inf at the IEEE-754 double limits), preserve signed zero and
+// denormal inputs where the function is ~identity, and propagate NaN.
 //
 // Determinism: per-element results do not depend on where an element
 // falls in a chunk or SIMD lane (see portable-fma above), so the span
@@ -40,11 +37,12 @@
 
 namespace geonas::tensor {
 
-/// Active backend name: "avx2-fma", "portable-fma" or "scalar-reference".
+/// Active backend name: "avx2-fma" or "portable-fma".
 [[nodiscard]] const char* vmath_backend() noexcept;
 
 // ---------------------------------------------------------------------
-// Scalar reference implementations (the A/B baseline, always available).
+// Scalar reference for the accuracy tests, written with std::exp and
+// std::tanh.
 // ---------------------------------------------------------------------
 namespace vref {
 

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "data/landmask.hpp"
@@ -307,9 +306,6 @@ TEST(Determinism, TrainingDigestPinned) {
   // vmath numerics (avx2-fma and its bitwise portable-fma mirror) and the
   // default build options; a GEONAS_NATIVE_ARCH build may compute other
   // bits.
-  if (std::string_view(tensor::vmath_backend()) == "scalar-reference") {
-    GTEST_SKIP() << "digests hold the vectorized vmath numerics";
-  }
   const searchspace::StackedLSTMSpace space;
   for (const std::size_t threads : kThreadCounts) {
     SCOPED_TRACE(::testing::Message() << "kernel_threads=" << threads);

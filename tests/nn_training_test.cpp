@@ -246,8 +246,7 @@ TEST(Trainer, EpochLossWeightsPartialFinalBatch) {
   GraphNetwork net = tiny_net(4);
   net.init_params(35);
   const TrainHistory hist =
-      Trainer({.epochs = 1, .batch_size = 8, .learning_rate = 0.0,
-               .shuffle = false})
+      Trainer({.epochs = 1, .batch_size = 8, .learning_rate = 0.0})
           .fit(net, x, y, Tensor3{}, Tensor3{});
   ASSERT_EQ(hist.train_loss.size(), 1u);
   const Tensor3 pred = Trainer::predict(net, x);

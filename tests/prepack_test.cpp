@@ -1,12 +1,11 @@
 // Prepacked weight panels (tensor/prepack.hpp): correctness of the
 // pack-once GEMM path and its invalidation rule.
 //
-// The packed layout is byte-identical to what the per-call kernel's
-// pack_b produces, and the packed dispatch preserves the K-partitioning
-// and accumulation order of the blocked kernel — so every comparison in
-// this file demands BITWISE equality with the unpacked path, at every
-// kernel thread count, exactly like tests/determinism_test.cpp does for
-// the raw kernels. Suites are named Prepack* so the TSan quick gate
+// The packed layout is byte-identical to what the per-call path packs,
+// and both paths run the same loop nest — so every comparison in this
+// file demands BITWISE equality with the unpacked path, at every kernel
+// thread count, exactly like tests/determinism_test.cpp does for the raw
+// kernels. Suites are named Prepack* so the TSan quick gate
 // (tools/run_checks.sh --quick) can select them.
 #include <gtest/gtest.h>
 
@@ -91,26 +90,37 @@ void check_packed_matches_raw(std::size_t m, const Matrix& a, const Matrix& w,
   }
 }
 
-TEST(PrepackGemm, SmallMFastPathBitwiseMatchesUnpacked) {
+TEST(PrepackGemm, SmallMBitwiseMatchesUnpacked) {
   Rng rng(101);
-  // 64x256 weight = 128 KiB packed: inside the L2 bound, so m <= kMC
-  // rides the no-blocking fast path. m = 1 is the serve shape, m = 8 a
-  // micro-batch.
+  // m = 1 is the serve shape, m = 8 a micro-batch: one kMC block of
+  // rows. The 64x256 panel fits one (jc, pc) block; the 16x1100 panel is
+  // wider than kNC, so the stripe reads its second column block at
+  // offset jc * kc.
   const Matrix w = random_matrix(64, 256, rng);
+  const Matrix wide = random_matrix(16, 1100, rng);
   for (const std::size_t m : {std::size_t{1}, std::size_t{8}}) {
     const Matrix a = random_matrix(m, 64, rng);
     check_packed_matches_raw(m, a, w, Trans::kNone);
+    const Matrix a_wide = random_matrix(m, 16, rng);
+    check_packed_matches_raw(m, a_wide, wide, Trans::kNone);
   }
 }
 
-TEST(PrepackGemm, LargeOperandGeneralPathBitwiseMatchesUnpacked) {
+TEST(PrepackGemm, LargeOperandBitwiseMatchesUnpacked) {
   Rng rng(102);
-  // 256x160 weight = 320 KiB packed: over the L2 bound, so the packed
-  // dispatch keeps the jc/ic blocking loops; 180 rows at 14.7 MFLOP also
-  // clears the parallel_for threshold, so threads 2/8 genuinely split M.
+  // 180 rows cross kMC, and at 14.7 MFLOP clear the parallel_for
+  // threshold, so threads 2/8 genuinely split M.
   const Matrix w = random_matrix(256, 160, rng);
   const Matrix a = random_matrix(180, 256, rng);
   check_packed_matches_raw(180, a, w, Trans::kNone);
+  // A 300x1030 panel crosses kKC and kNC, so its blocks sit at
+  // pc * n_pad + jc * kc with pc > 0 and jc > 0; its transpose crosses
+  // kKC four times.
+  const Matrix big = random_matrix(300, 1030, rng);
+  check_packed_matches_raw(100, random_matrix(100, 300, rng), big,
+                           Trans::kNone);
+  check_packed_matches_raw(7, random_matrix(7, 1030, rng), big,
+                           Trans::kTranspose);
 }
 
 TEST(PrepackGemm, TransposedPanelBitwiseMatchesUnpacked) {

@@ -54,12 +54,14 @@ void expect_matches_naive(const Matrix& a, const Matrix& b, double tol) {
 
 TEST(BlockedGemm, OracleOverNonSquareAndEdgeShapes) {
   // 1x1, single-row/column, primes straddling the register tile, and
-  // shapes larger than one cache block in every dimension.
+  // shapes that cross the kMC (96), kKC (256) and kNC (1024) cache
+  // blocks, alone and together.
   const std::size_t shapes[][3] = {
       {1, 1, 1},   {1, 1, 7},    {1, 9, 1},     {6, 1, 1},    {1, 17, 13},
       {13, 1, 17}, {13, 17, 1},  {2, 3, 4},     {4, 8, 4},    {5, 9, 3},
       {7, 13, 31}, {31, 7, 13},  {97, 53, 61},  {101, 8, 4},  {3, 103, 5},
-      {64, 64, 64}, {130, 70, 190}, {97, 300, 11},
+      {64, 64, 64}, {130, 70, 190}, {97, 300, 11}, {5, 1030, 300},
+      {100, 20, 600}, {97, 1100, 260},
   };
   Rng rng(1234);
   for (const auto& s : shapes) {

@@ -27,6 +27,10 @@
 //                        [--max-batch 32] [--max-delay-ms 0.5]
 //                        [--requests 20000] [--seed 1]
 //
+// Each subcommand takes exactly the options listed for it (and the two
+// metrics options below); any other --key fails with exit status 1, so
+// a typo or a retired flag is never silently ignored.
+//
 // `serve` freezes the architecture (trained weights from --weights, or
 // seeded initial weights for smoke runs) into a forward-only
 // serve::FrozenPlan, spins up a micro-batching ServeEngine with
@@ -68,6 +72,7 @@
 // the trajectory depends only on the campaign config, never on worker
 // count or timing, so the run is resumable (--checkpoint/--resume) and
 // bitwise comparable to the in-process simulator.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -182,6 +187,20 @@ class Args {
                                 double fallback) const {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : parse_real(key, it->second);
+  }
+  /// Throws std::invalid_argument naming the first key that is neither in
+  /// `known` nor a metrics option (which every subcommand takes).
+  void check_known(const std::string& command,
+                   const std::vector<std::string>& known) const {
+    for (const auto& entry : values_) {
+      const std::string& key = entry.first;
+      if (key == "metrics-out" || key == "metrics" ||
+          std::find(known.begin(), known.end(), key) != known.end()) {
+        continue;
+      }
+      throw std::invalid_argument("unknown option --" + key + " for " +
+                                  command);
+    }
   }
 
  private:
@@ -627,6 +646,38 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
+/// A subcommand and the options its cmd_* function reads.
+struct Subcommand {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> options;
+};
+
+const Subcommand* find_subcommand(const std::string& name) {
+  static const std::vector<Subcommand> table{
+      {"generate", cmd_generate,
+       {"out", "mask", "nlat", "nlon", "weeks", "start", "seed"}},
+      {"pod", cmd_pod, {"snapshots", "modes"}},
+      {"search", cmd_search,
+       {"evaluations", "method", "seed", "checkpoint", "checkpoint-every",
+        "resume", "retries", "eval-timeout", "memoize", "workers", "train",
+        "epochs", "master", "nodes", "wall-time", "port", "bind",
+        "stop-after", "cluster-seed"}},
+      {"worker", cmd_worker,
+       {"port", "host", "name", "connect-attempts", "train", "epochs"}},
+      {"train", cmd_train,
+       {"snapshots", "modes", "window", "arch", "epochs", "seed",
+        "weights-out"}},
+      {"serve", cmd_serve,
+       {"arch", "weights", "modes", "window", "streams", "max-batch",
+        "max-delay-ms", "requests", "seed"}},
+  };
+  for (const Subcommand& sub : table) {
+    if (name == sub.name) return &sub;
+  }
+  return nullptr;
+}
+
 void usage() {
   std::fprintf(stderr,
                "usage: geonas_cli <generate|pod|search|worker|train|serve> "
@@ -637,22 +688,17 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const Subcommand* sub = argc < 2 ? nullptr : find_subcommand(argv[1]);
+  if (sub == nullptr) {
     usage();
     return 2;
   }
   const std::string command = argv[1];
   try {
     const Args args(argc, argv, 2);
+    args.check_known(command, sub->options);
     const MetricsScope metrics(args);
-    if (command == "generate") return cmd_generate(args);
-    if (command == "pod") return cmd_pod(args);
-    if (command == "search") return cmd_search(args);
-    if (command == "worker") return cmd_worker(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "serve") return cmd_serve(args);
-    usage();
-    return 2;
+    return sub->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "geonas_cli %s: %s\n", command.c_str(), e.what());
     return 1;

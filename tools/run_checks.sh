@@ -8,12 +8,12 @@
 #   tools/run_checks.sh --quick    pre-merge gate: lint + bench-gate dry
 #                                  run + release alloc audit + ASan+UBSan
 #                                  tier-1 suite + TSan over the threaded
-#                                  kernel layer (determinism + vmath +
-#                                  kernel team + pool shards +
-#                                  hpc stress + memoizer + serve suites +
-#                                  concurrent simulator campaigns +
-#                                  recurrent layers, trainer, NAS driver,
-#                                  threaded PPO agents)
+#                                  kernel layer (determinism + blocked
+#                                  GEMM + vmath + kernel team + pool
+#                                  shards + hpc stress + memoizer + serve
+#                                  suites + concurrent simulator
+#                                  campaigns + recurrent layers, trainer,
+#                                  NAS driver, threaded PPO agents)
 #                                  + a one-TU thread-safety smoke
 #   tools/run_checks.sh --analyze  just the Clang Thread Safety Analysis
 #                                  build (cmake --preset analyze with
@@ -158,8 +158,10 @@ if [[ $quick -eq 1 ]]; then
   # and the memoizer stress suite (concurrent evaluate vs checkpoint
   # streaming over one cache mutex). Serve* covers the inference engine's
   # MPSC queue/stream handoff (multi-producer backpressure + drain);
-  # Prepack* covers packed-panel consumption from pool workers (the
-  # panels are shared read-only across GEMM worker threads); Net* runs
+  # BlockedGemm splits raw-B products across team workers, which run the
+  # same stripe function as the packed panels; Prepack* covers
+  # packed-panel consumption from pool workers (the panels are shared
+  # read-only across GEMM worker threads); Net* runs
   # the master poll loop against concurrent in-process worker threads;
   # SST* covers snapshot generation, whose pool workers read the caches
   # the calling thread grew; ClusterSimStress runs concurrent
@@ -172,7 +174,7 @@ if [[ $quick -eq 1 ]]; then
   # PPOStress runs PPO agents that sample and compute gradients
   # concurrently against one shared evaluator between per-round joins.
   run_flavor tsan \
-    '^(Determinism|Vmath|ParallelFor|PoolShard|Obs|Memoizer|Serve|Prepack|Net|SST|ClusterSimStress|PPOStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
+    '^(Determinism|BlockedGemm|Vmath|ParallelFor|PoolShard|Obs|Memoizer|Serve|Prepack|Net|SST|ClusterSimStress|PPOStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
   run_analyze_smoke
 else
   run_flavor tsan
