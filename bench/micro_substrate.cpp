@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for the geonas substrates: dense
 // kernels, vector transcendental math, LSTM forward/BPTT, the winner's
-// training step and the kernel fork-join, POD fitting,
-// synthetic data generation, search-space operations, and the surrogate
-// evaluator.
+// training step and the kernel fork-join, POD fitting and its
+// eigensolver, synthetic data generation, search-space operations, and
+// the surrogate evaluator.
 //
 // Custom main (below): every run stamps the geonas build type and active
 // vmath backend into the benchmark context, so a committed BENCH_*.json
@@ -17,7 +17,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/pipeline.hpp"
+#include "core/scale.hpp"
 #include "core/surrogate.hpp"
+#include "data/landmask.hpp"
 #include "data/sst.hpp"
 #include "hpc/parallel_for.hpp"
 #include "nn/graph.hpp"
@@ -30,6 +33,7 @@
 #include "search/aging_evolution.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/blas.hpp"
+#include "tensor/linalg.hpp"
 #include "tensor/prepack.hpp"
 #include "tensor/random.hpp"
 #include "tensor/vmath.hpp"
@@ -583,6 +587,33 @@ void BM_PodFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PodFit)->Arg(64)->Arg(128);
+
+// The quick-scale POD fit's eigenproblem: the centered correlation matrix
+// of the first Ns snapshots (core::PODLSTMPipeline::prepare at quick
+// scale uses 427), built once outside the timed loop. The solver runs on
+// the calling thread; the counter records its sweep count.
+void BM_EigenSymmetric(benchmark::State& state) {
+  const auto ns = static_cast<std::size_t>(state.range(0));
+  const core::ExperimentSetup setup =
+      core::ExperimentSetup::make(core::Scale::kQuick);
+  const data::LandMask mask(setup.grid, core::PipelineConfig{}.mask_seed);
+  Matrix snaps = data::SyntheticSST().snapshots(mask, 0, ns);
+  for (std::size_t i = 0; i < snaps.rows(); ++i) {
+    double mean = 0.0;
+    for (std::size_t j = 0; j < ns; ++j) mean += snaps(i, j);
+    mean /= static_cast<double>(ns);
+    for (std::size_t j = 0; j < ns; ++j) snaps(i, j) -= mean;
+  }
+  const Matrix corr = matmul_at_b(snaps, snaps);
+  int sweeps = 0;
+  for (auto _ : state) {
+    const EigenResult eig = eigen_symmetric(corr);
+    sweeps = eig.sweeps;
+    benchmark::DoNotOptimize(eig.eigenvalues.data());
+  }
+  state.counters["sweeps"] = sweeps;
+}
+BENCHMARK(BM_EigenSymmetric)->Arg(427)->Unit(benchmark::kMillisecond);
 
 void BM_SyntheticSnapshot(benchmark::State& state) {
   const data::Grid grid = data::Grid::reduced();

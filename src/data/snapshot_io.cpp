@@ -1,6 +1,7 @@
 #include "data/snapshot_io.hpp"
 
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -98,9 +99,19 @@ SnapshotRecord read_snapshots(std::istream& is) {
   for (std::size_t c = 0; c < cols; ++c) {
     // Per-column checked read: a truncated payload reports the failing
     // byte offset instead of silently zero-filling the tail columns.
+    const std::uint64_t column_offset = offset;
     read_exact(is, column.data(), column.size() * sizeof(double), offset,
                "snapshot payload column");
-    for (std::size_t r = 0; r < rows; ++r) record.snapshots(r, c) = column[r];
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (!std::isfinite(column[r])) {
+        throw std::runtime_error(
+            "snapshot_io: non-finite snapshot value " +
+            std::to_string(column[r]) + " at (" + std::to_string(r) + ", " +
+            std::to_string(c) + "), byte offset " +
+            std::to_string(column_offset + r * sizeof(double)));
+      }
+      record.snapshots(r, c) = column[r];
+    }
   }
   return record;
 }

@@ -13,6 +13,9 @@
 //   payload     : rows*cols doubles, column-major (one snapshot per column,
 //                 matching the POD snapshot-matrix layout of eq. 1)
 //
+// The reader refuses a truncated stream, implausible dimensions and a
+// NaN or inf payload value (naming its (row, column) and byte offset).
+//
 // Masks serialize as magic "GEOMASK1", nlat, nlon, then nlat*nlon bytes of
 // 0 (ocean) / 1 (land).
 #pragma once

@@ -18,6 +18,9 @@ void POD::fit(const Matrix& snapshots, const PODConfig& config) {
   if (config.num_modes == 0 || config.num_modes > ns) {
     throw std::invalid_argument("POD::fit: num_modes must be in [1, Ns]");
   }
+  // One NaN or inf would spread through the mean and the correlation
+  // matrix into every mode.
+  require_finite(snapshots, "POD::fit");
 
   if (config.subtract_mean) {
     mean_.assign(nh, 0.0);

@@ -33,7 +33,8 @@ class POD {
   POD() = default;
 
   /// Fit the decomposition to column-wise `snapshots` (Nh x Ns).
-  /// Throws std::invalid_argument when num_modes > Ns or snapshots empty.
+  /// Throws std::invalid_argument when num_modes > Ns, snapshots are
+  /// empty or hold a NaN/inf (named with its (row, column)).
   void fit(const Matrix& snapshots, const PODConfig& config);
 
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }

@@ -5,6 +5,14 @@
 // positive-definite solve. Both are implemented from scratch: a cyclic
 // Jacobi eigensolver (robust, embarrassingly accurate for the modest
 // Ns x Ns correlation matrices involved) and a Cholesky factorization.
+//
+// The eigensolver runs on the calling thread. Its sweep applies each
+// step's column rotation along rows: a row receives a pass's column
+// rotations just before its own step and at the end of the pass, and V
+// receives the sweep's rotations at its end. Every element of A and V
+// still gets the textbook loop's rotations, partner values and order,
+// so the output is bitwise that loop's (DESIGN.md "Eigensolver";
+// Eigen.OutputBitsPinned).
 #pragma once
 
 #include <vector>
@@ -22,9 +30,14 @@ struct EigenResult {
   int sweeps = 0;       // Jacobi sweeps used
 };
 
+/// Throws std::invalid_argument naming `who`, the first NaN or inf of `m`
+/// in row-major order and its (row, column).
+void require_finite(const Matrix& m, const char* who);
+
 /// Cyclic Jacobi eigensolver for a symmetric matrix.
-/// Throws std::invalid_argument for non-square input. tol is the threshold
-/// on the off-diagonal Frobenius norm relative to the matrix norm.
+/// Throws std::invalid_argument for non-square input or a NaN/inf entry.
+/// tol is the threshold on the off-diagonal Frobenius norm relative to
+/// the matrix norm.
 [[nodiscard]] EigenResult eigen_symmetric(const Matrix& a, double tol = 1e-12,
                                           int max_sweeps = 100);
 

@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "data/landmask.hpp"
 #include "data/snapshot_io.hpp"
@@ -94,6 +96,32 @@ TEST(SnapshotIO, ImplausibleDimensionsNameTheValues) {
     FAIL() << "zero-column snapshot accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("implausible"), std::string::npos);
+  }
+}
+
+TEST(SnapshotIO, RejectsNonFinitePayload) {
+  // Unchecked, a well-formed file with a NaN or inf value loads silently
+  // and poisons the POD fit downstream.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    Rng rng(5);
+    SnapshotRecord record;
+    record.snapshots.resize(6, 4);
+    for (double& v : record.snapshots.flat()) v = rng.normal();
+    record.snapshots(3, 1) = bad;
+    std::stringstream buffer;
+    write_snapshots(record, buffer);
+    try {
+      (void)read_snapshots(buffer);
+      FAIL() << "non-finite payload accepted";
+    } catch (const std::runtime_error& e) {
+      // Header 32 bytes, then column 1 after column 0's six doubles.
+      const std::string what = e.what();
+      EXPECT_NE(what.find("at (3, 1), byte offset " +
+                          std::to_string(32 + (6 + 3) * sizeof(double))),
+                std::string::npos)
+          << what;
+    }
   }
 }
 

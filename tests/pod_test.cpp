@@ -5,7 +5,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <stdexcept>
+#include <string>
 
+#include "data/landmask.hpp"
+#include "data/sst.hpp"
+#include "io/binary.hpp"
 #include "pod/pod.hpp"
 #include "tensor/blas.hpp"
 #include "tensor/random.hpp"
@@ -38,6 +46,46 @@ TEST(POD, RejectsBadArguments) {
   EXPECT_THROW(p.fit(s, {.num_modes = 5}), std::invalid_argument);
   EXPECT_THROW(p.fit(s, {.num_modes = 0}), std::invalid_argument);
   EXPECT_THROW((void)p.project(s), std::logic_error);
+}
+
+/// io's CRC-32 of the bytes of `values`.
+std::uint32_t crc_of(std::span<const double> values) {
+  return io::crc32_update(0, values.data(), values.size() * sizeof(double));
+}
+
+TEST(POD, QuickScaleBasisPinned) {
+  // The first stage after the snapshots (SST.SnapshotBytesPinned pins
+  // this input): the 5-mode basis and the 427 eigenvalues of the
+  // quick-scale fit. The pipeline's coefficients, both R² values and
+  // every campaign digest are computed from them, so a numerics change
+  // that moves them shows here first. Captured with the default build
+  // options, like SST.SnapshotBytesPinned.
+  const data::LandMask mask(data::Grid{45, 90}, 7);
+  pod::POD p;
+  p.fit(data::SyntheticSST().snapshots(mask, 0, 427), {.num_modes = 5});
+  EXPECT_EQ(crc_of(p.basis().flat()), 0x2827166fu)
+      << std::hex << crc_of(p.basis().flat());
+  EXPECT_EQ(crc_of(p.eigenvalues()), 0xebc9ff28u)
+      << std::hex << crc_of(p.eigenvalues());
+}
+
+TEST(POD, RejectsNonFiniteSnapshots) {
+  // Unchecked, an inf snapshot becomes a NaN basis without a word.
+  Rng rng(24);
+  Matrix s = synthetic_snapshots(10, 4, 2, 0.1, rng);
+  s(7, 2) = std::numeric_limits<double>::infinity();
+  pod::POD p;
+  try {
+    p.fit(s, {.num_modes = 2});
+    FAIL() << "inf snapshot accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("POD::fit"), std::string::npos) << what;
+    EXPECT_NE(what.find("inf at (7, 2)"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(p.fitted());
+  s(7, 2) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(p.fit(s, {.num_modes = 2}), std::invalid_argument);
 }
 
 TEST(POD, BasisIsOrthonormal) {
