@@ -628,6 +628,26 @@ void BM_SyntheticSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticSnapshot);
 
+// What core::PODLSTMPipeline::prepare() pays for the quick-scale record,
+// as one call from a fresh generator whose caches start empty: its 1,957
+// snapshot columns (the 427 training weeks, then 64-week chunks from week
+// 384, the chunk that straddles the training boundary, to week 1,914).
+void BM_SyntheticRecord(benchmark::State& state) {
+  constexpr std::size_t kWeeks = 1957;
+  const core::ExperimentSetup setup =
+      core::ExperimentSetup::make(core::Scale::kQuick);
+  const data::LandMask mask(setup.grid, core::PipelineConfig{}.mask_seed);
+  for (auto _ : state) {
+    const data::SyntheticSST sst;
+    const Matrix record = sst.snapshots(mask, 0, kWeeks);
+    benchmark::DoNotOptimize(record.flat().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(mask.ocean_count() *
+                                                    kWeeks));
+}
+BENCHMARK(BM_SyntheticRecord)->Unit(benchmark::kMillisecond);
+
 void BM_SpaceMutate(benchmark::State& state) {
   const searchspace::StackedLSTMSpace space;
   Rng rng(8);

@@ -87,7 +87,8 @@ Matrix CESMSurrogate::snapshots(const LandMask& mask, std::size_t week0,
 HYCOMSurrogate::HYCOMSurrogate(const SyntheticSST& truth, HYCOMOptions options)
     : truth_(&truth), opts_(options) {}
 
-double HYCOMSurrogate::value(double lat, double lon, std::size_t week) const {
+double HYCOMSurrogate::forecast(double truth, double lat, double lon,
+                                std::size_t week) const {
   const auto t = static_cast<double>(week);
   // Forecast error: an independent smooth wave field (position/timing
   // errors in the mesoscale forecast) plus interpolation noise and a small
@@ -109,16 +110,22 @@ double HYCOMSurrogate::value(double lat, double lon, std::size_t week) const {
   const auto qlon = static_cast<std::uint64_t>(lon * 16.0);
   const double noise =
       opts_.noise_sigma * hash_normal(opts_.seed, week, qlat, qlon);
-  return truth_->value(lat, lon, week) + err + enso_err + opts_.bias + noise;
+  return truth + err + enso_err + opts_.bias + noise;
+}
+
+double HYCOMSurrogate::value(double lat, double lon, std::size_t week) const {
+  return forecast(truth_->value(lat, lon, week), lat, lon, week);
 }
 
 std::vector<double> HYCOMSurrogate::field(const Grid& grid,
                                           std::size_t week) const {
-  std::vector<double> out(grid.cells());
+  // The truth for the whole grid at once; its entries equal value()'s.
+  std::vector<double> out = truth_->field(grid, week);
   for (std::size_t i = 0; i < grid.nlat; ++i) {
     const double lat = grid.lat_of(i);
     for (std::size_t j = 0; j < grid.nlon; ++j) {
-      out[grid.index(i, j)] = value(lat, grid.lon_of(j), week);
+      double& cell = out[grid.index(i, j)];
+      cell = forecast(cell, lat, grid.lon_of(j), week);
     }
   }
   return out;

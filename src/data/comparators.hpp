@@ -70,6 +70,9 @@ class HYCOMSurrogate {
                  HYCOMOptions options = HYCOMOptions{});
 
   [[nodiscard]] double value(double lat, double lon, std::size_t week) const;
+  /// Full-grid forecast at `week`; each entry is bitwise equal to value()
+  /// at that cell's centre. Reads the truth once, through
+  /// SyntheticSST::field(), so it runs that call's kernel-pool split.
   [[nodiscard]] std::vector<double> field(const Grid& grid,
                                           std::size_t week) const;
   [[nodiscard]] Matrix snapshots(const LandMask& mask, std::size_t week0,
@@ -81,6 +84,10 @@ class HYCOMSurrogate {
   [[nodiscard]] static std::size_t last_available_week();
 
  private:
+  /// The forecast at a cell whose truth reads `truth` in `week`.
+  [[nodiscard]] double forecast(double truth, double lat, double lon,
+                                std::size_t week) const;
+
   const SyntheticSST* truth_;
   HYCOMOptions opts_;
 };

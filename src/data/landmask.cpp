@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/random.hpp"
 
@@ -48,6 +49,11 @@ double elevation(const std::vector<Harmonic>& hs, double lat_deg,
 
 LandMask::LandMask(const Grid& grid, std::uint64_t seed, double land_fraction)
     : grid_(grid), land_(grid.cells(), 0) {
+  if (grid.nlat == 0 || grid.nlon == 0) {
+    throw std::invalid_argument("LandMask: grid " + std::to_string(grid.nlat) +
+                                "x" + std::to_string(grid.nlon) +
+                                " (nlat x nlon) has no cells");
+  }
   if (land_fraction < 0.0 || land_fraction >= 1.0) {
     throw std::invalid_argument("LandMask: land_fraction must be in [0, 1)");
   }

@@ -19,6 +19,7 @@ namespace geonas::data {
 class LandMask {
  public:
   /// Builds a mask with approximately `land_fraction` of cells on land.
+  /// Throws std::invalid_argument for a grid without rows or columns.
   explicit LandMask(const Grid& grid, std::uint64_t seed = 7,
                     double land_fraction = 0.30);
 

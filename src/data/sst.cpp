@@ -19,10 +19,13 @@ constexpr double kDeg2Rad = std::numbers::pi / 180.0;
 constexpr std::size_t kChaosWindow = 3000;
 constexpr std::size_t kTeleOffset = kChaosWindow / 4;
 
-/// Rough cost of one libm sin/cos/log call (~20 ns), in blocked-GEMM
-/// flops of the same duration; one value() makes about eddy_waves + 5 such
-/// calls per (cell, week). Sizes the parallel_for threshold test.
+/// Rough cost of one libm sin/cos/exp/log call (~20 ns), in blocked-GEMM
+/// flops of the same duration. Sizes the parallel_for threshold test.
 constexpr double kFlopsPerLibmCall = 100.0;
+
+/// The seasonal terms of the halves: the annual and the semi-annual
+/// harmonic, each as a cos and a sin term.
+constexpr std::size_t kSeasonalTerms = 4;
 
 /// Standard normal from a 64-bit hash key.
 double unit_normal(std::uint64_t h) {
@@ -56,38 +59,10 @@ double noise_at(const SSTOptions& o, std::uint64_t week_key,
   return o.noise_sigma * unit_normal(hash_combine(week_key, cell_key));
 }
 
-/// Per-location factors of the seasonal cycle.
-struct SeasonalCell {
-  double amp, lag, semi;
-};
-
-SeasonalCell seasonal_cell(const SSTOptions& o, double lat, double lon) {
-  const double lat_rad = lat * kDeg2Rad;
-  const double lon_rad = lon * kDeg2Rad;
-  SeasonalCell cell{};
-  // Hemisphere-antisymmetric amplitude, modulated in longitude (western
-  // boundary regions respond more strongly than ocean interiors).
-  cell.amp = o.seasonal_amplitude * std::sin(lat_rad) *
-             (1.0 + 0.28 * std::sin(lon_rad + 2.2));
-  // Longitude-dependent seasonal lag (+-4 weeks): continental coasts lead,
-  // maritime interiors trail. This puts the annual cycle's sine AND cosine
-  // quadratures into the spatial field, spreading periodic variance over
-  // several POD modes exactly as in the observed SST record.
-  cell.lag = 4.0 * std::sin(lon_rad + 1.0);
-  cell.semi = o.semiannual_amplitude * std::abs(std::sin(lat_rad)) *
-              (1.0 + 0.3 * std::cos(lon_rad - 0.7));
-  return cell;
-}
-
-double seasonal_at(const SeasonalCell& cell, double week_time) {
-  const double phase =
-      2.0 * std::numbers::pi * (week_time + cell.lag) / kWeeksPerYear;
-  // Week 0 is late October; peak NH warmth sits in late August, i.e. about
-  // 8.5 weeks before the epoch.
-  const double annual = cell.amp * std::cos(phase + 2.0 * std::numbers::pi *
-                                                        8.5 / kWeeksPerYear);
-  const double semi = cell.semi * std::cos(2.0 * phase + 0.9);
-  return annual + semi;
+double climatology_at(double lat) {
+  const double c = std::cos(lat * kDeg2Rad);
+  // Warm pool ~29.5 C at the equator, below-freezing brine near the poles.
+  return 31.0 * c * c - 1.6;
 }
 
 double trend_scale(const SSTOptions& o, double week_time) {
@@ -103,42 +78,128 @@ double eddy_envelope(double lat) {
   // Eddy kinetic energy concentrates along mid-latitude boundary currents.
   return 0.35 + 0.65 * std::pow(std::sin(2.0 * (lat * kDeg2Rad)), 2);
 }
+
+/// What a latitude contributes to a cell: its scalar terms and the
+/// latitude factors of the seasonal amplitudes.
+struct LatTerms {
+  double climatology, trend_weight, eddy_envelope, annual, semi;
+};
+
+LatTerms lat_terms(const SSTOptions& o, double lat) {
+  const double s = std::sin(lat * kDeg2Rad);
+  // Hemisphere-antisymmetric annual amplitude; the semi-annual one is
+  // symmetric.
+  return {.climatology = climatology_at(lat),
+          .trend_weight = trend_weight(lat),
+          .eddy_envelope = eddy_envelope(lat),
+          .annual = o.seasonal_amplitude * s,
+          .semi = o.semiannual_amplitude * std::abs(s)};
+}
+
+/// What a longitude contributes to a cell's seasonal half: the longitude
+/// factors of the amplitudes (western boundary regions respond more
+/// strongly than ocean interiors) and cos/sin of the harmonics' phases.
+struct LonTerms {
+  double annual, semi, cos_annual, sin_annual, cos_semi, sin_semi;
+};
+
+LonTerms lon_terms(double lon) {
+  const double lon_rad = lon * kDeg2Rad;
+  // Longitude-dependent seasonal lag (+-4 weeks): continental coasts lead,
+  // maritime interiors trail. This puts the annual cycle's sine AND cosine
+  // quadratures into the spatial field, spreading periodic variance over
+  // several POD modes exactly as in the observed SST record.
+  const double lag = 4.0 * std::sin(lon_rad + 1.0);
+  // Week 0 is late October; peak NH warmth sits in late August, i.e. about
+  // 8.5 weeks before the epoch.
+  const double annual_phase =
+      2.0 * std::numbers::pi * (lag + 8.5) / kWeeksPerYear;
+  const double semi_phase =
+      4.0 * std::numbers::pi * lag / kWeeksPerYear + 0.9;
+  return {.annual = 1.0 + 0.28 * std::sin(lon_rad + 2.2),
+          .semi = 1.0 + 0.3 * std::cos(lon_rad - 0.7),
+          .cos_annual = std::cos(annual_phase),
+          .sin_annual = std::sin(annual_phase),
+          .cos_semi = std::cos(semi_phase),
+          .sin_semi = std::sin(semi_phase)};
+}
+
+/// A cell's seasonal half: amp·cos(θ + β) = amp·cos β·cos θ −
+/// amp·sin β·sin θ, with θ the week's phase, for the annual and the
+/// semi-annual harmonic.
+void seasonal_cell_half(const LatTerms& lat, const LonTerms& lon,
+                        std::span<double> out) {
+  const double annual = lat.annual * lon.annual;
+  const double semi = lat.semi * lon.semi;
+  out[0] = annual * lon.cos_annual;
+  out[1] = -(annual * lon.sin_annual);
+  out[2] = semi * lon.cos_semi;
+  out[3] = -(semi * lon.sin_semi);
+}
+
+/// The seasonal week half at `week_time` into out[k·stride]: cos and sin
+/// of the annual phase 2πt/P and of the semi-annual phase, twice that.
+void seasonal_week_half(double week_time, double* out, std::size_t stride) {
+  const double phase = 2.0 * std::numbers::pi * week_time / kWeeksPerYear;
+  out[0] = std::cos(phase);
+  out[stride] = std::sin(phase);
+  out[2 * stride] = std::cos(2.0 * phase);
+  out[3 * stride] = std::sin(2.0 * phase);
+}
+
+/// A cell's eddy half from its row's and its column's shares, by angle
+/// addition: envelope·sin(ψlat + ψlon) and envelope·cos(ψlat + ψlon) of
+/// each wave.
+void eddy_cell_half(std::span<const double> lat, std::span<const double> lon,
+                    std::span<double> out) {
+  for (std::size_t k = 0; k < out.size(); k += 2) {
+    out[k] = lat[k] * lon[k + 1] + lat[k + 1] * lon[k];
+    out[k + 1] = lat[k + 1] * lon[k + 1] - lat[k] * lon[k];
+  }
+}
+
+/// The fixed-order dot of a cell half `u` with `row.size()` columns of a
+/// week half `w` (term-major, row stride row.size()): for each term k in
+/// ascending order, row[c] += u[k]·w[k][c]. Every element gets the same
+/// operation sequence at any column count.
+void dot(std::span<const double> u, const double* w, std::span<double> row) {
+  const std::size_t count = row.size();
+  std::fill(row.begin(), row.end(), 0.0);
+  for (std::size_t k = 0; k < u.size(); ++k) {
+    const double uk = u[k];
+    const double* wk = w + k * count;
+    for (std::size_t c = 0; c < count; ++c) row[c] += uk * wk[c];
+  }
+}
+
+/// The latitudes of a grid's rows and the longitudes of its columns.
+std::vector<double> row_lats(const Grid& grid) {
+  std::vector<double> lats(grid.nlat);
+  for (std::size_t i = 0; i < grid.nlat; ++i) lats[i] = grid.lat_of(i);
+  return lats;
+}
+
+std::vector<double> col_lons(const Grid& grid) {
+  std::vector<double> lons(grid.nlon);
+  for (std::size_t j = 0; j < grid.nlon; ++j) lons[j] = grid.lon_of(j);
+  return lons;
+}
 }  // namespace
-
-struct SyntheticSST::CellTerms {
-  double climatology;
-  SeasonalCell seasonal;
-  double trend_weight, enso_pattern, tele_pattern, eddy_envelope;
-  std::uint64_t noise_key;
-};
-
-struct SyntheticSST::WeekTerms {
-  double time, trend, enso, tele;  // enso, tele: amplitude x index
-  std::uint64_t noise_key;
-};
-
-/// One eddy wave at one week time: its AR(1)-modulated amplitude a(t)·amp
-/// and its phase advance ω·t.
-struct SyntheticSST::WaveWeek {
-  double amp, advance;
-};
-
-struct SyntheticSST::LatLon {
-  double lat, lon;
-};
 
 SyntheticSST::SyntheticSST(SSTOptions options) : opts_(options) {}
 
 double SyntheticSST::climatology(double lat) const noexcept {
-  const double c = std::cos(lat * kDeg2Rad);
-  // Warm pool ~29.5 C at the equator, below-freezing brine near the poles.
-  return 31.0 * c * c - 1.6;
+  return climatology_at(lat);
 }
 
 double SyntheticSST::seasonal(double lat, double lon, double week_time,
                               double phase_shift_weeks) const noexcept {
-  return seasonal_at(seasonal_cell(opts_, lat, lon),
-                     week_time + phase_shift_weeks);
+  std::array<double, kSeasonalTerms> cell{}, week{};
+  seasonal_cell_half(lat_terms(opts_, lat), lon_terms(lon), cell);
+  seasonal_week_half(week_time + phase_shift_weeks, week.data(), 1);
+  double out = 0.0;
+  dot(cell, week.data(), {&out, 1});
+  return out;
 }
 
 double SyntheticSST::trend(double lat, double week_time) const noexcept {
@@ -314,78 +375,94 @@ const SyntheticSST::WaveBank& SyntheticSST::waves_for(
     w.phase = rng.uniform(0.0, 2.0 * std::numbers::pi);
     w.amp_seed = rng.next();
   }
-  bank.amp_series.resize(bank.waves.size());
+  bank.amp_dev.resize(bank.waves.size());
   wave_cache_.emplace_back(realization_seed, std::move(bank));
   return wave_cache_.back().second;
 }
 
 void SyntheticSST::ensure_amp_series(const WaveBank& bank,
                                      std::size_t weeks) const {
-  // AR(1) amplitude factors per wave: a(t+1) = phi a(t) + e(t), scaled to
-  // mean 1 and the configured modulation depth. The innovations come from
-  // a per-wave hash stream, so the series are deterministic and extendable.
-  auto& series = const_cast<WaveBank&>(bank).amp_series;
+  // AR(1) deviations per wave: d(t+1) = phi d(t) + e(t), with innovations
+  // scaled to the configured modulation depth; the amplitude factor is
+  // 1 + d. The innovations come from a per-wave hash stream, and an
+  // extension continues the recursion from the stored deviation itself,
+  // so a series does not depend on how far it was grown at a time.
+  auto& series = const_cast<WaveBank&>(bank).amp_dev;
   const double phi = opts_.eddy_ar1;
   const double innovation_sd =
       opts_.eddy_modulation * std::sqrt(std::max(1e-9, 1.0 - phi * phi));
   for (std::size_t m = 0; m < bank.waves.size(); ++m) {
     auto& s = series[m];
     if (s.size() >= weeks) continue;
-    double prev_dev = s.empty() ? 0.0 : s.back() - 1.0;
+    double dev = s.empty() ? 0.0 : s.back();
     if (s.empty()) s.reserve(weeks + 64);
     for (std::size_t w = s.size(); w < weeks; ++w) {
       const double innovation =
           innovation_sd *
           hash_normal(bank.waves[m].amp_seed, w, 0xA3ULL, 0x77ULL);
-      prev_dev = phi * prev_dev + innovation;
-      s.push_back(1.0 + prev_dev);
+      dev = phi * dev + innovation;
+      s.push_back(dev);
     }
   }
 }
 
-void SyntheticSST::wave_weeks(const WaveBank& bank, double week_time,
-                              std::span<WaveWeek> out) const {
+void SyntheticSST::eddy_lat_half(const WaveBank& bank, double lat,
+                                 double envelope,
+                                 std::span<double> out) noexcept {
+  const double u = lat / 180.0;  // [-0.5, 0.5]
+  for (std::size_t m = 0; m < bank.waves.size(); ++m) {
+    const Wave& w = bank.waves[m];
+    const double psi = 2.0 * std::numbers::pi * w.klat * u + w.phase;
+    out[2 * m] = envelope * std::sin(psi);
+    out[2 * m + 1] = envelope * std::cos(psi);
+  }
+}
+
+void SyntheticSST::eddy_lon_half(const WaveBank& bank, double lon,
+                                 std::span<double> out) noexcept {
+  const double v = lon / 360.0;  // [0, 1]
+  for (std::size_t m = 0; m < bank.waves.size(); ++m) {
+    const double psi = 2.0 * std::numbers::pi * bank.waves[m].klon * v;
+    out[2 * m] = std::sin(psi);
+    out[2 * m + 1] = std::cos(psi);
+  }
+}
+
+void SyntheticSST::eddy_week_half(const WaveBank& bank, double week_time,
+                                  double* out, std::size_t stride) const {
   const double t = std::max(0.0, week_time);
   const auto i0 = static_cast<std::size_t>(t);
   const double frac = t - static_cast<double>(i0);
   ensure_amp_series(bank, i0 + 3);
   for (std::size_t m = 0; m < bank.waves.size(); ++m) {
     const Wave& w = bank.waves[m];
-    const double a = (1.0 - frac) * bank.amp_series[m][i0] +
-                     frac * bank.amp_series[m][i0 + 1];
-    out[m] = {a * w.amp, w.omega * week_time};
+    const std::vector<double>& dev = bank.amp_dev[m];
+    const double a = 1.0 + ((1.0 - frac) * dev[i0] + frac * dev[i0 + 1]);
+    const double amp = a * w.amp;
+    const double advance = w.omega * week_time;
+    out[2 * m * stride] = amp * std::cos(advance);
+    out[(2 * m + 1) * stride] = -(amp * std::sin(advance));
   }
-}
-
-void SyntheticSST::wave_phases(const WaveBank& bank, double lat, double lon,
-                               std::span<double> out) noexcept {
-  const double u = lat / 180.0;  // [-0.5, 0.5]
-  const double v = lon / 360.0;  // [0, 1]
-  for (std::size_t m = 0; m < bank.waves.size(); ++m) {
-    const Wave& w = bank.waves[m];
-    out[m] = 2.0 * std::numbers::pi * (w.klat * u + w.klon * v);
-  }
-}
-
-double SyntheticSST::eddy_sum(const WaveBank& bank,
-                              std::span<const double> phases,
-                              std::span<const WaveWeek> waves) noexcept {
-  double acc = 0.0;
-  for (std::size_t m = 0; m < bank.waves.size(); ++m) {
-    acc += waves[m].amp *
-           std::sin(phases[m] - waves[m].advance + bank.waves[m].phase);
-  }
-  return acc;
 }
 
 double SyntheticSST::eddy(double lat, double lon, double week_time,
                           std::uint64_t realization_seed) const {
   const WaveBank& bank = waves_for(realization_seed);
-  std::vector<WaveWeek> waves(bank.waves.size());
-  std::vector<double> phases(bank.waves.size());
-  wave_weeks(bank, week_time, waves);
-  wave_phases(bank, lat, lon, phases);
-  return eddy_envelope(lat) * eddy_sum(bank, phases, waves);
+  const std::size_t terms = 2 * bank.waves.size();
+  // The week half, the row and column shares, and the cell half.
+  std::vector<double> halves(4 * terms);
+  const std::span<double> all(halves);
+  const std::span<double> week = all.first(terms);
+  const std::span<double> lat_half = all.subspan(terms, terms);
+  const std::span<double> lon_half = all.subspan(2 * terms, terms);
+  const std::span<double> cell = all.last(terms);
+  eddy_week_half(bank, week_time, week.data(), 1);
+  eddy_lat_half(bank, lat, eddy_envelope(lat), lat_half);
+  eddy_lon_half(bank, lon, lon_half);
+  eddy_cell_half(lat_half, lon_half, cell);
+  double out = 0.0;
+  dot(cell, week.data(), {&out, 1});
+  return out;
 }
 
 double SyntheticSST::noise(double lat, double lon, std::size_t week) const {
@@ -393,107 +470,122 @@ double SyntheticSST::noise(double lat, double lon, std::size_t week) const {
                   noise_cell_key(lat, lon));
 }
 
-SyntheticSST::CellTerms SyntheticSST::cell_terms(double lat,
-                                                 double lon) const noexcept {
-  return {.climatology = climatology(lat),
-          .seasonal = seasonal_cell(opts_, lat, lon),
-          .trend_weight = trend_weight(lat),
-          .enso_pattern = enso_pattern(lat, lon),
-          .tele_pattern = tele_pattern(lat, lon),
-          .eddy_envelope = eddy_envelope(lat),
-          .noise_key = noise_cell_key(lat, lon)};
-}
-
-SyntheticSST::WeekTerms SyntheticSST::week_terms(
-    const WaveBank& bank, std::size_t week, std::span<WaveWeek> waves) const {
-  const auto t = static_cast<double>(week);
-  const WeekTerms terms{.time = t,
-                        .trend = trend_scale(opts_, t),
-                        .enso = opts_.enso_amplitude * enso_index(t),
-                        .tele = opts_.tele_amplitude * tele_index(t),
-                        .noise_key = hash_combine(opts_.seed, week)};
-  wave_weeks(bank, t, waves);
-  return terms;
-}
-
-double SyntheticSST::combine(const WaveBank& bank, const CellTerms& cell,
-                             std::span<const double> phases,
-                             const WeekTerms& week,
-                             std::span<const WaveWeek> waves) const noexcept {
-  const double temp =
-      cell.climatology + seasonal_at(cell.seasonal, week.time) +
-      week.trend * cell.trend_weight + week.enso * cell.enso_pattern +
-      week.tele * cell.tele_pattern +
-      cell.eddy_envelope * eddy_sum(bank, phases, waves) +
-      noise_at(opts_, week.noise_key, cell.noise_key);
-  // Sea water cannot cool much below the freezing point of brine.
-  return std::max(temp, -1.9);
-}
-
-void SyntheticSST::evaluate(std::span<const LatLon> points, std::size_t week0,
+void SyntheticSST::evaluate(std::span<const double> lats,
+                            std::span<const double> lons,
+                            std::span<const RowCol> points, std::size_t week0,
                             std::size_t count, std::span<double> out) const {
-  // The week terms first, on this thread and in week order: this is where
-  // the lazy caches grow.
+  // The halves hold the eddy terms, two per wave, then the seasonal terms.
   const WaveBank& bank = waves_for(opts_.seed);
-  const std::size_t nw = bank.waves.size();
-  std::vector<WeekTerms> weeks;
-  weeks.reserve(count);
-  std::vector<WaveWeek> waves(count * nw);
-  const std::span<WaveWeek> all_waves(waves);
+  const std::size_t eddy_terms = 2 * bank.waves.size();
+  const std::size_t terms = eddy_terms + kSeasonalTerms;
+
+  // The week half first, on this thread and in week order: this is where
+  // the lazy caches grow. Row k of `week_half` is term k at every week.
+  struct WeekScalars {
+    double trend, enso, tele;  // enso, tele: amplitude x index
+    std::uint64_t noise_key;
+  };
+  std::vector<WeekScalars> weeks(count);
+  std::vector<double> week_half(terms * count);
   for (std::size_t c = 0; c < count; ++c) {
-    weeks.push_back(week_terms(bank, week0 + c, all_waves.subspan(c * nw, nw)));
+    const auto t = static_cast<double>(week0 + c);
+    eddy_week_half(bank, t, &week_half[c], count);
+    seasonal_week_half(t, &week_half[eddy_terms * count + c], count);
+    weeks[c] = {.trend = trend_scale(opts_, t),
+                .enso = opts_.enso_amplitude * enso_index(t),
+                .tele = opts_.tele_amplitude * tele_index(t),
+                .noise_key = hash_combine(opts_.seed, week0 + c)};
   }
+
+  // The rows' and the columns' shares of the cell half.
+  std::vector<LatTerms> lat_scalars;
+  std::vector<LonTerms> lon_scalars;
+  lat_scalars.reserve(lats.size());
+  lon_scalars.reserve(lons.size());
+  std::vector<double> lat_eddy(lats.size() * eddy_terms);
+  std::vector<double> lon_eddy(lons.size() * eddy_terms);
+  for (std::size_t i = 0; i < lats.size(); ++i) {
+    lat_scalars.push_back(lat_terms(opts_, lats[i]));
+    eddy_lat_half(bank, lats[i], lat_scalars.back().eddy_envelope,
+                  std::span(lat_eddy).subspan(i * eddy_terms, eddy_terms));
+  }
+  for (std::size_t j = 0; j < lons.size(); ++j) {
+    lon_scalars.push_back(lon_terms(lons[j]));
+    eddy_lon_half(bank, lons[j],
+                  std::span(lon_eddy).subspan(j * eddy_terms, eddy_terms));
+  }
+
   // Then the points, split over the kernel pool; workers only read the
-  // terms above, the wave bank and the options.
-  const double cost = static_cast<double>(points.size() * count) *
-                      static_cast<double>(nw + 5) * kFlopsPerLibmCall;
+  // halves above and the options. Per (point, week): the dot (a multiply
+  // and an add per term) and the noise hash's log and cos. Per point: the
+  // angle addition (six flops per wave) and the two patterns' exp.
+  const double per_entry =
+      2.0 * static_cast<double>(terms) + 2.0 * kFlopsPerLibmCall;
+  const double per_point =
+      3.0 * static_cast<double>(eddy_terms) + 2.0 * kFlopsPerLibmCall;
+  const double cost = static_cast<double>(points.size()) *
+                      (static_cast<double>(count) * per_entry + per_point);
+  const std::span<const double> lat_shares(lat_eddy), lon_shares(lon_eddy);
   hpc::parallel_for(
       0, points.size(), cost, [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> phases(nw);
+        std::vector<double> cell(terms);
         for (std::size_t r = lo; r < hi; ++r) {
-          const CellTerms cell = cell_terms(points[r].lat, points[r].lon);
-          wave_phases(bank, points[r].lat, points[r].lon, phases);
+          const auto [i, j] = points[r];
+          const double lat = lats[i], lon = lons[j];
+          eddy_cell_half(lat_shares.subspan(i * eddy_terms, eddy_terms),
+                         lon_shares.subspan(j * eddy_terms, eddy_terms),
+                         std::span(cell).first(eddy_terms));
+          seasonal_cell_half(lat_scalars[i], lon_scalars[j],
+                             std::span(cell).last(kSeasonalTerms));
+          const double climatology = lat_scalars[i].climatology;
+          const double trend_weight = lat_scalars[i].trend_weight;
+          const double enso = enso_pattern(lat, lon);
+          const double tele = tele_pattern(lat, lon);
+          const std::uint64_t noise_key = noise_cell_key(lat, lon);
           const std::span<double> row = out.subspan(r * count, count);
+          dot(cell, week_half.data(), row);
           for (std::size_t c = 0; c < count; ++c) {
-            row[c] = combine(bank, cell, phases, weeks[c],
-                             all_waves.subspan(c * nw, nw));
+            const WeekScalars& week = weeks[c];
+            const double temp = climatology + row[c] +
+                                week.trend * trend_weight +
+                                week.enso * enso + week.tele * tele +
+                                noise_at(opts_, week.noise_key, noise_key);
+            // Sea water cannot cool much below the freezing point of brine.
+            row[c] = std::max(temp, -1.9);
           }
         }
       });
 }
 
 double SyntheticSST::value(double lat, double lon, std::size_t week) const {
-  const LatLon point{lat, lon};
+  const RowCol point{0, 0};
   double out = 0.0;
-  evaluate({&point, 1}, week, 1, {&out, 1});
+  evaluate({&lat, 1}, {&lon, 1}, {&point, 1}, week, 1, {&out, 1});
   return out;
 }
 
 std::vector<double> SyntheticSST::field(const Grid& grid,
                                         std::size_t week) const {
-  std::vector<LatLon> points;
+  std::vector<RowCol> points;
   points.reserve(grid.cells());
   for (std::size_t i = 0; i < grid.nlat; ++i) {
-    for (std::size_t j = 0; j < grid.nlon; ++j) {
-      points.push_back({grid.lat_of(i), grid.lon_of(j)});
-    }
+    for (std::size_t j = 0; j < grid.nlon; ++j) points.push_back({i, j});
   }
   std::vector<double> out(grid.cells());
-  evaluate(points, week, 1, out);
+  evaluate(row_lats(grid), col_lons(grid), points, week, 1, out);
   return out;
 }
 
 Matrix SyntheticSST::snapshots(const LandMask& mask, std::size_t week0,
                                std::size_t count) const {
   const Grid& grid = mask.grid();
-  std::vector<LatLon> points;
+  std::vector<RowCol> points;
   points.reserve(mask.ocean_count());
   for (const std::size_t cell : mask.ocean_cells()) {
-    points.push_back(
-        {grid.lat_of(cell / grid.nlon), grid.lon_of(cell % grid.nlon)});
+    points.push_back({cell / grid.nlon, cell % grid.nlon});
   }
   Matrix s(mask.ocean_count(), count);
-  evaluate(points, week0, count, s.flat());
+  evaluate(row_lats(grid), col_lons(grid), points, week0, count, s.flat());
   return s;
 }
 

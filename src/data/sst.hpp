@@ -16,10 +16,14 @@
 // The deterministic components are low-rank, so ~5 POD modes capture
 // ~90 % of the centered variance — matching the paper's Nr = 5 setting.
 //
-// Every path evaluates one split of the field into per-location terms
-// (CellTerms) and per-week terms (WeekTerms): value(), field(),
-// snapshots() and the component functions below compose the same terms,
-// so a (cell, week) gets the same bits whichever path asks for it.
+// The seasonal cycle and the eddy bank form one dot product per
+// (cell, week): by angle addition, sin(ψ − ωt) = sin ψ·cos ωt −
+// cos ψ·sin ωt, so each is a sum over terms that factor into a cell half
+// (the ψ side, built from a grid row's and a grid column's shares) and a
+// week half (the ωt side). value(), field(), snapshots() and the
+// components seasonal() and eddy() compose the same halves with the same
+// fixed-order dot, so a (cell, week) gets the same bits whichever path
+// asks for it (DESIGN.md §5 "Data generation").
 #pragma once
 
 #include <array>
@@ -68,8 +72,8 @@ class SyntheticSST {
   /// ordinary values; apply a LandMask to discard them). Each entry is
   /// bitwise equal to value() at that cell's centre.
   ///
-  /// Threading: as snapshots() — the grid rows are split over the kernel
-  /// pool after the caches have grown on the calling thread.
+  /// Threading: as snapshots() — the cells are split over the kernel pool
+  /// after the caches have grown on the calling thread.
   [[nodiscard]] std::vector<double> field(const Grid& grid,
                                           std::size_t week) const;
 
@@ -78,12 +82,14 @@ class SyntheticSST {
   /// bitwise equal to this instance's value() at ocean cell k in week
   /// week0 + c.
   ///
-  /// Threading: the lazy caches (wave bank, chaotic indices, eddy
-  /// amplitude series) grow on the calling thread, week by week; then the
-  /// ocean rows are split over the kernel pool (hpc::parallel_for), whose
-  /// workers only read. The result is the same at every kernel thread
-  /// count. Like every member, it must not run concurrently with another
-  /// call on the same instance: the caches are unsynchronized state.
+  /// Threading: the week half grows the lazy caches (wave bank, chaotic
+  /// indices, eddy amplitude deviations) on the calling thread, week by
+  /// week; then the ocean rows are split over the kernel pool
+  /// (hpc::parallel_for), whose workers only read. The result is the same
+  /// at every kernel thread count and does not depend on which weeks the
+  /// instance was asked for before. Like every member, it must not run
+  /// concurrently with another call on the same instance: the caches are
+  /// unsynchronized state.
   [[nodiscard]] Matrix snapshots(const LandMask& mask, std::size_t week0,
                                  std::size_t count) const;
 
@@ -127,8 +133,9 @@ class SyntheticSST {
   };
   struct WaveBank {
     std::vector<Wave> waves;
-    // Weekly AR(1) amplitude factors, one series per wave (lazily grown).
-    std::vector<std::vector<double>> amp_series;
+    // Weekly AR(1) deviations of each wave's amplitude factor from 1, one
+    // series per wave (lazily grown).
+    std::vector<std::vector<double>> amp_dev;
   };
   /// The Lorenz-63 record behind the chaotic indices (lazily grown).
   struct ChaosRecord {
@@ -138,41 +145,36 @@ class SyntheticSST {
     std::vector<double> y;     // standardized weekly y samples
     std::vector<double> tele;  // y samples, offset in time
   };
-  // The split of value() into terms; defined in sst.cpp.
-  struct CellTerms;  // the terms that depend on the location only
-  struct WeekTerms;  // the terms that depend on the week only
-  struct WaveWeek;   // one eddy wave's amplitude and phase advance at a week
-  struct LatLon;
+  /// A point of evaluate(): indices into its distinct lats and lons.
+  struct RowCol {
+    std::size_t row, col;
+  };
 
   [[nodiscard]] const WaveBank& waves_for(std::uint64_t realization_seed) const;
   void ensure_amp_series(const WaveBank& bank, std::size_t weeks) const;
   /// Lazily integrates the Lorenz system out to at least `weeks`.
   void ensure_chaos_series(std::size_t weeks) const;
 
-  /// Each wave's WaveWeek at `week_time`; grows the bank's amplitude
-  /// series as far as that needs.
-  void wave_weeks(const WaveBank& bank, double week_time,
-                  std::span<WaveWeek> out) const;
-  /// Spatial phase 2π(k·x) of each wave at a location.
-  static void wave_phases(const WaveBank& bank, double lat, double lon,
-                          std::span<double> out) noexcept;
-  /// The unscaled eddy field: Σ a(t)·amp·sin(2π(k·x) − ω·t + phase).
-  [[nodiscard]] static double eddy_sum(const WaveBank& bank,
-                                       std::span<const double> phases,
-                                       std::span<const WaveWeek> waves) noexcept;
+  // The eddy halves: two terms per wave, wave by wave.
+  /// A latitude's share of the cell half: envelope·sin and envelope·cos
+  /// of each wave's 2π·klat·lat/180 + phase.
+  static void eddy_lat_half(const WaveBank& bank, double lat, double envelope,
+                            std::span<double> out) noexcept;
+  /// A longitude's share of the cell half: sin and cos of each wave's
+  /// 2π·klon·lon/360.
+  static void eddy_lon_half(const WaveBank& bank, double lon,
+                            std::span<double> out) noexcept;
+  /// The week half at `week_time` into out[k·stride]: a(t)·amp·cos(ω·t)
+  /// and −a(t)·amp·sin(ω·t) of each wave. Grows the bank's amplitude
+  /// deviations as far as that needs.
+  void eddy_week_half(const WaveBank& bank, double week_time, double* out,
+                      std::size_t stride) const;
 
-  [[nodiscard]] CellTerms cell_terms(double lat, double lon) const noexcept;
-  /// Fills `waves` too; grows the lazy caches as far as `week` needs.
-  [[nodiscard]] WeekTerms week_terms(const WaveBank& bank, std::size_t week,
-                                     std::span<WaveWeek> waves) const;
-  /// value() from its terms.
-  [[nodiscard]] double combine(const WaveBank& bank, const CellTerms& cell,
-                               std::span<const double> phases,
-                               const WeekTerms& week,
-                               std::span<const WaveWeek> waves) const noexcept;
-  /// The one evaluation path: value() of every point at weeks
-  /// [week0, week0 + count) into `out`, row-major [points x count].
-  void evaluate(std::span<const LatLon> points, std::size_t week0,
+  /// The one evaluation path: value() at every point at weeks
+  /// [week0, week0 + count) into `out`, row-major [points x count]. Point
+  /// r lies at (lats[points[r].row], lons[points[r].col]).
+  void evaluate(std::span<const double> lats, std::span<const double> lons,
+                std::span<const RowCol> points, std::size_t week0,
                 std::size_t count, std::span<double> out) const;
 
   SSTOptions opts_;

@@ -1,6 +1,9 @@
 // Grid geometry, calendar mapping, regions, and the procedural land mask.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "data/calendar.hpp"
 #include "data/grid.hpp"
 #include "data/landmask.hpp"
@@ -149,6 +152,22 @@ TEST(LandMask, RegionPositionsConsistent) {
     const std::size_t i = cell / g.nlon;
     const std::size_t j = cell % g.nlon;
     EXPECT_TRUE(ep.contains(g.lat_of(i), g.lon_of(j)));
+  }
+}
+
+TEST(LandMask, RefusesEmptyGrid) {
+  // Regression: an empty grid reached nth_element with an iterator past
+  // the end of an empty vector (SIGSEGV from `geonas_cli generate --nlat 0`).
+  for (const Grid g : {Grid{0, 90}, Grid{45, 0}}) {
+    try {
+      const LandMask mask(g, 7);
+      FAIL() << "grid " << g.nlat << "x" << g.nlon << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string shape =
+          std::to_string(g.nlat) + "x" + std::to_string(g.nlon);
+      EXPECT_NE(std::string(e.what()).find(shape), std::string::npos)
+          << e.what();
+    }
   }
 }
 

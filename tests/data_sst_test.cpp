@@ -144,14 +144,15 @@ TEST(SST, SnapshotMatrixLayout) {
 }
 
 TEST(SST, SnapshotBytesPinned) {
-  // CRC-32 of the row-major snapshot bytes, pinned when the generator
-  // moved to per-cell/per-week terms on the kernel pool. These bytes feed
-  // the POD basis, both pipeline R² values and every campaign digest, so
-  // a change here is a change to all of them. The digests hold this
-  // libm's sin/cos/exp/log results (glibc, x86-64).
+  // CRC-32 of the row-major snapshot bytes, re-pinned when the seasonal
+  // cycle and the eddy bank became one dot product of a cell half and a
+  // week half (angle addition; the entries moved by at most 7.4e-13 C).
+  // These bytes feed the POD basis, both pipeline R² values and every
+  // campaign digest, so a change here is a change to all of them. The
+  // digests hold this libm's sin/cos/exp/log results (glibc, x86-64).
   const LandMask mask(Grid{45, 90}, 7);
-  EXPECT_EQ(crc_of(SyntheticSST().snapshots(mask, 0, 427)), 0x7f994f14u);
-  EXPECT_EQ(crc_of(SyntheticSST().snapshots(mask, 1850, 64)), 0x5b827c18u);
+  EXPECT_EQ(crc_of(SyntheticSST().snapshots(mask, 0, 427)), 0xb393fc1bu);
+  EXPECT_EQ(crc_of(SyntheticSST().snapshots(mask, 1850, 64)), 0x6963f896u);
 }
 
 TEST(SST, ValueIndependentOfQueryHistory) {
@@ -172,6 +173,40 @@ TEST(SST, ValueIndependentOfQueryHistory) {
     EXPECT_EQ(bits(direct.enso_index(t)), bits(after_2500.enso_index(t)));
     EXPECT_EQ(bits(direct.tele_index(t)), bits(after_2500.tele_index(t)));
   }
+}
+
+TEST(SST, SnapshotsIndependentOfQueryHistory) {
+  // Regression: each eddy wave's AR(1) amplitude series was stored as
+  // 1 + deviation, and an extension restarted the recursion from
+  // s.back() - 1, which rounds. An instance whose series had grown to week
+  // 3993 in one step then read differently from a fresh one growing them
+  // week by week (first at week 21, in 247,282 of these entries).
+  const LandMask mask(Grid{20, 40}, 7);
+  const SyntheticSST warm, fresh;
+  (void)warm.value(10.0, 200.0, 3990);
+  const Matrix a = warm.snapshots(mask, 0, 4000);
+  const Matrix b = fresh.snapshots(mask, 0, 4000);
+  EXPECT_EQ(bits(a.flat()), bits(b.flat()));
+}
+
+TEST(Comparators, HycomFieldMatchesValue) {
+  // field() reads the truth once per week through SyntheticSST::field();
+  // every entry must still be value() at that cell, bit for bit. On this
+  // grid the truth field clears the parallel_for threshold, so it is split
+  // over the kernel pool when that has more than one thread.
+  const Grid grid{30, 60};
+  const SyntheticSST sst;
+  const HYCOMSurrogate hycom(sst);
+  const std::size_t week = HYCOMSurrogate::first_available_week();
+  const std::vector<double> field = hycom.field(grid, week);
+  ASSERT_EQ(field.size(), grid.cells());
+  std::vector<double> expected;
+  for (std::size_t i = 0; i < grid.nlat; ++i) {
+    for (std::size_t j = 0; j < grid.nlon; ++j) {
+      expected.push_back(hycom.value(grid.lat_of(i), grid.lon_of(j), week));
+    }
+  }
+  EXPECT_EQ(bits(field), bits(expected));
 }
 
 TEST(Comparators, HycomTracksTruthCloselyInEasternPacific) {

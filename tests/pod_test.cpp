@@ -63,9 +63,9 @@ TEST(POD, QuickScaleBasisPinned) {
   const data::LandMask mask(data::Grid{45, 90}, 7);
   pod::POD p;
   p.fit(data::SyntheticSST().snapshots(mask, 0, 427), {.num_modes = 5});
-  EXPECT_EQ(crc_of(p.basis().flat()), 0x2827166fu)
+  EXPECT_EQ(crc_of(p.basis().flat()), 0xfae0c6abu)
       << std::hex << crc_of(p.basis().flat());
-  EXPECT_EQ(crc_of(p.eigenvalues()), 0xebc9ff28u)
+  EXPECT_EQ(crc_of(p.eigenvalues()), 0x46364448u)
       << std::hex << crc_of(p.eigenvalues());
 }
 

@@ -183,6 +183,19 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : parse_num(key, it->second);
   }
+  /// A count, size or index option: a non-negative integer, refused by
+  /// name when negative instead of wrapping around in a std::size_t.
+  [[nodiscard]] std::size_t get_count(const std::string& key,
+                                      std::size_t fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const long value = parse_num(key, it->second);
+    if (value < 0) {
+      throw std::invalid_argument("--" + key + ": must be >= 0, got " +
+                                  it->second);
+    }
+    return static_cast<std::size_t>(value);
+  }
   [[nodiscard]] double get_real(const std::string& key,
                                 double fallback) const {
     const auto it = values_.find(key);
@@ -246,11 +259,10 @@ class MetricsScope {
 };
 
 int cmd_generate(const Args& args) {
-  const data::Grid grid{
-      static_cast<std::size_t>(args.get_long("nlat", 45)),
-      static_cast<std::size_t>(args.get_long("nlon", 90))};
-  const auto weeks = static_cast<std::size_t>(args.get_long("weeks", 427));
-  const auto start = static_cast<std::size_t>(args.get_long("start", 0));
+  const data::Grid grid{args.get_count("nlat", 45),
+                        args.get_count("nlon", 90)};
+  const auto weeks = args.get_count("weeks", 427);
+  const auto start = args.get_count("start", 0);
   data::SSTOptions options;
   options.seed = static_cast<std::uint64_t>(args.get_long("seed", 2020));
 
@@ -280,7 +292,7 @@ int cmd_generate(const Args& args) {
 
 int cmd_pod(const Args& args) {
   const auto record = data::read_snapshots_file(args.require("snapshots"));
-  const auto modes = static_cast<std::size_t>(args.get_long("modes", 5));
+  const auto modes = args.get_count("modes", 5);
   std::printf("snapshots: %zu DoF x %zu weeks (first week %llu)\n",
               record.snapshots.rows(), record.snapshots.cols(),
               static_cast<unsigned long long>(record.first_week));
@@ -328,7 +340,7 @@ std::unique_ptr<hpc::ArchitectureEvaluator> make_oracle(
     std::unique_ptr<core::PODLSTMPipeline>& pipeline) {
   const bool train_mode = args.get_long("train", 0) != 0;
   if (!train_mode) return std::make_unique<core::SurrogateEvaluator>(space);
-  const auto epochs = static_cast<std::size_t>(args.get_long("epochs", 10));
+  const auto epochs = args.get_count("epochs", 10);
   pipeline =
       std::make_unique<core::PODLSTMPipeline>(core::PipelineConfig::from_env());
   pipeline->prepare();
@@ -344,7 +356,7 @@ std::unique_ptr<hpc::ArchitectureEvaluator> make_oracle(
 int cmd_search_master(const Args& args, search::SearchMethod& method,
                       const core::SearchRunOptions& run_options) {
   hpc::net::MasterOptions opts;
-  opts.cluster.nodes = static_cast<std::size_t>(args.get_long("nodes", 8));
+  opts.cluster.nodes = args.get_count("nodes", 8);
   opts.cluster.wall_time_seconds =
       args.get_real("wall-time", opts.cluster.wall_time_seconds);
   opts.cluster.seed =
@@ -354,8 +366,7 @@ int cmd_search_master(const Args& args, search::SearchMethod& method,
   opts.checkpoint_path = run_options.checkpoint_path;
   opts.checkpoint_every = run_options.checkpoint_every;
   opts.resume = run_options.resume;
-  opts.stop_after_evaluations =
-      static_cast<std::size_t>(args.get_long("stop-after", 0));
+  opts.stop_after_evaluations = args.get_count("stop-after", 0);
 
   hpc::net::NetMaster master(opts);
   std::printf("master '%s' on %s:%u — %zu virtual slots, %.0f s simulated "
@@ -392,18 +403,15 @@ int cmd_search_master(const Args& args, search::SearchMethod& method,
 }
 
 int cmd_search(const Args& args) {
-  const auto evaluations =
-      static_cast<std::size_t>(args.get_long("evaluations", 500));
+  const auto evaluations = args.get_count("evaluations", 500);
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   const std::string method = args.get("method", "ae");
 
   core::SearchRunOptions options;
   options.checkpoint_path = args.get("checkpoint", "");
-  options.checkpoint_every =
-      static_cast<std::size_t>(args.get_long("checkpoint-every", 0));
+  options.checkpoint_every = args.get_count("checkpoint-every", 0);
   options.resume = args.get_long("resume", 0) != 0;
-  options.retry.max_attempts =
-      static_cast<std::size_t>(args.get_long("retries", 0)) + 1;
+  options.retry.max_attempts = args.get_count("retries", 0) + 1;
   options.retry.timeout_seconds = args.get_real("eval-timeout", 0.0);
   options.memoize = args.get_long("memoize", 0) != 0;
   if (options.resume && options.checkpoint_path.empty()) {
@@ -411,8 +419,7 @@ int cmd_search(const Args& args) {
     return 2;
   }
 
-  const auto workers =
-      static_cast<std::size_t>(args.get_long("workers", 1));
+  const auto workers = args.get_count("workers", 1);
   if (workers == 0) {
     std::fprintf(stderr, "--workers must be >= 1\n");
     return 2;
@@ -500,9 +507,9 @@ int cmd_worker(const Args& args) {
 
 int cmd_train(const Args& args) {
   const auto record = data::read_snapshots_file(args.require("snapshots"));
-  const auto modes = static_cast<std::size_t>(args.get_long("modes", 5));
-  const auto window = static_cast<std::size_t>(args.get_long("window", 8));
-  const auto epochs = static_cast<std::size_t>(args.get_long("epochs", 60));
+  const auto modes = args.get_count("modes", 5);
+  const auto window = args.get_count("window", 8);
+  const auto epochs = args.get_count("epochs", 60);
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
 
   pod::POD pod;
@@ -563,14 +570,12 @@ int cmd_train(const Args& args) {
 }
 
 int cmd_serve(const Args& args) {
-  const auto modes = static_cast<std::size_t>(args.get_long("modes", 5));
-  const auto window = static_cast<std::size_t>(args.get_long("window", 8));
-  const auto streams = static_cast<std::size_t>(args.get_long("streams", 4));
-  const auto max_batch =
-      static_cast<std::size_t>(args.get_long("max-batch", 32));
+  const auto modes = args.get_count("modes", 5);
+  const auto window = args.get_count("window", 8);
+  const auto streams = args.get_count("streams", 4);
+  const auto max_batch = args.get_count("max-batch", 32);
   const double max_delay_ms = args.get_real("max-delay-ms", 0.5);
-  const auto requests =
-      static_cast<std::size_t>(args.get_long("requests", 20000));
+  const auto requests = args.get_count("requests", 20000);
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   if (streams == 0 || max_batch == 0 || requests == 0) {
     std::fprintf(stderr,

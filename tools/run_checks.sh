@@ -164,7 +164,8 @@ if [[ $quick -eq 1 ]]; then
   # read-only across GEMM worker threads); Net* runs
   # the master poll loop against concurrent in-process worker threads;
   # SST* covers snapshot generation, whose pool workers read the caches
-  # the calling thread grew; ClusterSimStress runs concurrent
+  # the calling thread grew, and Comparators* the HYCOM field, which reads
+  # its truth through that split; ClusterSimStress runs concurrent
   # simulate_async campaigns on one shared evaluator. LSTM, GRU,
   # GraphNetwork and Trainer cover the recurrent layers' batch-slice and
   # weight-row chunks, which write disjoint rows of shared workspaces
@@ -174,7 +175,7 @@ if [[ $quick -eq 1 ]]; then
   # PPOStress runs PPO agents that sample and compute gradients
   # concurrently against one shared evaluator between per-round joins.
   run_flavor tsan \
-    '^(Determinism|BlockedGemm|Vmath|ParallelFor|PoolShard|Obs|Memoizer|Serve|Prepack|Net|SST|ClusterSimStress|PPOStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
+    '^(Determinism|BlockedGemm|Vmath|ParallelFor|PoolShard|Obs|Memoizer|Serve|Prepack|Net|SST|Comparators|ClusterSimStress|PPOStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
   run_analyze_smoke
 else
   run_flavor tsan
