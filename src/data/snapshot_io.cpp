@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -52,6 +53,36 @@ std::uint64_t read_u64(std::istream& is, std::uint64_t& offset,
   return value;
 }
 
+/// Refuses, before the caller allocates for it, a header whose payload
+/// of rows x cols values of `elem` bytes, starting at byte `offset`,
+/// overflows or runs past the end of the seekable stream `is`.
+void require_payload(std::istream& is, std::uint64_t offset,
+                     std::uint64_t rows, std::uint64_t cols,
+                     std::uint64_t elem, const char* what) {
+  const std::streamoff here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff end = is.tellg();
+  is.seekg(here);
+  if (here < 0 || end < here || !is) {
+    throw std::runtime_error(std::string("snapshot_io: cannot size ") + what +
+                             ": the stream is not seekable");
+  }
+  const auto left = static_cast<std::uint64_t>(end - here);
+  const bool overflow =
+      rows != 0 &&
+      cols > std::numeric_limits<std::uint64_t>::max() / rows / elem;
+  const std::uint64_t bytes = overflow ? 0 : rows * cols * elem;
+  if (!overflow && bytes <= left) return;
+  throw std::runtime_error(
+      std::string("snapshot_io: truncated stream reading ") + what +
+      ": the header claims " + std::to_string(rows) + " x " +
+      std::to_string(cols) + " (" +
+      (overflow ? std::string("over 2^64") : std::to_string(bytes)) +
+      " bytes from byte offset " + std::to_string(offset) +
+      "), but the stream ends at byte offset " +
+      std::to_string(offset + left));
+}
+
 void require_stream(const std::ios& stream, const char* what) {
   if (!stream) {
     throw std::runtime_error(std::string("snapshot_io: stream failure in ") +
@@ -88,6 +119,8 @@ SnapshotRecord read_snapshots(std::istream& is) {
   const std::uint64_t cols = read_u64(is, offset, "snapshot cols");
   SnapshotRecord record;
   record.first_week = read_u64(is, offset, "snapshot first_week");
+  require_payload(is, offset, rows, cols, sizeof(double),
+                  "snapshot payload column");
   if (rows == 0 || cols == 0 || rows > (1ULL << 32) || cols > (1ULL << 32)) {
     throw std::runtime_error("snapshot_io: implausible snapshot dimensions (" +
                              std::to_string(rows) + " x " +
@@ -148,9 +181,12 @@ MaskRecord read_mask(std::istream& is) {
   if (std::memcmp(magic, kMaskMagic, 8) != 0) {
     throw std::runtime_error("snapshot_io: bad mask magic");
   }
+  const std::uint64_t nlat = read_u64(is, offset, "mask nlat");
+  const std::uint64_t nlon = read_u64(is, offset, "mask nlon");
+  require_payload(is, offset, nlat, nlon, 1, "mask payload");
   MaskRecord record;
-  record.grid.nlat = static_cast<std::size_t>(read_u64(is, offset, "mask nlat"));
-  record.grid.nlon = static_cast<std::size_t>(read_u64(is, offset, "mask nlon"));
+  record.grid.nlat = static_cast<std::size_t>(nlat);
+  record.grid.nlon = static_cast<std::size_t>(nlon);
   if (record.grid.cells() == 0 || record.grid.cells() > (1ULL << 32)) {
     throw std::runtime_error("snapshot_io: implausible mask dimensions (" +
                              std::to_string(record.grid.nlat) + " x " +
@@ -166,12 +202,6 @@ void write_mask_file(const MaskRecord& record, const std::string& path) {
   std::ofstream os(path, std::ios::binary);
   if (!os) throw std::runtime_error("snapshot_io: cannot open " + path);
   write_mask(record, os);
-}
-
-MaskRecord read_mask_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("snapshot_io: cannot open " + path);
-  return read_mask(is);
 }
 
 }  // namespace geonas::data

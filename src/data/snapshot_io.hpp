@@ -13,8 +13,10 @@
 //   payload     : rows*cols doubles, column-major (one snapshot per column,
 //                 matching the POD snapshot-matrix layout of eq. 1)
 //
-// The reader refuses a truncated stream, implausible dimensions and a
-// NaN or inf payload value (naming its (row, column) and byte offset).
+// The readers take a seekable stream. They refuse a truncated stream,
+// implausible dimensions and a NaN or inf payload value (naming its
+// (row, column) and byte offset); a header whose payload overflows or
+// outruns the stream is refused before anything is allocated for it.
 //
 // Masks serialize as magic "GEOMASK1", nlat, nlon, then nlat*nlon bytes of
 // 0 (ocean) / 1 (land).
@@ -48,6 +50,5 @@ struct MaskRecord {
 void write_mask(const MaskRecord& record, std::ostream& os);
 [[nodiscard]] MaskRecord read_mask(std::istream& is);
 void write_mask_file(const MaskRecord& record, const std::string& path);
-[[nodiscard]] MaskRecord read_mask_file(const std::string& path);
 
 }  // namespace geonas::data

@@ -20,8 +20,8 @@ Dense::Dense(std::size_t in_features, std::size_t out_features,
       b_(1, out_features),
       w_grad_(in_features, out_features),
       b_grad_(1, out_features),
-      pack_sites_{{{&w_pack_, &w_, Trans::kNone, 0, out_features},
-                   {&w_t_pack_, &w_, Trans::kTranspose, 0, out_features}}} {
+      pack_sites_{{{&w_pack_, &w_, Trans::kNone},
+                   {&w_t_pack_, &w_, Trans::kTranspose}}} {
   if (in_ == 0 || out_ == 0) {
     throw std::invalid_argument("Dense: zero-sized feature dimension");
   }

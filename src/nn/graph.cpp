@@ -18,10 +18,9 @@ constexpr double kPackFlopsPerDouble = 8.0;
 
 /// Doubles in the panel a pack site holds.
 std::size_t packed_doubles(const PackSite& site) {
-  const bool transpose = site.trans == Trans::kTranspose;
-  const std::size_t k = transpose ? site.ncols : site.weights->rows();
-  const std::size_t n = transpose ? site.weights->rows() : site.ncols;
-  return detail::packed_b_doubles(k, n);
+  const std::size_t rows = site.weights->rows(), cols = site.weights->cols();
+  return site.trans == Trans::kTranspose ? detail::packed_b_doubles(cols, rows)
+                                         : detail::packed_b_doubles(rows, cols);
 }
 
 }  // namespace
@@ -65,13 +64,7 @@ std::size_t GraphNetwork::add_node(std::unique_ptr<Layer> layer,
 GraphNetwork GraphNetwork::clone() const {
   GraphNetwork copy;
   for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    std::unique_ptr<Layer> layer = nodes_[i].layer->clone();
-    if (!layer) {
-      throw std::invalid_argument("GraphNetwork::clone: layer '" +
-                                  nodes_[i].layer->name() + "' at node " +
-                                  std::to_string(i) + " cannot be cloned");
-    }
-    copy.add_node(std::move(layer), nodes_[i].inputs);
+    copy.add_node(nodes_[i].layer->clone(), nodes_[i].inputs);
   }
   copy.set_output(output_);
   return copy;

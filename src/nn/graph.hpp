@@ -38,8 +38,6 @@ class GraphNetwork {
   GraphNetwork& operator=(GraphNetwork&&) = default;
 
   /// A copy of the structure and parameters, unbound (Layer::clone).
-  /// Throws std::invalid_argument naming the layer and its node id when a
-  /// layer cannot be cloned.
   [[nodiscard]] GraphNetwork clone() const;
 
   /// Node id of the (single) graph input.

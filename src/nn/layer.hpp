@@ -64,17 +64,15 @@ struct WorkspaceShape {
 };
 
 /// One prepacked weight panel of a layer and the weights it packs: the
-/// arguments of its PackedPanels::ensure_block call. Layers keep a fixed
+/// arguments of its PackedPanels::ensure call. Layers keep a fixed
 /// table of these, pointing at their own members, built at construction.
 struct PackSite {
   tensor::PackedPanels* panel;
   const Matrix* weights;
   Trans trans;
-  std::size_t col0;
-  std::size_t ncols;
 
   /// Re-packs the panel if the weights changed since its last pack.
-  void ensure() const { panel->ensure_block(*weights, trans, col0, ncols); }
+  void ensure() const { panel->ensure(*weights, trans); }
 };
 
 class Layer {
@@ -94,7 +92,7 @@ class Layer {
   }
 
   /// Input width this layer requires, or 0 when it accepts any width
-  /// and keeps it (Identity, Dropout, AddMerge).
+  /// and keeps it (Identity, AddMerge).
   [[nodiscard]] virtual std::size_t in_features() const noexcept { return 0; }
 
   /// Carves this layer's workspaces for `shape` (shape.features is the
@@ -108,11 +106,8 @@ class Layer {
   }
 
   /// A copy of this layer's configuration and parameters, unbound, with
-  /// zeroed gradients. Null when the layer cannot be copied (the
-  /// default); GraphNetwork::clone rejects such a layer.
-  [[nodiscard]] virtual std::unique_ptr<Layer> clone() const {
-    return nullptr;
-  }
+  /// zeroed gradients.
+  [[nodiscard]] virtual std::unique_ptr<Layer> clone() const = 0;
 
   /// Forward pass into `out`, pre-shaped by the caller to
   /// [batch, steps, output_features(in_features)]. `inputs.size()` must
@@ -208,46 +203,6 @@ inline const Tensor3& single_input(std::span<const Tensor3* const> inputs,
                                 ": expected exactly one input");
   }
   return *inputs[0];
-}
-
-/// The input half of a recurrent (LSTM, GRU) forward for batch rows
-/// [lo, hi) of `x` [batch, steps, in]: gathers those rows into the
-/// time-major `x_tm` (row t * batch + b), projects them through the
-/// packed Wx into `gates` and adds `bias`. The projection is one GEMM
-/// per timestep, or one over the whole sequence when the rows are the
-/// whole batch (they are then contiguous). Every gate element gets the
-/// operations of a whole-sequence projection GEMM, in order — its
-/// K-ordered x*Wx chain, which an M split never changes, then + b — so
-/// the bits do not depend on the slicing.
-inline void project_input_rows(const Tensor3& x, std::size_t lo,
-                               std::size_t hi, tensor::ArenaMatrix& x_tm,
-                               const tensor::PackedPanels& wx,
-                               const double* bias,
-                               tensor::ArenaMatrix& gates) {
-  const std::size_t batch = x.dim0(), steps = x.dim1(), in = x.dim2();
-  const std::size_t g = wx.n(), n = hi - lo;
-  for (std::size_t b = lo; b < hi; ++b) {
-    const double* src = x.flat().data() + b * steps * in;
-    for (std::size_t t = 0; t < steps; ++t) {
-      std::copy_n(src + t * in, in, x_tm.row_span(t * batch + b).begin());
-    }
-  }
-  if (n == batch) {
-    gemm_raw(Trans::kNone, steps * batch, 1.0, x_tm.flat().data(), in, wx,
-             0.0, gates.flat().data(), g);
-  }
-  for (std::size_t t = 0; t < steps; ++t) {
-    const std::size_t row = t * batch + lo;
-    double* z = gates.flat().data() + row * g;
-    if (n != batch) {
-      gemm_raw(Trans::kNone, n, 1.0, x_tm.flat().data() + row * in, in, wx,
-               0.0, z, g);
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      double* zrow = z + r * g;
-      for (std::size_t j = 0; j < g; ++j) zrow[j] += bias[j];
-    }
-  }
 }
 
 }  // namespace geonas::nn

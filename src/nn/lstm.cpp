@@ -11,6 +11,49 @@
 
 namespace geonas::nn {
 
+namespace {
+
+/// The input half of the forward for batch rows [lo, hi) of `x`
+/// [batch, steps, in]: gathers those rows into the time-major `x_tm`
+/// (row t * batch + b), projects them through the packed Wx into
+/// `gates` and adds `bias`. The projection is one GEMM per timestep, or
+/// one over the whole sequence when the rows are the whole batch (they
+/// are then contiguous). Every gate element gets the operations of a
+/// whole-sequence projection GEMM, in order — its K-ordered x*Wx chain,
+/// which an M split never changes, then + b — so the bits do not depend
+/// on the slicing.
+void project_input_rows(const Tensor3& x, std::size_t lo, std::size_t hi,
+                        tensor::ArenaMatrix& x_tm,
+                        const tensor::PackedPanels& wx, const double* bias,
+                        tensor::ArenaMatrix& gates) {
+  const std::size_t batch = x.dim0(), steps = x.dim1(), in = x.dim2();
+  const std::size_t g = wx.n(), n = hi - lo;
+  for (std::size_t b = lo; b < hi; ++b) {
+    const double* src = x.flat().data() + b * steps * in;
+    for (std::size_t t = 0; t < steps; ++t) {
+      std::copy_n(src + t * in, in, x_tm.row_span(t * batch + b).begin());
+    }
+  }
+  if (n == batch) {
+    gemm_raw(Trans::kNone, steps * batch, 1.0, x_tm.flat().data(), in, wx,
+             0.0, gates.flat().data(), g);
+  }
+  for (std::size_t t = 0; t < steps; ++t) {
+    const std::size_t row = t * batch + lo;
+    double* z = gates.flat().data() + row * g;
+    if (n != batch) {
+      gemm_raw(Trans::kNone, n, 1.0, x_tm.flat().data() + row * in, in, wx,
+               0.0, z, g);
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      double* zrow = z + r * g;
+      for (std::size_t j = 0; j < g; ++j) zrow[j] += bias[j];
+    }
+  }
+}
+
+}  // namespace
+
 LSTM::LSTM(std::size_t in_features, std::size_t units)
     : in_(in_features),
       units_(units),
@@ -20,10 +63,10 @@ LSTM::LSTM(std::size_t in_features, std::size_t units)
       wx_grad_(in_features, 4 * units),
       wh_grad_(units, 4 * units),
       b_grad_(1, 4 * units),
-      pack_sites_{{{&wx_pack_, &wx_, Trans::kNone, 0, 4 * units},
-                   {&wh_pack_, &wh_, Trans::kNone, 0, 4 * units},
-                   {&wh_t_pack_, &wh_, Trans::kTranspose, 0, 4 * units},
-                   {&wx_t_pack_, &wx_, Trans::kTranspose, 0, 4 * units}}} {
+      pack_sites_{{{&wx_pack_, &wx_, Trans::kNone},
+                   {&wh_pack_, &wh_, Trans::kNone},
+                   {&wh_t_pack_, &wh_, Trans::kTranspose},
+                   {&wx_t_pack_, &wx_, Trans::kTranspose}}} {
   if (in_ == 0 || units_ == 0) {
     throw std::invalid_argument("LSTM: zero-sized dimension");
   }

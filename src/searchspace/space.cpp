@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "nn/dense.hpp"
-#include "nn/gru.hpp"
 #include "nn/lstm.hpp"
 #include "nn/merge.hpp"
 
@@ -141,13 +140,8 @@ nn::GraphNetwork StackedLSTMSpace::build(const Architecture& arch) const {
         out_id[p + 1] = cur_id;
         out_width[p + 1] = cur_width;
       } else {
-        std::unique_ptr<nn::Layer> cell;
-        if (op.cell == CellKind::kGRU) {
-          cell = std::make_unique<nn::GRU>(cur_width, op.units);
-        } else {
-          cell = std::make_unique<nn::LSTM>(cur_width, op.units);
-        }
-        out_id[p + 1] = net.add_node(std::move(cell), {cur_id});
+        out_id[p + 1] = net.add_node(
+            std::make_unique<nn::LSTM>(cur_width, op.units), {cur_id});
         out_width[p + 1] = op.units;
       }
     } else {
@@ -199,9 +193,7 @@ StackedLSTMSpace::Stats StackedLSTMSpace::stats(const Architecture& arch) const 
         ++s.active_lstm_nodes;
         s.total_units += op.units;
         active_widths.push_back(op.units);
-        // LSTM: 4u(in + u + 1); GRU: 3u(in + u + 1).
-        const std::size_t gates = op.cell == CellKind::kGRU ? 3 : 4;
-        s.params += gates * op.units * (cur_width + op.units + 1);
+        s.params += 4 * op.units * (cur_width + op.units + 1);
         out_width[p + 1] = op.units;
       }
     } else {

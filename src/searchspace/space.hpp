@@ -34,21 +34,14 @@
 
 namespace geonas::searchspace {
 
-/// Recurrent cell family for a variable-node operation. The paper's space
-/// is LSTM-only; kGRU enables the hybrid-cell extension explored by the
-/// related work (§V) and the ablation bench.
-enum class CellKind { kLSTM, kGRU };
-
 /// One operation choice at a recurrent variable node.
 struct NodeOp {
   std::size_t units = 0;  // 0 means Identity
-  CellKind cell = CellKind::kLSTM;
 
   [[nodiscard]] bool is_identity() const noexcept { return units == 0; }
   [[nodiscard]] std::string label() const {
     if (is_identity()) return "Identity";
-    return std::string(cell == CellKind::kGRU ? "GRU(" : "LSTM(") +
-           std::to_string(units) + ")";
+    return "LSTM(" + std::to_string(units) + ")";
   }
 };
 

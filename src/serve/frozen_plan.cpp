@@ -8,7 +8,7 @@ namespace geonas::serve {
 namespace {
 
 /// The graph input's width. Every node before the first width-pinning
-/// layer (LSTM/GRU/Dense) keeps its input's width, so that layer's input
+/// layer (LSTM/Dense) keeps its input's width, so that layer's input
 /// width is node 0's.
 std::size_t input_width(const nn::GraphNetwork& net) {
   for (std::size_t i = 1; i < net.node_count(); ++i) {

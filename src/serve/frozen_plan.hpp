@@ -32,8 +32,8 @@ class FrozenPlan {
  public:
   /// Freezes a copy of `net` able to serve batches of up to `max_batch`
   /// windows of `steps` timesteps; `net` is not retained. Throws
-  /// std::invalid_argument on zero sizes, a graph without computational
-  /// nodes, or a layer that cannot be cloned (named with its node id).
+  /// std::invalid_argument on zero sizes or a graph without
+  /// computational nodes.
   static FrozenPlan compile(const nn::GraphNetwork& net, std::size_t steps,
                             std::size_t max_batch);
 

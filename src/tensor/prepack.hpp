@@ -25,11 +25,11 @@
 
 namespace geonas::tensor {
 
-/// One weight matrix (or column block of one), packed as a GEMM B
-/// operand. A PackedPanels instance serves exactly one role — one
-/// (matrix, trans, column-block) combination; layers keep one instance
-/// per weight-GEMM site. Storage is owned and repacked in place, so
-/// steady-state re-packs after optimizer steps allocate nothing.
+/// One weight matrix, packed as a GEMM B operand. A PackedPanels
+/// instance serves exactly one role — one (matrix, trans) combination;
+/// layers keep one instance per weight-GEMM site. Storage is owned and
+/// repacked in place, so steady-state re-packs after optimizer steps
+/// allocate nothing.
 class PackedPanels {
  public:
   PackedPanels() = default;
@@ -38,17 +38,7 @@ class PackedPanels {
   /// if the pack is missing or stale, else returns immediately. The
   /// freshness test is (data pointer, version()) equality — any mutable
   /// access to w since the last pack triggers a re-pack.
-  void ensure(const Matrix& w, Trans trans) {
-    ensure_block(w, trans, 0, w.cols());
-  }
-
-  /// Same, for the column block w[:, col0 : col0+ncols) (the GRU packs
-  /// its fused z/r and candidate blocks of wh separately because the
-  /// per-timestep GEMMs consume them separately). kNone packs the block
-  /// (k = w.rows() x n = ncols); kTranspose packs its transpose
-  /// (k = ncols x n = w.rows()).
-  void ensure_block(const Matrix& w, Trans trans, std::size_t col0,
-                    std::size_t ncols);
+  void ensure(const Matrix& w, Trans trans);
 
   /// True when the pack holds the current contents of w (same storage,
   /// no mutable access since packing). The layers re-ensure before
@@ -58,10 +48,6 @@ class PackedPanels {
     return storage_ != nullptr && source_data_ == w.flat().data() &&
            source_version_ == w.version();
   }
-  /// Debug-asserts fresh_for(w): consuming a stale pack is a logic
-  /// error that silently computes with outdated weights, so a call site
-  /// that skips the lazy ensure can pin it here.
-  void assert_fresh(const Matrix& w) const noexcept;
 
   /// Packed panel base pointer (layout documented at pack_b_full).
   [[nodiscard]] const double* data() const noexcept { return storage_; }
@@ -81,7 +67,6 @@ class PackedPanels {
   std::size_t k_ = 0;
   std::size_t n_ = 0;
   Trans trans_ = Trans::kNone;
-  std::size_t col0_ = 0;
   const double* source_data_ = nullptr;
   std::uint64_t source_version_ = 0;
   std::uint64_t repacks_ = 0;

@@ -161,25 +161,6 @@ inline void lstm_bwd_elem(const double* gr, const double* cpr,
   dzr[3 * u + i] = d_og * (og * (1.0 - og));
 }
 
-inline void gru_zr_elem(double* ar, const double* hp, double* rhr,
-                        std::size_t u, std::size_t i) noexcept {
-  const double zg = portable::sigmoid(ar[i]);
-  const double rg = portable::sigmoid(ar[u + i]);
-  ar[i] = zg;
-  ar[u + i] = rg;
-  rhr[i] = rg * hp[i];
-}
-
-inline void gru_out_elem(double* ar, const double* hp, double* hn,
-                         double* ho, std::size_t u, std::size_t i) noexcept {
-  const double zg = ar[i];
-  const double hh = portable::tanh(ar[2 * u + i]);
-  ar[2 * u + i] = hh;
-  const double h = std::fma(zg, hh, (1.0 - zg) * hp[i]);
-  hn[i] = h;
-  ho[i] = h;
-}
-
 // --- portable-fma backend --------------------------------------------
 
 void exp_span_portable(const double* x, double* out, std::size_t n) {
@@ -220,28 +201,6 @@ void lstm_bwd_portable(std::size_t rows, std::size_t u, const double* gates,
       lstm_bwd_elem(gr, c_prev + r * u, c_new + r * u,
                     grad_out + r * grad_out_stride, dh + r * u, dc + r * u,
                     dzr, u, i);
-    }
-  }
-}
-
-void gru_zr_portable(std::size_t rows, std::size_t u, double* a,
-                     const double* h_prev, double* rh) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* ar = a + r * 3 * u;
-    const double* hp = h_prev + r * u;
-    double* rhr = rh + r * u;
-    for (std::size_t i = 0; i < u; ++i) gru_zr_elem(ar, hp, rhr, u, i);
-  }
-}
-
-void gru_out_portable(std::size_t rows, std::size_t u, double* a,
-                      const double* h_prev, double* h_new, double* h_out,
-                      std::size_t h_out_stride) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* ar = a + r * 3 * u;
-    for (std::size_t i = 0; i < u; ++i) {
-      gru_out_elem(ar, h_prev + r * u, h_new + r * u, h_out + r * h_out_stride,
-                   u, i);
     }
   }
 }
@@ -435,52 +394,6 @@ __attribute__((target("avx2,fma"))) void lstm_bwd_avx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void gru_zr_avx2(std::size_t rows,
-                                                     std::size_t u,
-                                                     double* a,
-                                                     const double* h_prev,
-                                                     double* rh) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* ar = a + r * 3 * u;
-    const double* hp = h_prev + r * u;
-    double* rhr = rh + r * u;
-    std::size_t i = 0;
-    for (; i + 4 <= u; i += 4) {
-      const __m256d zg = vsigmoid4(_mm256_loadu_pd(ar + i));
-      const __m256d rg = vsigmoid4(_mm256_loadu_pd(ar + u + i));
-      _mm256_storeu_pd(ar + i, zg);
-      _mm256_storeu_pd(ar + u + i, rg);
-      _mm256_storeu_pd(rhr + i,
-                       _mm256_mul_pd(rg, _mm256_loadu_pd(hp + i)));
-    }
-    for (; i < u; ++i) gru_zr_elem(ar, hp, rhr, u, i);
-  }
-}
-
-__attribute__((target("avx2,fma"))) void gru_out_avx2(
-    std::size_t rows, std::size_t u, double* a, const double* h_prev,
-    double* h_new, double* h_out, std::size_t h_out_stride) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* ar = a + r * 3 * u;
-    const double* hp = h_prev + r * u;
-    double* hn = h_new + r * u;
-    double* ho = h_out + r * h_out_stride;
-    std::size_t i = 0;
-    for (; i + 4 <= u; i += 4) {
-      const __m256d zg = _mm256_loadu_pd(ar + i);
-      const __m256d hh = vtanh4(_mm256_loadu_pd(ar + 2 * u + i));
-      _mm256_storeu_pd(ar + 2 * u + i, hh);
-      const __m256d h = _mm256_fmadd_pd(
-          zg, hh,
-          _mm256_mul_pd(_mm256_sub_pd(one, zg), _mm256_loadu_pd(hp + i)));
-      _mm256_storeu_pd(hn + i, h);
-      _mm256_storeu_pd(ho + i, h);
-    }
-    for (; i < u; ++i) gru_out_elem(ar, hp, hn, ho, u, i);
-  }
-}
-
 #endif  // GEONAS_VMATH_X86_DISPATCH
 
 // --- backend dispatch ------------------------------------------------
@@ -495,21 +408,17 @@ struct VmathImpl {
   void (*lstm_bwd)(std::size_t, std::size_t, const double*, const double*,
                    const double*, const double*, std::size_t, const double*,
                    double*, double*);
-  void (*gru_zr)(std::size_t, std::size_t, double*, const double*, double*);
-  void (*gru_out)(std::size_t, std::size_t, double*, const double*, double*,
-                  double*, std::size_t);
 };
 
 VmathImpl select_impl() {
 #ifdef GEONAS_VMATH_X86_DISPATCH
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return {"avx2-fma",    exp_span_avx2, tanh_span_avx2, sigmoid_span_avx2,
-            lstm_fwd_avx2, lstm_bwd_avx2, gru_zr_avx2,    gru_out_avx2};
+            lstm_fwd_avx2, lstm_bwd_avx2};
   }
 #endif
-  return {"portable-fma",    exp_span_portable, tanh_span_portable,
-          sigmoid_span_portable, lstm_fwd_portable, lstm_bwd_portable,
-          gru_zr_portable,  gru_out_portable};
+  return {"portable-fma",        exp_span_portable, tanh_span_portable,
+          sigmoid_span_portable, lstm_fwd_portable, lstm_bwd_portable};
 }
 
 const VmathImpl& impl() {
@@ -593,62 +502,6 @@ void lstm_pointwise_backward(std::size_t rows, std::size_t units,
                              double* dc, double* dz) {
   impl().lstm_bwd(rows, units, gates, c_prev, c_new, grad_out,
                   grad_out_stride, dh, dc, dz);
-}
-
-void gru_pointwise_zr(std::size_t rows, std::size_t units, double* a,
-                      const double* h_prev, double* rh) {
-  impl().gru_zr(rows, units, a, h_prev, rh);
-}
-
-void gru_pointwise_out(std::size_t rows, std::size_t units, double* a,
-                       const double* h_prev, double* h_new, double* h_out,
-                       std::size_t h_out_stride) {
-  impl().gru_out(rows, units, a, h_prev, h_new, h_out, h_out_stride);
-}
-
-// The GRU backward stages are plain multiply-add chains (the gate
-// activations are already cached), so one backend serves every build:
-// results are bitwise-independent of SIMD/backing choices by
-// construction.
-void gru_pointwise_backward_zh(std::size_t rows, std::size_t units,
-                               const double* gates, const double* h_prev,
-                               const double* grad_out,
-                               std::size_t grad_out_stride, double* dh,
-                               double* da) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* gr = gates + r * 3 * units;
-    const double* hp = h_prev + r * units;
-    const double* gor = grad_out + r * grad_out_stride;
-    double* dhr = dh + r * units;
-    double* dar = da + r * 3 * units;
-    for (std::size_t i = 0; i < units; ++i) {
-      const double zg = gr[i];
-      const double hh = gr[2 * units + i];
-      const double dhv = gor[i] + dhr[i];
-      const double dz = dhv * (hh - hp[i]);
-      const double dhh = dhv * zg;
-      dar[i] = dz * (zg * (1.0 - zg));
-      dar[2 * units + i] = dhh * (1.0 - hh * hh);
-      dhr[i] = dhv * (1.0 - zg);
-    }
-  }
-}
-
-void gru_pointwise_backward_r(std::size_t rows, std::size_t units,
-                              const double* gates, const double* h_prev,
-                              const double* drh, double* dh, double* da) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* gr = gates + r * 3 * units;
-    const double* hp = h_prev + r * units;
-    const double* drhr = drh + r * units;
-    double* dhr = dh + r * units;
-    double* dar = da + r * 3 * units;
-    for (std::size_t i = 0; i < units; ++i) {
-      const double rg = gr[units + i];
-      dar[units + i] = drhr[i] * hp[i] * (rg * (1.0 - rg));
-      dhr[i] += drhr[i] * rg;
-    }
-  }
 }
 
 void recurrent_bias_grad(std::size_t steps, std::size_t rows,

@@ -68,12 +68,12 @@ void vsigmoid(std::span<const double> x, std::span<double> out);
 // Fused recurrent pointwise kernels. One pass per timestep slab computes
 // every gate nonlinearity, the state update and the cached activations
 // together — no per-gate passes, no intermediate temporaries. All
-// pointers follow the nn layer workspace layout: `z`/`a`/`gates` are
-// [rows, 4*units] (LSTM, gate order i|f|g|o) or [rows, 3*units] (GRU,
-// z|r|h), state slabs are [rows, units] contiguous, and `h_out` /
-// `grad_out` address a batch-major [B, T, units] tensor at fixed t (row
-// r lives at base + r * stride). Buffers must not overlap except where a
-// parameter is documented in/out.
+// pointers follow the LSTM workspace layout: `z`/`gates` are
+// [rows, 4*units] (gate order i|f|g|o), state slabs are [rows, units]
+// contiguous, and `h_out` / `grad_out` address a batch-major
+// [B, T, units] tensor at fixed t (row r lives at base + r * stride).
+// Buffers must not overlap except where a parameter is documented
+// in/out.
 // ---------------------------------------------------------------------
 
 /// LSTM forward gate stage. In: z holds pre-activations. Out: z holds
@@ -95,32 +95,6 @@ void lstm_pointwise_backward(std::size_t rows, std::size_t units,
                              const double* c_new, const double* grad_out,
                              std::size_t grad_out_stride, const double* dh,
                              double* dc, double* dz);
-
-/// GRU forward stage 1: a[z] and a[r] pre-activations -> sigmoid values
-/// in place, rh = r .* h_prev.
-void gru_pointwise_zr(std::size_t rows, std::size_t units, double* a,
-                      const double* h_prev, double* rh);
-
-/// GRU forward stage 2: a[h] candidate pre-activation -> tanh value in
-/// place, h_new = (1 - z) h_prev + z hh, scattered to h_out as well.
-void gru_pointwise_out(std::size_t rows, std::size_t units, double* a,
-                       const double* h_prev, double* h_new, double* h_out,
-                       std::size_t h_out_stride);
-
-/// GRU backward stage 1 (through h_new = (1-z) h_prev + z hh): fills the
-/// z and candidate pre-activation gradients in da, rewrites dh with the
-/// direct (1 - z) path. Plain arithmetic — backend-independent.
-void gru_pointwise_backward_zh(std::size_t rows, std::size_t units,
-                               const double* gates, const double* h_prev,
-                               const double* grad_out,
-                               std::size_t grad_out_stride, double* dh,
-                               double* da);
-
-/// GRU backward stage 2 (through rh = r .* h_prev): fills the r-gate
-/// pre-activation gradient and accumulates dh += drh .* r.
-void gru_pointwise_backward_r(std::size_t rows, std::size_t units,
-                              const double* gates, const double* h_prev,
-                              const double* drh, double* dh, double* da);
 
 /// Recurrent bias gradient: accumulates the column sums of the
 /// time-major [steps * rows, width] pre-activation gradient slab `d`

@@ -1,12 +1,16 @@
 // Snapshot/mask binary file round trips and validation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "data/landmask.hpp"
 #include "data/snapshot_io.hpp"
@@ -143,6 +147,127 @@ TEST(SnapshotIO, TruncatedMaskReportsOffset) {
     EXPECT_NE(what.find("mask payload"), std::string::npos) << what;
     EXPECT_NE(what.find("byte offset"), std::string::npos) << what;
   }
+}
+
+/// `magic` followed by the little-endian u64 `fields`: a header with
+/// whatever dimensions a test wants to forge.
+std::string forged_header(const char* magic,
+                          std::initializer_list<std::uint64_t> fields) {
+  std::string bytes(magic, 8);
+  for (const std::uint64_t v : fields) {
+    for (int i = 0; i < 8; ++i) {
+      bytes.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  }
+  return bytes;
+}
+
+/// Every byte offset a reader's diagnostic names ("byte offset N").
+std::vector<std::uint64_t> named_offsets(const std::string& what) {
+  const std::string key = "byte offset ";
+  std::vector<std::uint64_t> out;
+  for (auto at = what.find(key); at != std::string::npos;
+       at = what.find(key, at + 1)) {
+    out.push_back(std::stoull(what.substr(at + key.size())));
+  }
+  return out;
+}
+
+/// Feeds `read` every proper prefix of `bytes`. Each must be refused with
+/// a std::runtime_error that names a byte offset, and none past the cut.
+void expect_every_prefix_refused(const std::string& bytes,
+                                 void (*read)(std::istream&)) {
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    SCOPED_TRACE(::testing::Message() << "prefix of " << len << " bytes");
+    std::stringstream prefix(bytes.substr(0, len));
+    try {
+      read(prefix);
+      ADD_FAILURE() << "prefix accepted";
+    } catch (const std::runtime_error& e) {
+      const std::vector<std::uint64_t> offsets = named_offsets(e.what());
+      EXPECT_FALSE(offsets.empty()) << e.what();
+      for (const std::uint64_t at : offsets) EXPECT_LE(at, len) << e.what();
+    }
+  }
+}
+
+/// Feeds `read` a bare header claiming a rows x cols payload. It must be
+/// refused as a truncated `payload`, naming the claimed dimensions and
+/// the end of the stream, which is the end of the header.
+void expect_forged_header_refused(const std::string& header,
+                                  void (*read)(std::istream&),
+                                  const std::string& payload,
+                                  std::uint64_t rows, std::uint64_t cols) {
+  SCOPED_TRACE(::testing::Message() << rows << " x " << cols);
+  std::stringstream forged(header);
+  try {
+    read(forged);
+    ADD_FAILURE() << "forged header accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("truncated stream reading " + payload),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(std::to_string(rows) + " x " + std::to_string(cols)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("stream ends at byte offset " +
+                        std::to_string(header.size())),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(SnapshotIO, ForgedSnapshotHeaderRefusedBeforeAllocation) {
+  // The header is checked against the bytes the stream holds before the
+  // reader sizes anything from it: a 32-byte file claiming 1024 x 1024
+  // doubles, and one whose 2^32 x 2^32 payload overflows 64 bits.
+  constexpr std::uint64_t kBig = 1ULL << 32;
+  for (const auto& [rows, cols] :
+       {std::pair<std::uint64_t, std::uint64_t>{1024, 1024}, {kBig, kBig}}) {
+    expect_forged_header_refused(
+        forged_header("GEOSNAPS", {rows, cols, 0}),
+        [](std::istream& is) { (void)read_snapshots(is); },
+        "snapshot payload column", rows, cols);
+  }
+}
+
+TEST(SnapshotIO, ForgedMaskHeaderRefusedBeforeAllocation) {
+  // 4096 x 4096 flags in a 24-byte file, and (2^32 + 1) x 2^32, whose
+  // product wraps to 2^32 in 64 bits.
+  constexpr std::uint64_t kBig = 1ULL << 32;
+  for (const auto& [nlat, nlon] :
+       {std::pair<std::uint64_t, std::uint64_t>{4096, 4096},
+        {kBig + 1, kBig}}) {
+    expect_forged_header_refused(
+        forged_header("GEOMASK1", {nlat, nlon}),
+        [](std::istream& is) { (void)read_mask(is); }, "mask payload", nlat,
+        nlon);
+  }
+}
+
+TEST(SnapshotIO, EveryPrefixOfASnapshotFileIsRefused) {
+  Rng rng(6);
+  SnapshotRecord record;
+  record.snapshots.resize(3, 4);
+  for (double& v : record.snapshots.flat()) v = rng.normal();
+  std::stringstream buffer;
+  write_snapshots(record, buffer);
+  expect_every_prefix_refused(buffer.str(), [](std::istream& is) {
+    (void)read_snapshots(is);
+  });
+}
+
+TEST(SnapshotIO, EveryPrefixOfAMaskFileIsRefused) {
+  MaskRecord record;
+  record.grid = {3, 5};
+  for (std::size_t cell = 0; cell < record.grid.cells(); ++cell) {
+    record.land.push_back(cell % 2 == 0 ? 1 : 0);
+  }
+  std::stringstream buffer;
+  write_mask(record, buffer);
+  expect_every_prefix_refused(buffer.str(),
+                              [](std::istream& is) { (void)read_mask(is); });
 }
 
 TEST(SnapshotIO, FileRoundTrip) {

@@ -23,7 +23,6 @@
 #include "io/binary.hpp"
 #include "nn/dense.hpp"
 #include "nn/graph.hpp"
-#include "nn/gru.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/optimizer.hpp"
@@ -130,50 +129,6 @@ TEST(Determinism, LstmTrainStepBitwiseIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : kThreadCounts) {
     SCOPED_TRACE(::testing::Message() << "kernel_threads=" << threads);
     const LstmPass pass = run_lstm_pass(threads);
-    ASSERT_EQ(pass.output, reference.output);
-    ASSERT_EQ(pass.dx, reference.dx);
-    ASSERT_EQ(pass.weight_grads, reference.weight_grads);
-  }
-}
-
-/// GRU mirror of run_lstm_pass: both recurrent cells now route their
-/// pointwise stages through the fused tensor::vmath kernels, so the
-/// fused path must uphold the same bitwise contract the GEMMs do.
-LstmPass run_gru_pass(std::size_t threads) {
-  KernelThreadsGuard guard(threads);
-  constexpr std::size_t kIn = 32, kUnits = 64, kT = 12, kB = 16;
-
-  nn::GRU gru(kIn, kUnits);
-  Rng wrng(17);
-  gru.init_params(wrng);
-
-  Tensor3 x(kB, kT, kIn);
-  Rng xrng(19);
-  for (std::size_t i = 0; i < kB; ++i) {
-    for (double& v : x.block(i)) v = xrng.uniform(-1.0, 1.0);
-  }
-  nn::testing::LayerDriver driver(gru);
-  LstmPass pass;
-  pass.output = driver.forward(x, /*training=*/true);
-
-  Tensor3 grad(kB, kT, kUnits);
-  Rng grng(21);
-  for (std::size_t i = 0; i < kB; ++i) {
-    for (double& v : grad.block(i)) v = grng.uniform(-1.0, 1.0);
-  }
-  auto input_grads = driver.backward(grad);
-  pass.dx = std::move(input_grads.at(0));
-  for (Matrix* g : gru.gradients()) pass.weight_grads.push_back(*g);
-  return pass;
-}
-
-TEST(Determinism, GruTrainStepBitwiseIdenticalAcrossThreadCounts) {
-  const LstmPass reference = run_gru_pass(1);
-  ASSERT_EQ(reference.output.dim0(), 16u);
-  ASSERT_FALSE(reference.weight_grads.empty());
-  for (const std::size_t threads : kThreadCounts) {
-    SCOPED_TRACE(::testing::Message() << "kernel_threads=" << threads);
-    const LstmPass pass = run_gru_pass(threads);
     ASSERT_EQ(pass.output, reference.output);
     ASSERT_EQ(pass.dx, reference.dx);
     ASSERT_EQ(pass.weight_grads, reference.weight_grads);
@@ -313,14 +268,6 @@ TEST(Determinism, TrainingDigestPinned) {
         searchspace::Architecture::from_key("5-1-3-1-1-3-1-0-0-0-1-0-0-1"));
     winner.init_params(3);
     EXPECT_EQ(training_digest(winner, 5, threads), 0x3ec754b9u);
-
-    nn::GraphNetwork gru;
-    const std::size_t g1 = gru.add_node(std::make_unique<nn::GRU>(5, 64), {0});
-    const std::size_t g2 =
-        gru.add_node(std::make_unique<nn::GRU>(64, 96), {g1});
-    gru.add_node(std::make_unique<nn::Dense>(96, 5), {g2});
-    gru.init_params(4);
-    EXPECT_EQ(training_digest(gru, 5, threads), 0x1c1a69b0u);
   }
 }
 

@@ -1,19 +1,22 @@
 // GraphNetwork: DAG wiring, skip-connection semantics (Dense projection +
 // add + ReLU), fan-out gradient accumulation, whole-graph gradient
-// checks against finite differences, and the grow-only workspace binds
-// (prefix batches, inference-only binds).
+// checks against finite differences, the grow-only workspace binds
+// (prefix batches, inference-only binds) and what a clone copies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gradient_check.hpp"
 #include "nn/dense.hpp"
 #include "nn/graph.hpp"
-#include "nn/gru.hpp"
 #include "nn/lstm.hpp"
 #include "nn/merge.hpp"
+#include "searchspace/space.hpp"
 
 namespace geonas::nn {
 namespace {
@@ -226,17 +229,17 @@ TEST(GraphNetwork, BindRejectsInputsOfDifferentWidths) {
   }
 }
 
-/// LSTM -> GRU merged (ReLU) with a tanh-Dense projection of the input,
+/// LSTM -> LSTM merged (ReLU) with a tanh-Dense projection of the input,
 /// then a tanh-Dense head: every layer kind that carves workspaces.
 GraphNetwork prefix_net() {
   GraphNetwork net;
   const auto in = GraphNetwork::input_id();
   const auto lstm = net.add_node(std::make_unique<LSTM>(3, 6), {in});
-  const auto gru = net.add_node(std::make_unique<GRU>(6, 5), {lstm});
+  const auto lstm2 = net.add_node(std::make_unique<LSTM>(6, 5), {lstm});
   const auto proj =
       net.add_node(std::make_unique<Dense>(3, 5, Activation::kTanh), {in});
   const auto merge =
-      net.add_node(std::make_unique<AddMerge>(2, true), {gru, proj});
+      net.add_node(std::make_unique<AddMerge>(2, true), {lstm2, proj});
   net.add_node(std::make_unique<Dense>(5, 2, Activation::kTanh), {merge});
   net.init_params(31);
   return net;
@@ -294,6 +297,61 @@ TEST(GraphNetwork, InferenceBindCarvesOnlyForwardWorkspaces) {
   (void)net.forward_ref(x, false);
   (void)net.forward_ref(small, true);
   EXPECT_EQ(net.arena()->bytes_in_use(), training);
+}
+
+/// True when two matrices hold the same shape and the same bits.
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+TEST(GraphNetwork, CloneCopiesParametersOnly) {
+  // Layer::clone promises the configuration and parameters, unbound,
+  // with zeroed gradients; FrozenPlan::compile and clone_stream serve
+  // from such copies. A trained winner step leaves nonzero gradients
+  // and a bound arena behind for the clone not to copy.
+  const searchspace::StackedLSTMSpace space;
+  GraphNetwork net = space.build(
+      searchspace::Architecture::from_key("5-1-3-1-1-3-1-0-0-0-1-0-0-1"));
+  net.init_params(3);
+  Rng rng(12);
+  const Tensor3 x = random_tensor(4, 6, 5, rng);
+  net.zero_grad();
+  (void)net.forward_ref(x, true);
+  (void)net.backward_ref(random_tensor(4, 6, 5, rng));
+  const auto nonzero = [](const Matrix* g) {
+    const Matrix& m = *g;
+    return std::count_if(m.flat().begin(), m.flat().end(),
+                         [](double v) { return v != 0.0; });
+  };
+  const auto grads = net.gradients();
+  std::ptrdiff_t trained = 0;
+  for (const Matrix* g : grads) trained += nonzero(g);
+  ASSERT_GT(trained, 0);
+
+  GraphNetwork copy = net.clone();
+  EXPECT_EQ(copy.arena(), nullptr);
+  const auto params = net.parameters();
+  const auto copy_params = copy.parameters();
+  ASSERT_EQ(copy_params.size(), params.size());
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    EXPECT_TRUE(same_bits(*copy_params[p], *params[p])) << "parameter " << p;
+  }
+  const auto copy_grads = copy.gradients();
+  ASSERT_EQ(copy_grads.size(), grads.size());
+  for (std::size_t p = 0; p < copy_grads.size(); ++p) {
+    EXPECT_EQ(nonzero(copy_grads[p]), 0) << "gradient " << p;
+  }
+
+  expect_bitwise(copy.forward(x, false), net.forward(x, false));
+
+  std::vector<Matrix> snapshot;
+  for (const Matrix* p : copy_params) snapshot.push_back(*p);
+  (*params.front())(0, 0) += 1.0;
+  for (std::size_t p = 0; p < copy_params.size(); ++p) {
+    EXPECT_TRUE(same_bits(*copy_params[p], snapshot[p])) << "parameter " << p;
+  }
 }
 
 TEST(GraphNetwork, DeterministicInit) {

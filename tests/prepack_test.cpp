@@ -19,7 +19,6 @@
 #include "hpc/parallel_for.hpp"
 #include "nn/dense.hpp"
 #include "nn/graph.hpp"
-#include "nn/gru.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/optimizer.hpp"
@@ -131,40 +130,6 @@ TEST(PrepackGemm, TransposedPanelBitwiseMatchesUnpacked) {
   check_packed_matches_raw(21, a, w, Trans::kTranspose);
 }
 
-TEST(PrepackGemm, ColumnBlockPanelsBitwiseMatchTheRawOffsets) {
-  Rng rng(104);
-  // The GRU packs wh's fused z/r block and candidate block separately;
-  // mirror its call shapes: wh is [U, 3U], consumed at offsets 0 and 2U
-  // with ldb = 3U.
-  constexpr std::size_t kU = 32;
-  const Matrix wh = random_matrix(kU, 3 * kU, rng);
-  const Matrix h = random_matrix(9, kU, rng);
-  const std::size_t g3 = 3 * kU;
-
-  tensor::PackedPanels zr_pack;
-  tensor::PackedPanels cand_pack;
-  zr_pack.ensure_block(wh, Trans::kNone, 0, 2 * kU);
-  cand_pack.ensure_block(wh, Trans::kNone, 2 * kU, kU);
-
-  Matrix raw(9, g3);
-  Matrix packed(9, g3);
-  for (const std::size_t threads : kThreadCounts) {
-    KernelThreadsGuard guard(threads);
-    raw.fill(0.25);
-    packed.fill(0.25);
-    gemm_raw(Trans::kNone, Trans::kNone, 9, 2 * kU, kU, 1.0, h.flat().data(),
-             kU, wh.flat().data(), g3, 1.0, raw.flat().data(), g3);
-    gemm_raw(Trans::kNone, Trans::kNone, 9, kU, kU, 1.0, h.flat().data(), kU,
-             wh.flat().data() + 2 * kU, g3, 1.0, raw.flat().data() + 2 * kU,
-             g3);
-    gemm_raw(Trans::kNone, 9, 1.0, h.flat().data(), kU, zr_pack, 1.0,
-             packed.flat().data(), g3);
-    gemm_raw(Trans::kNone, 9, 1.0, h.flat().data(), kU, cand_pack, 1.0,
-             packed.flat().data() + 2 * kU, g3);
-    expect_bitwise(packed.flat(), raw.flat(), "column-block panels");
-  }
-}
-
 TEST(PrepackInvalidation, RepackCountFollowsVersionBumps) {
   Rng rng(105);
   Matrix w = random_matrix(16, 24, rng);
@@ -227,8 +192,8 @@ TEST(PrepackInvalidation, RepackedPanelBytesMatchAFreshPack) {
 nn::GraphNetwork small_net() {
   nn::GraphNetwork net;
   const auto lstm = net.add_node(std::make_unique<nn::LSTM>(6, 16), {0});
-  const auto gru = net.add_node(std::make_unique<nn::GRU>(16, 12), {lstm});
-  net.add_node(std::make_unique<nn::Dense>(12, 6), {gru});
+  const auto lstm2 = net.add_node(std::make_unique<nn::LSTM>(16, 12), {lstm});
+  net.add_node(std::make_unique<nn::Dense>(12, 6), {lstm2});
   net.init_params(77);
   return net;
 }
@@ -305,20 +270,6 @@ TEST(PrepackServe, FrozenPlanPacksOnceAndMatchesTheNetworkBitwise) {
     expect_bitwise(got_clone.flat(), want.flat(),
                    "clone_stream run (shared packs)");
   }
-}
-
-TEST(PrepackDeathTest, ConsumingAStalePackAssertsInDebug) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "assert() compiled out in NDEBUG builds";
-#else
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  Rng rng(110);
-  Matrix w = random_matrix(8, 8, rng);
-  tensor::PackedPanels pack;
-  pack.ensure(w, Trans::kNone);
-  w.flat()[0] = 42.0;  // invalidates without re-ensuring
-  EXPECT_DEATH(pack.assert_fresh(w), "stale pack");
-#endif
 }
 
 }  // namespace

@@ -252,42 +252,9 @@ TEST(Space, TrainableEndToEnd) {
   EXPECT_TRUE(std::isfinite(hist.train_loss.back()));
 }
 
-TEST(Space, GruOperationsBuildAndCount) {
-  // A hybrid-cell space (the related-work extension): GRU widths next to
-  // LSTM widths.
+TEST(Space, TwoWidthStackGradientSanity) {
   SpaceConfig cfg;
-  cfg.operations = {{0, CellKind::kLSTM},
-                    {32, CellKind::kLSTM},
-                    {32, CellKind::kGRU},
-                    {64, CellKind::kGRU}};
-  const StackedLSTMSpace space(cfg);
-
-  std::vector<std::size_t> op_genes;
-  for (std::size_t g = 0; g < space.num_genes(); ++g) {
-    if (!space.is_skip_gene(g)) op_genes.push_back(g);
-  }
-  Architecture arch;
-  arch.genes.assign(space.num_genes(), 0);
-  arch.genes[op_genes[0]] = 2;  // GRU(32)
-  ASSERT_TRUE(space.valid(arch));
-
-  // Analytic parameter count must match the built network (GRU = 3 gates).
-  EXPECT_EQ(space.stats(arch).params, space.param_count(arch));
-  const std::size_t expected =
-      3u * 32u * (5u + 32u + 1u) + 4u * 5u * (32u + 5u + 1u);
-  EXPECT_EQ(space.stats(arch).params, expected);
-  EXPECT_NE(space.describe(arch).find("GRU(32)"), std::string::npos);
-
-  // And it trains.
-  nn::GraphNetwork net = space.build(arch);
-  net.init_params(1);
-  Tensor3 x(4, 8, 5, 0.1);
-  EXPECT_EQ(net.forward(x).dim2(), 5u);
-}
-
-TEST(Space, MixedCellStackGradientSanity) {
-  SpaceConfig cfg;
-  cfg.operations = {{0}, {16, CellKind::kLSTM}, {16, CellKind::kGRU}};
+  cfg.operations = {{0}, {16}, {24}};
   const StackedLSTMSpace space(cfg);
   Rng rng(3);
   const Architecture arch = space.random_architecture(rng);

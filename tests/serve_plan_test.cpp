@@ -13,9 +13,7 @@
 
 #include "hpc/parallel_for.hpp"
 #include "nn/dense.hpp"
-#include "nn/dropout.hpp"
 #include "nn/graph.hpp"
-#include "nn/gru.hpp"
 #include "nn/lstm.hpp"
 #include "nn/merge.hpp"
 #include "searchspace/space.hpp"
@@ -46,8 +44,8 @@ nn::GraphNetwork stacked_lstm() {
   return net;
 }
 
-/// Residual cell: LSTM + Dense projection merged with ReLU, GRU on top,
-/// plus Dropout and Identity pass-throughs (lowered to copies).
+/// Residual cell: LSTM + Dense projection merged with ReLU, a second
+/// LSTM on top, plus an Identity pass-through.
 nn::GraphNetwork residual_mixed() {
   nn::GraphNetwork net;
   const auto in = nn::GraphNetwork::input_id();
@@ -56,9 +54,8 @@ nn::GraphNetwork residual_mixed() {
       net.add_node(std::make_unique<nn::Dense>(kModes, 16), {in});
   const auto merge =
       net.add_node(std::make_unique<nn::AddMerge>(2, true), {l1, proj});
-  const auto drop = net.add_node(std::make_unique<nn::Dropout>(0.4), {merge});
-  const auto g = net.add_node(std::make_unique<nn::GRU>(16, 12), {drop});
-  const auto id = net.add_node(std::make_unique<nn::Identity>(), {g});
+  const auto l2 = net.add_node(std::make_unique<nn::LSTM>(16, 12), {merge});
+  const auto id = net.add_node(std::make_unique<nn::Identity>(), {l2});
   net.add_node(
       std::make_unique<nn::Dense>(12, kModes, nn::Activation::kTanh), {id});
   net.init_params(23);
@@ -100,8 +97,6 @@ TEST(ServePlan, BitwiseMatchesForwardOnMixedGraph) {
   Rng rng(5);
   for (const std::size_t batch : {1u, 2u, 6u}) {
     const Tensor3 x = random_input(batch, rng);
-    // Dropout must lower to a copy: inference-mode forward (training
-    // false) is the reference.
     expect_bitwise_equal(plan.run(x), net.forward(x, /*training=*/false));
   }
 }
@@ -172,29 +167,6 @@ TEST(ServePlan, CloneStreamIsIndependentAndIdentical) {
   expect_bitwise_equal(a.run(x), from_a);
 }
 
-class UnsupportedLayer final : public nn::Layer {
- public:
-  void forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
-                    bool) override {
-    out = *inputs[0];
-  }
-  void backward_into(const Tensor3&, std::span<Tensor3* const>) override {}
-  [[nodiscard]] std::string name() const override { return "Mystery"; }
-};
-
-TEST(ServePlan, CompileRejectsUnsupportedLayer) {
-  nn::GraphNetwork net;
-  const auto l1 = net.add_node(std::make_unique<nn::Dense>(kModes, kModes),
-                               {nn::GraphNetwork::input_id()});
-  net.add_node(std::make_unique<UnsupportedLayer>(), {l1});
-  try {
-    FrozenPlan::compile(net, kSteps, 2);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("Mystery"), std::string::npos);
-  }
-}
-
 TEST(ServePlan, CompileRejectsZeroSizes) {
   nn::GraphNetwork net = stacked_lstm();
   EXPECT_THROW(FrozenPlan::compile(net, 0, 4), std::invalid_argument);
@@ -232,7 +204,7 @@ TEST(ServePlan, DescribeNamesOpsAndOutput) {
   FrozenPlan plan = FrozenPlan::compile(net, kSteps, 2);
   const std::string desc = plan.describe();
   EXPECT_NE(desc.find("LSTM(16)"), std::string::npos);
-  EXPECT_NE(desc.find("GRU(12)"), std::string::npos);
+  EXPECT_NE(desc.find("LSTM(12)"), std::string::npos);
   EXPECT_NE(desc.find("[output]"), std::string::npos);
   EXPECT_EQ(plan.op_count(), net.node_count() - 1);
 }

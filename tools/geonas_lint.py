@@ -59,7 +59,9 @@ Rules (see DESIGN.md "Correctness tooling"):
                        here lands on every training batch and is exactly
                        what tests/alloc_audit_test.cpp exists to catch.
                        Cold-path code (constructors, (de)serialization)
-                       carries reasoned suppressions.
+                       carries reasoned suppressions. Run over its
+                       default roots, lint also reports a hot-path entry
+                       that names no file: a stale entry guards nothing.
 
   mutex-needs-annotation
                        A mutex-family member (std::mutex, std::shared_mutex,
@@ -131,10 +133,8 @@ HOT_PATH_FILES = {
     "src/tensor/prepack.cpp",
     "src/nn/layer.hpp",
     "src/nn/lstm.cpp",
-    "src/nn/gru.cpp",
     "src/nn/dense.cpp",
     "src/nn/merge.cpp",
-    "src/nn/dropout.cpp",
     "src/nn/graph.cpp",
 }
 HOT_PATH_ALLOC_RE = re.compile(
@@ -460,6 +460,12 @@ def main(argv: list[str]) -> int:
             return 2
 
     findings: list[Finding] = []
+    if not args.paths:
+        findings.extend(
+            Finding(Path(entry), 0, "hot-path-alloc",
+                    "HOT_PATH_FILES names this file, which does not exist")
+            for entry in sorted(HOT_PATH_FILES)
+            if not (repo / entry).is_file())
     for f in files:
         try:
             findings.extend(lint_file(f, repo))

@@ -12,7 +12,7 @@
 #                                  GEMM + vmath + kernel team + pool
 #                                  shards + hpc stress + memoizer + serve
 #                                  suites + concurrent simulator
-#                                  campaigns + recurrent layers, trainer,
+#                                  campaigns + recurrent layer, trainer,
 #                                  NAS driver, threaded PPO agents)
 #                                  + a one-TU thread-safety smoke
 #   tools/run_checks.sh --analyze  just the Clang Thread Safety Analysis
@@ -49,11 +49,32 @@ skipped=()
 
 step() { printf '\n==== %s ====\n' "$*"; }
 
+# Fails the stage for each alternative of a '^(A|B|...)' filter that
+# matches no test: ctest -R accepts such an alternative, so a deleted or
+# renamed suite would drop out of the slice silently.
+check_filter() {
+  local preset="$1" filter="$2" alt count
+  local alts="${filter#^(}"
+  alts="${alts%)}"
+  local IFS='|'
+  for alt in $alts; do
+    count="$(ctest --preset "$preset" -N -R "^$alt" |
+             sed -n 's/^Total Tests: //p')"
+    if [[ "${count:-0}" -eq 0 ]]; then
+      echo "ctest filter alternative '$alt' matches no test [$preset]"
+      failures+=("ctest-filter:$preset:$alt")
+    fi
+  done
+}
+
 run_flavor() {
   local preset="$1" filter="${2-}"
   step "configure+build [$preset]"
   cmake --preset "$preset" >/dev/null
   cmake --build --preset "$preset" -j "$jobs"
+  if [[ -n "$filter" ]]; then
+    check_filter "$preset" "$filter"
+  fi
   step "ctest [$preset]${filter:+ -R $filter}"
   if ! ctest --preset "$preset" -j "$jobs" ${filter:+-R "$filter"}; then
     failures+=("ctest:$preset")
@@ -166,8 +187,8 @@ if [[ $quick -eq 1 ]]; then
   # SST* covers snapshot generation, whose pool workers read the caches
   # the calling thread grew, and Comparators* the HYCOM field, which reads
   # its truth through that split; ClusterSimStress runs concurrent
-  # simulate_async campaigns on one shared evaluator. LSTM, GRU,
-  # GraphNetwork and Trainer cover the recurrent layers' batch-slice and
+  # simulate_async campaigns on one shared evaluator. LSTM,
+  # GraphNetwork and Trainer cover the recurrent layer's batch-slice and
   # weight-row chunks, which write disjoint rows of shared workspaces
   # (gates, h/c sequences, dZ/dH/dC, gradient rows); NasDriver covers the
   # campaign loop on its worker shards, including a worker's exception
@@ -175,7 +196,7 @@ if [[ $quick -eq 1 ]]; then
   # PPOStress runs PPO agents that sample and compute gradients
   # concurrently against one shared evaluator between per-round joins.
   run_flavor tsan \
-    '^(Determinism|BlockedGemm|Vmath|ParallelFor|PoolShard|Obs|Memoizer|Serve|Prepack|Net|SST|Comparators|ClusterSimStress|PPOStress|LSTM|GRU|GraphNetwork|Trainer|NasDriver)'
+    '^(Determinism|BlockedGemm|Vmath|ParallelFor|PoolShard|Obs|Memoizer|Serve|Prepack|Net|SST|Comparators|ClusterSimStress|PPOStress|LSTM|GraphNetwork|Trainer|NasDriver)'
   run_analyze_smoke
 else
   run_flavor tsan
