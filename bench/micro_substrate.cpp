@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/pipeline.hpp"
 #include "core/scale.hpp"
 #include "core/surrogate.hpp"
 #include "data/landmask.hpp"
@@ -596,7 +595,7 @@ void BM_EigenSymmetric(benchmark::State& state) {
   const auto ns = static_cast<std::size_t>(state.range(0));
   const core::ExperimentSetup setup =
       core::ExperimentSetup::make(core::Scale::kQuick);
-  const data::LandMask mask(setup.grid, core::PipelineConfig{}.mask_seed);
+  const data::LandMask mask(setup.grid);
   Matrix snaps = data::SyntheticSST().snapshots(mask, 0, ns);
   for (std::size_t i = 0; i < snaps.rows(); ++i) {
     double mean = 0.0;
@@ -628,15 +627,17 @@ void BM_SyntheticSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticSnapshot);
 
-// What core::PODLSTMPipeline::prepare() pays for the quick-scale record,
-// as one call from a fresh generator whose caches start empty: its 1,957
-// snapshot columns (the 427 training weeks, then 64-week chunks from week
-// 384, the chunk that straddles the training boundary, to week 1,914).
+// The quick-scale record as one call from a fresh generator whose caches
+// start empty: 1,957 snapshot columns. That is what
+// core::PODLSTMPipeline::prepare() generated while one of its 64-week
+// chunks straddled the training boundary (it now generates the 1,914
+// weeks once); the count stays so BENCH_kernels.json compares like with
+// like.
 void BM_SyntheticRecord(benchmark::State& state) {
   constexpr std::size_t kWeeks = 1957;
   const core::ExperimentSetup setup =
       core::ExperimentSetup::make(core::Scale::kQuick);
-  const data::LandMask mask(setup.grid, core::PipelineConfig{}.mask_seed);
+  const data::LandMask mask(setup.grid);
   for (auto _ : state) {
     const data::SyntheticSST sst;
     const Matrix record = sst.snapshots(mask, 0, kWeeks);

@@ -1,9 +1,15 @@
 #include "baselines/gbt.hpp"
 
-#include <numeric>
+#include <cstdint>
 #include <stdexcept>
 
 namespace geonas::baselines {
+
+namespace {
+/// Seed of the stream that gives each round's tree its seed. Every round
+/// fits all rows.
+constexpr std::uint64_t kSeed = 0;
+}  // namespace
 
 void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
   check_fit_args(x, y, "GradientBoosting");
@@ -11,7 +17,7 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
   n_outputs_ = y.cols();
   stages_.assign(n_outputs_, {});
   base_.assign(n_outputs_, 0.0);
-  Rng rng(cfg_.seed);
+  Rng rng(kSeed);
 
   for (std::size_t o = 0; o < n_outputs_; ++o) {
     // Base score: the target mean.
@@ -24,22 +30,10 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
     for (std::size_t r = 0; r < n; ++r) residual(r, 0) = y(r, o) - mean;
 
     stages_[o].reserve(cfg_.n_rounds);
-    std::vector<std::size_t> rows(n);
-    std::iota(rows.begin(), rows.end(), std::size_t{0});
     std::vector<double> pred(1);
     for (std::size_t round = 0; round < cfg_.n_rounds; ++round) {
-      std::span<const std::size_t> fit_rows(rows);
-      std::vector<std::size_t> sub;
-      if (cfg_.subsample < 1.0) {
-        const auto take = std::max<std::size_t>(
-            1, static_cast<std::size_t>(cfg_.subsample *
-                                        static_cast<double>(n)));
-        sub = rng.sample_without_replacement(n, take);
-        fit_rows = sub;
-      }
       DecisionTree tree(cfg_.tree, rng.next());
-      tree.fit_rows(x, residual, fit_rows);
-      // Update residuals on ALL rows (not just the subsample).
+      tree.fit(x, residual);
       for (std::size_t r = 0; r < n; ++r) {
         tree.predict_row(x.row_span(r), pred);
         residual(r, 0) -= cfg_.learning_rate * pred[0];

@@ -8,8 +8,6 @@
 // (100 rounds, eta = 0.3, max_depth = 6).
 #pragma once
 
-#include <cstdint>
-
 #include "baselines/tree.hpp"
 
 namespace geonas::baselines {
@@ -17,12 +15,10 @@ namespace geonas::baselines {
 struct GradientBoostingConfig {
   std::size_t n_rounds = 100;
   double learning_rate = 0.3;  // xgboost eta
-  double subsample = 1.0;      // row subsampling per round
   TreeConfig tree{.max_depth = 6,
                   .min_samples_split = 2,
                   .min_samples_leaf = 1,
                   .max_features = 1.0};
-  std::uint64_t seed = 0;
 };
 
 class GradientBoosting final : public Regressor {

@@ -4,6 +4,14 @@
 
 namespace geonas::baselines {
 
+namespace {
+/// Deep trees on every feature (scikit-learn's regression default).
+constexpr TreeConfig kTree{.max_depth = 24,
+                           .min_samples_split = 2,
+                           .min_samples_leaf = 1,
+                           .max_features = 1.0};
+}  // namespace
+
 void RandomForest::fit(const Matrix& x, const Matrix& y) {
   check_fit_args(x, y, "RandomForest");
   trees_.clear();
@@ -15,7 +23,7 @@ void RandomForest::fit(const Matrix& x, const Matrix& y) {
     for (std::size_t i = 0; i < bootstrap.size(); ++i) {
       bootstrap[i] = rng.uniform_index(x.rows());
     }
-    DecisionTree tree(cfg_.tree, rng.next());
+    DecisionTree tree(kTree, rng.next());
     tree.fit_rows(x, y, bootstrap);
     trees_.push_back(std::move(tree));
   }

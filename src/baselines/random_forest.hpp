@@ -12,10 +12,6 @@ namespace geonas::baselines {
 
 struct RandomForestConfig {
   std::size_t n_trees = 100;
-  TreeConfig tree{.max_depth = 24,
-                  .min_samples_split = 2,
-                  .min_samples_leaf = 1,
-                  .max_features = 1.0};
   std::uint64_t seed = 0;
 };
 

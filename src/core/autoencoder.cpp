@@ -15,6 +15,9 @@ namespace geonas::core {
 
 namespace {
 
+/// Global gradient-norm clip per step.
+constexpr double kGradClipNorm = 5.0;
+
 nn::GraphNetwork make_mlp(std::size_t in, std::size_t hidden, std::size_t out,
                           bool tanh_output) {
   nn::GraphNetwork net;
@@ -113,9 +116,7 @@ std::vector<double> Autoencoder::fit(const Matrix& snapshots) {
       // Chain gradients decoder -> encoder.
       const Tensor3 dlatent = decoder_.backward(nn::mse_grad(xb, recon));
       (void)encoder_.backward(dlatent);
-      if (cfg_.grad_clip_norm > 0.0) {
-        nn::clip_gradients_by_norm(grads, cfg_.grad_clip_norm);
-      }
+      nn::clip_gradients_by_norm(grads, kGradClipNorm);
       optimizer.step();
       ++batches;
     }

@@ -26,7 +26,6 @@ struct AutoencoderConfig {
   std::size_t epochs = 150;
   std::size_t batch_size = 16;
   double learning_rate = 1e-3;
-  double grad_clip_norm = 5.0;
   std::uint64_t seed = 7;
 };
 

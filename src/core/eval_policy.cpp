@@ -9,6 +9,11 @@
 
 namespace geonas::core {
 
+namespace {
+/// Accounted delay before retry r (1-based): kBackoffSeconds * 2^(r-1).
+constexpr double kBackoffSeconds = 5.0;
+}  // namespace
+
 RetryingEvaluator::RetryingEvaluator(hpc::ArchitectureEvaluator& inner,
                                      EvalRetryPolicy policy)
     : inner_(&inner), policy_(policy) {
@@ -39,8 +44,8 @@ hpc::EvalOutcome RetryingEvaluator::evaluate(
         attempt == 0 ? eval_seed : hash_combine(eval_seed, attempt);
     if (attempt > 0) {
       retries_.fetch_add(1, std::memory_order_relaxed);
-      const double backoff = policy_.backoff_seconds *
-                             std::pow(2.0, static_cast<double>(attempt - 1));
+      const double backoff =
+          kBackoffSeconds * std::pow(2.0, static_cast<double>(attempt - 1));
       wasted_seconds += backoff;
       if (reg != nullptr) {
         reg->counter("eval.retries").add(1);

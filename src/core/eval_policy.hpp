@@ -33,8 +33,6 @@ struct EvalRetryPolicy {
   std::size_t max_attempts = 1;
   /// Attempts whose duration exceeds this are discarded (0 = no timeout).
   double timeout_seconds = 0.0;
-  /// Accounted delay before retry r (1-based): backoff * 2^(r-1) seconds.
-  double backoff_seconds = 5.0;
   /// Reward reported when every attempt fails. Low enough to never win a
   /// tournament, finite so search statistics stay well-defined.
   double failure_reward = -1.0;

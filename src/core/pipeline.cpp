@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "nn/loss.hpp"
@@ -9,10 +10,14 @@
 
 namespace geonas::core {
 
+namespace {
+/// The windowed examples' train/validation split (paper §II-B).
+constexpr double kTrainFraction = 0.8;
+constexpr std::uint64_t kSplitSeed = 1234;
+}  // namespace
+
 PODLSTMPipeline::PODLSTMPipeline(PipelineConfig config)
-    : cfg_(config),
-      mask_(config.setup.grid, config.mask_seed),
-      sst_(config.sst) {}
+    : cfg_(config), mask_(config.setup.grid), sst_(config.sst) {}
 
 void PODLSTMPipeline::prepare() {
   const auto& setup = cfg_.setup;
@@ -23,15 +28,18 @@ void PODLSTMPipeline::prepare() {
   pod_.fit(train_snaps, {.num_modes = setup.num_modes, .subtract_mean = true});
 
   // Project the full record in chunks so the full-scale grid never holds
-  // all 1,914 snapshots at once.
+  // all 1,914 snapshots at once. A chunk ends where training ends, so the
+  // training weeks all come from train_snaps and none is generated twice.
   coeffs_.resize(setup.num_modes, setup.total_snapshots);
   constexpr std::size_t kChunk = 64;
-  for (std::size_t w0 = 0; w0 < setup.total_snapshots; w0 += kChunk) {
-    const std::size_t count = std::min(kChunk, setup.total_snapshots - w0);
-    const Matrix chunk =
-        w0 + count <= setup.train_snapshots
-            ? train_snaps.slice_cols(w0, w0 + count)  // reuse, avoid regen
-            : sst_.snapshots(mask_, w0, count);
+  for (std::size_t w0 = 0, count = 0; w0 < setup.total_snapshots;
+       w0 += count) {
+    const bool training = w0 < setup.train_snapshots;
+    const std::size_t end =
+        training ? setup.train_snapshots : setup.total_snapshots;
+    count = std::min(kChunk, end - w0);
+    const Matrix chunk = training ? train_snaps.slice_cols(w0, w0 + count)
+                                  : sst_.snapshots(mask_, w0, count);
     const Matrix a = pod_.project(chunk);
     for (std::size_t c = 0; c < count; ++c) {
       for (std::size_t m = 0; m < setup.num_modes; ++m) {
@@ -74,8 +82,8 @@ void PODLSTMPipeline::prepare() {
   train_scaled_coeffs_ = scaled_coeffs_.slice_cols(0, setup.train_snapshots);
   train_view_.emplace(train_scaled_coeffs_,
                       data::WindowConfig{.window = setup.window, .stride = 1});
-  split_indices_ = data::train_val_split_indices(
-      train_view_->size(), cfg_.train_fraction, cfg_.split_seed);
+  split_indices_ = data::train_val_split_indices(train_view_->size(),
+                                                 kTrainFraction, kSplitSeed);
 }
 
 data::SplitDataset PODLSTMPipeline::split() const {
@@ -128,8 +136,9 @@ data::WindowedDataset PODLSTMPipeline::windows(std::size_t week0,
                                                std::size_t week1) const {
   require_prepared("windows");
   require_week_range("windows", week0, week1);
-  return data::make_windows(scaled_coeffs_.slice_cols(week0, week1),
-                            {.window = cfg_.setup.window, .stride = 1});
+  const Matrix range = scaled_coeffs_.slice_cols(week0, week1);
+  return data::WindowView(range, {.window = cfg_.setup.window, .stride = 1})
+      .materialize();
 }
 
 void PODLSTMPipeline::require_week_range(const char* who, std::size_t week0,

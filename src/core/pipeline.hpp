@@ -8,7 +8,6 @@
 // reconstruction through the retained basis.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 
 #include "core/scale.hpp"
@@ -23,10 +22,7 @@ namespace geonas::core {
 
 struct PipelineConfig {
   ExperimentSetup setup;
-  std::uint64_t mask_seed = 7;
   data::SSTOptions sst{};
-  double train_fraction = 0.8;  // paper §II-B
-  std::uint64_t split_seed = 1234;
 
   [[nodiscard]] static PipelineConfig from_env() {
     return {.setup = ExperimentSetup::from_env()};

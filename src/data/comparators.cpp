@@ -1,6 +1,7 @@
 #include "data/comparators.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "tensor/random.hpp"
@@ -8,6 +9,30 @@
 namespace geonas::data {
 
 namespace {
+
+namespace cesm {
+constexpr std::uint64_t kSeed = 77;
+constexpr double kSeasonalPhaseErrorWeeks = 1.6;
+constexpr double kBiasAmplitude = 2.4;  // smooth regional interpolation bias
+/// Weeks; the run's own unsynchronized ENSO.
+constexpr double kEnsoPhaseOffset = 71.0;
+constexpr double kEnsoDamping = 0.5;  // climate runs produce a weaker ENSO
+constexpr double kNoiseSigma = 0.5;   // regridding noise
+}  // namespace cesm
+
+namespace hycom {
+constexpr std::uint64_t kSeed = 99;
+constexpr double kErrorWaveAmplitude = 0.78;  // smooth forecast-error field RMS
+constexpr double kBias = 0.22;                // small systematic offset
+constexpr double kNoiseSigma = 0.85;          // interpolation noise
+/// Weeks of phase error in the forecast's ENSO evolution — the dominant
+/// short-term forecast error source in the Eastern Pacific.
+constexpr double kEnsoLagWeeks = 1.0;
+/// Fraction of the lagged-index discrepancy that reaches the forecast
+/// (the assimilation corrects most of it).
+constexpr double kEnsoErrorFraction = 0.6;
+}  // namespace hycom
+
 double hash_normal(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
                    std::uint64_t c) {
   std::uint64_t h = hash_combine(hash_combine(seed, a), hash_combine(b, c));
@@ -31,8 +56,7 @@ Matrix collect_snapshots(const auto& model, const LandMask& mask,
 }
 }  // namespace
 
-CESMSurrogate::CESMSurrogate(const SyntheticSST& truth, CESMOptions options)
-    : truth_(&truth), opts_(options) {}
+CESMSurrogate::CESMSurrogate(const SyntheticSST& truth) : truth_(&truth) {}
 
 double CESMSurrogate::bias(double lat, double lon) const noexcept {
   // Smooth, fixed-in-time regional bias from coarse-grid interpolation,
@@ -40,7 +64,7 @@ double CESMSurrogate::bias(double lat, double lon) const noexcept {
   // SSTs (~1 C).
   const double u = lat * std::numbers::pi / 180.0;
   const double v = lon * std::numbers::pi / 180.0;
-  return opts_.bias_amplitude *
+  return cesm::kBiasAmplitude *
              (0.55 * std::sin(2.0 * u + 0.4) * std::cos(1.5 * v + 1.1) +
               0.45 * std::sin(3.1 * u - 0.8) * std::sin(2.3 * v + 0.2)) +
          1.0;
@@ -50,20 +74,22 @@ double CESMSurrogate::value(double lat, double lon, std::size_t week) const {
   const auto t = static_cast<double>(week);
   const SyntheticSST& truth = *truth_;
   const double enso_own =
-      opts_.enso_damping * truth.options().enso_amplitude *
-      truth.enso_index(t + opts_.enso_phase_offset) * truth.enso_pattern(lat, lon);
+      cesm::kEnsoDamping * kEnsoAmplitude *
+      truth.enso_index(t + cesm::kEnsoPhaseOffset) *
+      truth.enso_pattern(lat, lon);
   // The climate run's internal variability modes evolve on their own
   // (time-offset) trajectories, damped as coupled models typically are.
   const double tele_own =
-      opts_.enso_damping * truth.options().tele_amplitude *
-      truth.tele_index(t + opts_.enso_phase_offset) * truth.tele_pattern(lat, lon);
+      cesm::kEnsoDamping * kTeleAmplitude *
+      truth.tele_index(t + cesm::kEnsoPhaseOffset) *
+      truth.tele_pattern(lat, lon);
   double temp = truth.climatology(lat) +
-                truth.seasonal(lat, lon, t, opts_.seasonal_phase_error_weeks) +
+                truth.seasonal(lat, lon, t, cesm::kSeasonalPhaseErrorWeeks) +
                 truth.trend(lat, t) + enso_own + tele_own +
-                truth.eddy(lat, lon, t, opts_.seed) + bias(lat, lon);
+                truth.eddy(lat, lon, t, cesm::kSeed) + bias(lat, lon);
   const auto qlat = static_cast<std::uint64_t>((lat + 90.0) * 16.0);
   const auto qlon = static_cast<std::uint64_t>(lon * 16.0);
-  temp += opts_.noise_sigma * hash_normal(opts_.seed, week, qlat, qlon);
+  temp += cesm::kNoiseSigma * hash_normal(cesm::kSeed, week, qlat, qlon);
   return std::max(temp, -1.9);
 }
 
@@ -84,8 +110,7 @@ Matrix CESMSurrogate::snapshots(const LandMask& mask, std::size_t week0,
   return collect_snapshots(*this, mask, week0, count);
 }
 
-HYCOMSurrogate::HYCOMSurrogate(const SyntheticSST& truth, HYCOMOptions options)
-    : truth_(&truth), opts_(options) {}
+HYCOMSurrogate::HYCOMSurrogate(const SyntheticSST& truth) : truth_(&truth) {}
 
 double HYCOMSurrogate::forecast(double truth, double lat, double lon,
                                 std::size_t week) const {
@@ -93,24 +118,23 @@ double HYCOMSurrogate::forecast(double truth, double lat, double lon,
   // Forecast error: an independent smooth wave field (position/timing
   // errors in the mesoscale forecast) plus interpolation noise and a small
   // systematic bias.
-  const double err = truth_->eddy(lat, lon, t, opts_.seed) *
-                     (opts_.error_wave_amplitude /
-                      std::max(truth_->options().eddy_amplitude, 1e-9));
+  const double err = truth_->eddy(lat, lon, t, hycom::kSeed) *
+                     (hycom::kErrorWaveAmplitude / kEddyAmplitude);
   // Climate-mode mistiming: the forecast tracks the chaotic indices with a
   // lag (its data assimilation trails the real evolution).
   const double enso_err =
-      opts_.enso_error_fraction *
-      (truth_->options().enso_amplitude * truth_->enso_pattern(lat, lon) *
-           (truth_->enso_index(t - opts_.enso_lag_weeks) -
+      hycom::kEnsoErrorFraction *
+      (kEnsoAmplitude * truth_->enso_pattern(lat, lon) *
+           (truth_->enso_index(t - hycom::kEnsoLagWeeks) -
             truth_->enso_index(t)) +
-       truth_->options().tele_amplitude * truth_->tele_pattern(lat, lon) *
-           (truth_->tele_index(t - opts_.enso_lag_weeks) -
+       kTeleAmplitude * truth_->tele_pattern(lat, lon) *
+           (truth_->tele_index(t - hycom::kEnsoLagWeeks) -
             truth_->tele_index(t)));
   const auto qlat = static_cast<std::uint64_t>((lat + 90.0) * 16.0);
   const auto qlon = static_cast<std::uint64_t>(lon * 16.0);
   const double noise =
-      opts_.noise_sigma * hash_normal(opts_.seed, week, qlat, qlon);
-  return truth + err + enso_err + opts_.bias + noise;
+      hycom::kNoiseSigma * hash_normal(hycom::kSeed, week, qlat, qlon);
+  return truth + err + enso_err + hycom::kBias + noise;
 }
 
 double HYCOMSurrogate::value(double lat, double lon, std::size_t week) const {

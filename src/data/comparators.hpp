@@ -14,28 +14,19 @@
 //     available Apr 5 2015 - Jun 24 2018.
 // Both surrogates recompose the SyntheticSST truth components with the
 // corresponding error structure, so Table I and Figs 5-7 exercise the same
-// comparisons with the same qualitative outcome.
+// comparisons with the same qualitative outcome. Each error structure is
+// one calibration of named constants in comparators.cpp (DESIGN.md §1),
+// its own realization seed included, so a surrogate takes only the truth.
 #pragma once
-
-#include <cstdint>
 
 #include "data/calendar.hpp"
 #include "data/sst.hpp"
 
 namespace geonas::data {
 
-struct CESMOptions {
-  std::uint64_t seed = 77;
-  double seasonal_phase_error_weeks = 1.6;
-  double bias_amplitude = 2.4;    // smooth regional interpolation bias
-  double enso_phase_offset = 71.0;  // weeks; the run's own unsynchronized ENSO
-  double enso_damping = 0.5;      // climate runs produce a weaker ENSO
-  double noise_sigma = 0.5;       // regridding noise
-};
-
 class CESMSurrogate {
  public:
-  CESMSurrogate(const SyntheticSST& truth, CESMOptions options = CESMOptions{});
+  explicit CESMSurrogate(const SyntheticSST& truth);
 
   [[nodiscard]] double value(double lat, double lon, std::size_t week) const;
   [[nodiscard]] std::vector<double> field(const Grid& grid,
@@ -48,26 +39,11 @@ class CESMSurrogate {
   [[nodiscard]] double bias(double lat, double lon) const noexcept;
 
   const SyntheticSST* truth_;
-  CESMOptions opts_;
-};
-
-struct HYCOMOptions {
-  std::uint64_t seed = 99;
-  double error_wave_amplitude = 0.78;  // smooth forecast-error field RMS
-  double bias = 0.22;                  // small systematic offset
-  double noise_sigma = 0.85;           // interpolation noise
-  /// Weeks of phase error in the forecast's ENSO evolution — the dominant
-  /// short-term forecast error source in the Eastern Pacific.
-  double enso_lag_weeks = 1.0;
-  /// Fraction of the lagged-index discrepancy that reaches the forecast
-  /// (the assimilation corrects most of it).
-  double enso_error_fraction = 0.6;
 };
 
 class HYCOMSurrogate {
  public:
-  HYCOMSurrogate(const SyntheticSST& truth,
-                 HYCOMOptions options = HYCOMOptions{});
+  explicit HYCOMSurrogate(const SyntheticSST& truth);
 
   [[nodiscard]] double value(double lat, double lon, std::size_t week) const;
   /// Full-grid forecast at `week`; each entry is bitwise equal to value()
@@ -89,7 +65,6 @@ class HYCOMSurrogate {
                                 std::size_t week) const;
 
   const SyntheticSST* truth_;
-  HYCOMOptions opts_;
 };
 
 }  // namespace geonas::data

@@ -23,9 +23,28 @@ constexpr std::size_t kTeleOffset = kChaosWindow / 4;
 /// flops of the same duration. Sizes the parallel_for threshold test.
 constexpr double kFlopsPerLibmCall = 100.0;
 
+// The calibration (DESIGN.md §1); the amplitudes the comparators also
+// read are in sst.hpp.
+constexpr double kSeasonalAmplitude = 6.5;  // deg C at high latitude
+constexpr double kSemiannualAmplitude = 0.9;
+/// Lorenz-63 time units per week for the chaotic climate indices; sets
+/// the predictability horizon (Lyapunov time ~ 1.1/kChaosRate weeks).
+constexpr double kChaosRate = 0.02;
+constexpr double kEnsoEnvelopeGrowth = 1.2e-4;  // amplitude growth per week
+/// Eddy-amplitude AR(1) weekly autocorrelation. |kEddyAr1| < 1 keeps the
+/// deviations stationary and their innovation scale real.
+constexpr double kEddyAr1 = 0.93;
+static_assert(kEddyAr1 > -1.0 && kEddyAr1 < 1.0);
+constexpr double kEddyModulation = 0.55;  // relative amplitude-modulation depth
+constexpr double kNoiseSigma = 0.12;      // white measurement noise
+constexpr std::size_t kEddyWaves = 48;    // traveling waves in the eddy bank
+
 /// The seasonal terms of the halves: the annual and the semi-annual
 /// harmonic, each as a cos and a sin term.
 constexpr std::size_t kSeasonalTerms = 4;
+/// The eddy terms of the halves, two per wave, and all terms.
+constexpr std::size_t kEddyTerms = 2 * kEddyWaves;
+constexpr std::size_t kTerms = kEddyTerms + kSeasonalTerms;
 
 /// Standard normal from a 64-bit hash key.
 double unit_normal(std::uint64_t h) {
@@ -54,9 +73,8 @@ std::uint64_t noise_cell_key(double lat, double lon) {
 
 /// The measurement-noise term from the week's and the location's halves of
 /// its hash: hash_normal(seed, week, lat-cell, lon-cell), scaled.
-double noise_at(const SSTOptions& o, std::uint64_t week_key,
-                std::uint64_t cell_key) {
-  return o.noise_sigma * unit_normal(hash_combine(week_key, cell_key));
+double noise_at(std::uint64_t week_key, std::uint64_t cell_key) {
+  return kNoiseSigma * unit_normal(hash_combine(week_key, cell_key));
 }
 
 double climatology_at(double lat) {
@@ -65,8 +83,8 @@ double climatology_at(double lat) {
   return 31.0 * c * c - 1.6;
 }
 
-double trend_scale(const SSTOptions& o, double week_time) {
-  const double per_week = o.trend_per_decade / (10.0 * kWeeksPerYear);
+double trend_scale(double week_time) {
+  const double per_week = kTrendPerDecade / (10.0 * kWeeksPerYear);
   return per_week * week_time;
 }
 
@@ -85,15 +103,15 @@ struct LatTerms {
   double climatology, trend_weight, eddy_envelope, annual, semi;
 };
 
-LatTerms lat_terms(const SSTOptions& o, double lat) {
+LatTerms lat_terms(double lat) {
   const double s = std::sin(lat * kDeg2Rad);
   // Hemisphere-antisymmetric annual amplitude; the semi-annual one is
   // symmetric.
   return {.climatology = climatology_at(lat),
           .trend_weight = trend_weight(lat),
           .eddy_envelope = eddy_envelope(lat),
-          .annual = o.seasonal_amplitude * s,
-          .semi = o.semiannual_amplitude * std::abs(s)};
+          .annual = kSeasonalAmplitude * s,
+          .semi = kSemiannualAmplitude * std::abs(s)};
 }
 
 /// What a longitude contributes to a cell's seasonal half: the longitude
@@ -195,7 +213,7 @@ double SyntheticSST::climatology(double lat) const noexcept {
 double SyntheticSST::seasonal(double lat, double lon, double week_time,
                               double phase_shift_weeks) const noexcept {
   std::array<double, kSeasonalTerms> cell{}, week{};
-  seasonal_cell_half(lat_terms(opts_, lat), lon_terms(lon), cell);
+  seasonal_cell_half(lat_terms(lat), lon_terms(lon), cell);
   seasonal_week_half(week_time + phase_shift_weeks, week.data(), 1);
   double out = 0.0;
   dot(cell, week.data(), {&out, 1});
@@ -203,7 +221,7 @@ double SyntheticSST::seasonal(double lat, double lon, double week_time,
 }
 
 double SyntheticSST::trend(double lat, double week_time) const noexcept {
-  return trend_scale(opts_, week_time) * trend_weight(lat);
+  return trend_scale(week_time) * trend_weight(lat);
 }
 
 void SyntheticSST::ensure_chaos_series(std::size_t weeks) const {
@@ -217,10 +235,9 @@ void SyntheticSST::ensure_chaos_series(std::size_t weeks) const {
   // which weeks were asked for first. Deterministic: fixed initial
   // condition and step size.
   const double dt_natural = 0.004;
-  const double week_natural = opts_.chaos_rate;
   const auto steps_per_week =
-      static_cast<std::size_t>(week_natural / dt_natural) + 1;
-  const double dt = week_natural / static_cast<double>(steps_per_week);
+      static_cast<std::size_t>(kChaosRate / dt_natural) + 1;
+  const double dt = kChaosRate / static_cast<double>(steps_per_week);
 
   constexpr double kSigma = 10.0, kRho = 28.0, kBeta = 8.0 / 3.0;
   auto deriv = [](const std::array<double, 3>& s) {
@@ -319,7 +336,7 @@ double SyntheticSST::enso_index(double week_time) const {
   // Regime change: events strengthen through the record (the observed
   // post-1990 intensification), pushing test-period amplitudes outside the
   // 1981-89 training support.
-  return base * (1.0 + opts_.enso_envelope_growth * t);
+  return base * (1.0 + kEnsoEnvelopeGrowth * t);
 }
 
 double SyntheticSST::tele_index(double week_time) const {
@@ -360,10 +377,9 @@ const SyntheticSST::WaveBank& SyntheticSST::waves_for(
   }
   Rng rng(hash_combine(realization_seed, 0xEDD1E5ULL));
   WaveBank bank;
-  bank.waves.resize(static_cast<std::size_t>(opts_.eddy_waves));
+  bank.waves.resize(kEddyWaves);
   const double per_wave =
-      opts_.eddy_amplitude /
-      std::sqrt(0.5 * static_cast<double>(bank.waves.size()));
+      kEddyAmplitude / std::sqrt(0.5 * static_cast<double>(bank.waves.size()));
   for (Wave& w : bank.waves) {
     w.amp = per_wave * rng.uniform(0.6, 1.4);
     // Wavenumbers in cycles over the domain: mesoscale (5..22 around the
@@ -383,14 +399,13 @@ const SyntheticSST::WaveBank& SyntheticSST::waves_for(
 void SyntheticSST::ensure_amp_series(const WaveBank& bank,
                                      std::size_t weeks) const {
   // AR(1) deviations per wave: d(t+1) = phi d(t) + e(t), with innovations
-  // scaled to the configured modulation depth; the amplitude factor is
-  // 1 + d. The innovations come from a per-wave hash stream, and an
+  // scaled to the modulation depth; the amplitude factor is 1 + d. The
+  // innovations come from a per-wave hash stream, and an
   // extension continues the recursion from the stored deviation itself,
   // so a series does not depend on how far it was grown at a time.
   auto& series = const_cast<WaveBank&>(bank).amp_dev;
-  const double phi = opts_.eddy_ar1;
-  const double innovation_sd =
-      opts_.eddy_modulation * std::sqrt(std::max(1e-9, 1.0 - phi * phi));
+  const double phi = kEddyAr1;
+  const double innovation_sd = kEddyModulation * std::sqrt(1.0 - phi * phi);
   for (std::size_t m = 0; m < bank.waves.size(); ++m) {
     auto& s = series[m];
     if (s.size() >= weeks) continue;
@@ -448,14 +463,13 @@ void SyntheticSST::eddy_week_half(const WaveBank& bank, double week_time,
 double SyntheticSST::eddy(double lat, double lon, double week_time,
                           std::uint64_t realization_seed) const {
   const WaveBank& bank = waves_for(realization_seed);
-  const std::size_t terms = 2 * bank.waves.size();
   // The week half, the row and column shares, and the cell half.
-  std::vector<double> halves(4 * terms);
+  std::array<double, 4 * kEddyTerms> halves{};
   const std::span<double> all(halves);
-  const std::span<double> week = all.first(terms);
-  const std::span<double> lat_half = all.subspan(terms, terms);
-  const std::span<double> lon_half = all.subspan(2 * terms, terms);
-  const std::span<double> cell = all.last(terms);
+  const std::span<double> week = all.first(kEddyTerms);
+  const std::span<double> lat_half = all.subspan(kEddyTerms, kEddyTerms);
+  const std::span<double> lon_half = all.subspan(2 * kEddyTerms, kEddyTerms);
+  const std::span<double> cell = all.last(kEddyTerms);
   eddy_week_half(bank, week_time, week.data(), 1);
   eddy_lat_half(bank, lat, eddy_envelope(lat), lat_half);
   eddy_lon_half(bank, lon, lon_half);
@@ -466,8 +480,7 @@ double SyntheticSST::eddy(double lat, double lon, double week_time,
 }
 
 double SyntheticSST::noise(double lat, double lon, std::size_t week) const {
-  return noise_at(opts_, hash_combine(opts_.seed, week),
-                  noise_cell_key(lat, lon));
+  return noise_at(hash_combine(opts_.seed, week), noise_cell_key(lat, lon));
 }
 
 void SyntheticSST::evaluate(std::span<const double> lats,
@@ -476,8 +489,6 @@ void SyntheticSST::evaluate(std::span<const double> lats,
                             std::size_t count, std::span<double> out) const {
   // The halves hold the eddy terms, two per wave, then the seasonal terms.
   const WaveBank& bank = waves_for(opts_.seed);
-  const std::size_t eddy_terms = 2 * bank.waves.size();
-  const std::size_t terms = eddy_terms + kSeasonalTerms;
 
   // The week half first, on this thread and in week order: this is where
   // the lazy caches grow. Row k of `week_half` is term k at every week.
@@ -486,14 +497,14 @@ void SyntheticSST::evaluate(std::span<const double> lats,
     std::uint64_t noise_key;
   };
   std::vector<WeekScalars> weeks(count);
-  std::vector<double> week_half(terms * count);
+  std::vector<double> week_half(kTerms * count);
   for (std::size_t c = 0; c < count; ++c) {
     const auto t = static_cast<double>(week0 + c);
     eddy_week_half(bank, t, &week_half[c], count);
-    seasonal_week_half(t, &week_half[eddy_terms * count + c], count);
-    weeks[c] = {.trend = trend_scale(opts_, t),
-                .enso = opts_.enso_amplitude * enso_index(t),
-                .tele = opts_.tele_amplitude * tele_index(t),
+    seasonal_week_half(t, &week_half[kEddyTerms * count + c], count);
+    weeks[c] = {.trend = trend_scale(t),
+                .enso = kEnsoAmplitude * enso_index(t),
+                .tele = kTeleAmplitude * tele_index(t),
                 .noise_key = hash_combine(opts_.seed, week0 + c)};
   }
 
@@ -502,39 +513,39 @@ void SyntheticSST::evaluate(std::span<const double> lats,
   std::vector<LonTerms> lon_scalars;
   lat_scalars.reserve(lats.size());
   lon_scalars.reserve(lons.size());
-  std::vector<double> lat_eddy(lats.size() * eddy_terms);
-  std::vector<double> lon_eddy(lons.size() * eddy_terms);
+  std::vector<double> lat_eddy(lats.size() * kEddyTerms);
+  std::vector<double> lon_eddy(lons.size() * kEddyTerms);
   for (std::size_t i = 0; i < lats.size(); ++i) {
-    lat_scalars.push_back(lat_terms(opts_, lats[i]));
+    lat_scalars.push_back(lat_terms(lats[i]));
     eddy_lat_half(bank, lats[i], lat_scalars.back().eddy_envelope,
-                  std::span(lat_eddy).subspan(i * eddy_terms, eddy_terms));
+                  std::span(lat_eddy).subspan(i * kEddyTerms, kEddyTerms));
   }
   for (std::size_t j = 0; j < lons.size(); ++j) {
     lon_scalars.push_back(lon_terms(lons[j]));
     eddy_lon_half(bank, lons[j],
-                  std::span(lon_eddy).subspan(j * eddy_terms, eddy_terms));
+                  std::span(lon_eddy).subspan(j * kEddyTerms, kEddyTerms));
   }
 
   // Then the points, split over the kernel pool; workers only read the
-  // halves above and the options. Per (point, week): the dot (a multiply
-  // and an add per term) and the noise hash's log and cos. Per point: the
-  // angle addition (six flops per wave) and the two patterns' exp.
+  // halves above. Per (point, week): the dot (a multiply and an add per
+  // term) and the noise hash's log and cos. Per point: the angle addition
+  // (six flops per wave) and the two patterns' exp.
   const double per_entry =
-      2.0 * static_cast<double>(terms) + 2.0 * kFlopsPerLibmCall;
+      2.0 * static_cast<double>(kTerms) + 2.0 * kFlopsPerLibmCall;
   const double per_point =
-      3.0 * static_cast<double>(eddy_terms) + 2.0 * kFlopsPerLibmCall;
+      3.0 * static_cast<double>(kEddyTerms) + 2.0 * kFlopsPerLibmCall;
   const double cost = static_cast<double>(points.size()) *
                       (static_cast<double>(count) * per_entry + per_point);
   const std::span<const double> lat_shares(lat_eddy), lon_shares(lon_eddy);
   hpc::parallel_for(
       0, points.size(), cost, [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> cell(terms);
+        std::array<double, kTerms> cell{};
         for (std::size_t r = lo; r < hi; ++r) {
           const auto [i, j] = points[r];
           const double lat = lats[i], lon = lons[j];
-          eddy_cell_half(lat_shares.subspan(i * eddy_terms, eddy_terms),
-                         lon_shares.subspan(j * eddy_terms, eddy_terms),
-                         std::span(cell).first(eddy_terms));
+          eddy_cell_half(lat_shares.subspan(i * kEddyTerms, kEddyTerms),
+                         lon_shares.subspan(j * kEddyTerms, kEddyTerms),
+                         std::span(cell).first(kEddyTerms));
           seasonal_cell_half(lat_scalars[i], lon_scalars[j],
                              std::span(cell).last(kSeasonalTerms));
           const double climatology = lat_scalars[i].climatology;
@@ -549,7 +560,7 @@ void SyntheticSST::evaluate(std::span<const double> lats,
             const double temp = climatology + row[c] +
                                 week.trend * trend_weight +
                                 week.enso * enso + week.tele * tele +
-                                noise_at(opts_, week.noise_key, noise_key);
+                                noise_at(week.noise_key, noise_key);
             // Sea water cannot cool much below the freezing point of brine.
             row[c] = std::max(temp, -1.9);
           }

@@ -16,6 +16,11 @@
 // The deterministic components are low-rank, so ~5 POD modes capture
 // ~90 % of the centered variance — matching the paper's Nr = 5 setting.
 //
+// The substitute is defined by the statistics it reproduces at one
+// calibration (DESIGN.md §1), so every amplitude, rate and the eddy
+// bank's size is a named constant: the ones the comparators also read
+// are below, the rest in sst.cpp. The seed is the only setting.
+//
 // The seasonal cycle and the eddy bank form one dot product per
 // (cell, week): by angle addition, sin(ψ − ωt) = sin ψ·cos ωt −
 // cos ψ·sin ωt, so each is a sum over terms that factor into a cell half
@@ -39,31 +44,22 @@ namespace geonas::data {
 
 /// Mean tropical year in weeks; the seasonal cycle period.
 inline constexpr double kWeeksPerYear = 52.1775;
+/// ENSO mode amplitude at its pattern centre (deg C).
+inline constexpr double kEnsoAmplitude = 0.7;
+/// Teleconnection mode amplitude at its pattern centre (deg C).
+inline constexpr double kTeleAmplitude = 1.0;
+/// Secular warming at the equator (deg C per decade).
+inline constexpr double kTrendPerDecade = 0.13;
+/// Total RMS of the eddy field (deg C).
+inline constexpr double kEddyAmplitude = 0.85;
 
 struct SSTOptions {
   std::uint64_t seed = 2020;
-  double seasonal_amplitude = 6.5;   // deg C at high latitude
-  double semiannual_amplitude = 0.9;
-  double enso_amplitude = 0.7;       // deg C at pattern center
-  /// Lorenz-63 time units per week for the chaotic climate indices; sets
-  /// the predictability horizon (Lyapunov time ~ 1.1/chaos_rate weeks).
-  double chaos_rate = 0.02;
-  double enso_envelope_growth = 1.2e-4;  // amplitude growth per week
-  double tele_amplitude = 1.0;       // teleconnection mode, deg C at center
-  double trend_per_decade = 0.13;    // deg C per decade at the equator
-  /// Eddy-amplitude AR(1) weekly autocorrelation (1 = frozen amplitudes).
-  double eddy_ar1 = 0.93;
-  double eddy_modulation = 0.55;     // relative amplitude-modulation depth
-  double eddy_amplitude = 0.85;      // total RMS of the eddy field
-  double noise_sigma = 0.12;         // white measurement noise
-  int eddy_waves = 48;               // traveling waves in the eddy bank
 };
 
 class SyntheticSST {
  public:
   explicit SyntheticSST(SSTOptions options = SSTOptions{});
-
-  [[nodiscard]] const SSTOptions& options() const noexcept { return opts_; }
 
   /// Temperature at an exact location and snapshot week (deg C).
   [[nodiscard]] double value(double lat, double lon, std::size_t week) const;
@@ -120,7 +116,7 @@ class SyntheticSST {
   /// ENSO spatial loading (1 at pattern center, ~0 elsewhere).
   [[nodiscard]] double enso_pattern(double lat, double lon) const noexcept;
   /// Mesoscale eddy field for an alternative seed (comparators draw their
-  /// own realizations); pass opts_.seed for the truth realization.
+  /// own realizations); the truth's own seed gives the truth realization.
   [[nodiscard]] double eddy(double lat, double lon, double week_time,
                             std::uint64_t realization_seed) const;
   /// Hash-based white noise for a given cell/week (truth realization).

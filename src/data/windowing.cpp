@@ -11,9 +11,7 @@ namespace geonas::data {
 
 std::size_t window_count(std::size_t ns, const WindowConfig& config) {
   if (config.stride == 0) {
-    // A zero stride would make make_windows emit N identical windows all
-    // starting at 0 (it multiplies by the raw stride); silently treating
-    // it as 1 here made the two functions disagree. Reject it outright.
+    // A zero stride would give N identical windows, all at column 0.
     throw std::invalid_argument("window_count: stride must be >= 1");
   }
   if (config.window == 0) {
@@ -66,11 +64,6 @@ WindowedDataset WindowView::materialize() const {
   return out;
 }
 
-WindowedDataset make_windows(const Matrix& coefficients,
-                             const WindowConfig& config) {
-  return WindowView(coefficients, config).materialize();
-}
-
 SplitIndices train_val_split_indices(std::size_t n, double train_fraction,
                                      std::uint64_t seed) {
   if (train_fraction <= 0.0 || train_fraction >= 1.0) {
@@ -78,13 +71,13 @@ SplitIndices train_val_split_indices(std::size_t n, double train_fraction,
     // which downstream evaluation divides by. Both splits must be
     // non-empty, so the fraction is strictly interior.
     throw std::invalid_argument(
-        "train_val_split: train_fraction must be in (0, 1); both splits "
-        "must be non-empty");
+        "train_val_split_indices: train_fraction must be in (0, 1); both "
+        "splits must be non-empty");
   }
   if (n < 2) {
     throw std::invalid_argument(
-        "train_val_split: need at least 2 windows to form non-empty "
-        "train and validation splits");
+        "train_val_split_indices: need at least 2 windows to form "
+        "non-empty train and validation splits");
   }
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -102,35 +95,6 @@ SplitIndices train_val_split_indices(std::size_t n, double train_fraction,
                      order.begin() + static_cast<std::ptrdiff_t>(n_train));
   split.val.assign(order.begin() + static_cast<std::ptrdiff_t>(n_train),
                    order.end());
-  return split;
-}
-
-SplitDataset train_val_split(const WindowedDataset& data,
-                             double train_fraction, std::uint64_t seed) {
-  const SplitIndices idx =
-      train_val_split_indices(data.size(), train_fraction, seed);
-  const std::size_t k = data.x.dim1();
-  const std::size_t nr = data.x.dim2();
-
-  SplitDataset split;
-  split.train.x = Tensor3(idx.train.size(), k, nr);
-  split.train.y = Tensor3(idx.train.size(), k, nr);
-  split.val.x = Tensor3(idx.val.size(), k, nr);
-  split.val.y = Tensor3(idx.val.size(), k, nr);
-  const auto copy_block = [](const Tensor3& src_t, std::size_t src,
-                             Tensor3& dst_t, std::size_t dst) {
-    const auto sb = src_t.block(src);
-    auto db = dst_t.block(dst);
-    std::copy(sb.begin(), sb.end(), db.begin());
-  };
-  for (std::size_t i = 0; i < idx.train.size(); ++i) {
-    copy_block(data.x, idx.train[i], split.train.x, i);
-    copy_block(data.y, idx.train[i], split.train.y, i);
-  }
-  for (std::size_t i = 0; i < idx.val.size(); ++i) {
-    copy_block(data.x, idx.val[i], split.val.x, i);
-    copy_block(data.y, idx.val[i], split.val.y, i);
-  }
   return split;
 }
 

@@ -43,8 +43,8 @@ struct WindowedDataset {
 /// the view, and gathers read it in place (aliasing rule: do not mutate
 /// the matrix while trainers hold views over it).
 ///
-/// Throws like make_windows: window or stride 0, or a series shorter
-/// than one 2K window, is rejected at construction.
+/// Window or stride 0, or a series shorter than one 2K window, is
+/// rejected at construction.
 class WindowView {
  public:
   WindowView(const Matrix& coefficients, const WindowConfig& config);
@@ -64,8 +64,8 @@ class WindowView {
   /// Same for the target block (the K columns after the input's).
   void gather_y(std::size_t e, std::span<double> dst) const;
 
-  /// Materializing fallback: the classic tensor-pair dataset,
-  /// bitwise-identical to make_windows on the same inputs.
+  /// Every example copied into a tensor pair: x.block(e) and y.block(e)
+  /// are what gather_x(e) and gather_y(e) write.
   [[nodiscard]] WindowedDataset materialize() const;
 
  private:
@@ -76,39 +76,30 @@ class WindowView {
   std::size_t count_;
 };
 
-/// Extracts windowed examples from coefficients A (Nr x Ns), time along
-/// columns. Throws when Ns < 2K or config.window or config.stride is 0.
-[[nodiscard]] WindowedDataset make_windows(const Matrix& coefficients,
-                                           const WindowConfig& config);
-
-/// Number of examples make_windows will produce (0 when Ns < 2K). Throws
-/// when config.window == 0 (an empty window) or config.stride == 0 (a
-/// zero stride would repeat the same window).
+/// Number of windowed examples in a series of `ns` columns (0 when
+/// ns < 2K). Throws when config.window == 0 (an empty window) or
+/// config.stride == 0 (a zero stride would repeat the same window).
 [[nodiscard]] std::size_t window_count(std::size_t ns,
                                        const WindowConfig& config);
 
+/// A train/validation split of windowed examples, materialized.
 struct SplitDataset {
   WindowedDataset train;
   WindowedDataset val;
 };
 
-/// Seeded random 80/20 (by default) train/validation split. Requires
-/// train_fraction strictly in (0, 1) and at least 2 examples, and clamps
-/// the rounded train count to [1, n-1]: both splits are always
-/// non-empty (validation metrics divide by the validation count).
-[[nodiscard]] SplitDataset train_val_split(const WindowedDataset& data,
-                                           double train_fraction = 0.8,
-                                           std::uint64_t seed = 1234);
-
-/// Index-level split: which example ids land in train/validation. The
-/// permutation and clamping match train_val_split exactly, so routing
-/// these indices through a WindowView reproduces the materialized split
-/// bitwise without copying any window.
+/// Which example ids land in train and in validation; route them through
+/// a WindowView to train without copying any window.
 struct SplitIndices {
   std::vector<std::size_t> train;
   std::vector<std::size_t> val;
 };
 
+/// Seeded random 80/20 (by default) train/validation split of example
+/// ids [0, n): a seeded permutation, cut after round(train_fraction * n)
+/// ids. Requires train_fraction strictly in (0, 1) and at least 2
+/// examples, and clamps the train count to [1, n-1]: both splits are
+/// always non-empty (validation metrics divide by the validation count).
 [[nodiscard]] SplitIndices train_val_split_indices(std::size_t n,
                                                    double train_fraction = 0.8,
                                                    std::uint64_t seed = 1234);

@@ -9,6 +9,13 @@
 
 namespace geonas::hpc {
 
+namespace {
+/// Agent-side gradient computation time per RL round (s).
+constexpr double kRlGradientTime = 2.0;
+/// All-reduce latency per RL round (s).
+constexpr double kRlAllreduceTime = 0.5;
+}  // namespace
+
 std::pair<std::vector<double>, std::vector<double>>
 SimResult::reward_trajectory(std::size_t window) const {
   std::vector<double> times(evals.size());
@@ -131,7 +138,7 @@ SimResult simulate_rl(const searchspace::StackedLSTMSpace& space,
     // Intra-agent barrier happened implicitly (batch collection); now the
     // inter-agent synchronous gradient all-reduce (paper §III-B2).
     const double grad_start = round_max_completion;
-    const double grad_end = grad_start + config.rl_gradient_time;
+    const double grad_end = grad_start + kRlGradientTime;
     for (std::size_t a = 0; a < part.agents; ++a) {
       // Agent nodes are busy only while computing gradients.
       tracker.add_busy(grad_start, grad_end);
@@ -147,7 +154,7 @@ SimResult simulate_rl(const searchspace::StackedLSTMSpace& space,
       const auto mean_grad = search::all_reduce_mean_gradients(grads);
       for (auto& agent : agents) agent.apply_gradient(mean_grad);
     }
-    t = grad_end + config.rl_allreduce_time;
+    t = grad_end + kRlAllreduceTime;
     ++result.rounds;
   }
 

@@ -81,10 +81,6 @@ struct ClusterConfig {
   /// Mean per-evaluation launch/staging overhead on the worker (s),
   /// exponentially distributed.
   double launch_overhead_mean = 12.0;
-  /// Agent-side gradient computation time per RL round (s).
-  double rl_gradient_time = 2.0;
-  /// All-reduce latency per RL round (s).
-  double rl_allreduce_time = 0.5;
   /// Seeded fault injection (defaults: no failures).
   FailureModel failures;
   std::uint64_t seed = 7;

@@ -15,18 +15,17 @@ constexpr std::size_t kBlock = 512;
 
 }  // namespace
 
-AddMerge::AddMerge(std::size_t arity, bool relu_after)
-    : arity_(arity), relu_(relu_after) {
+AddMerge::AddMerge(std::size_t arity) : arity_(arity) {
   if (arity_ < 1) throw std::invalid_argument("AddMerge: arity must be >= 1");
 }
 
 std::unique_ptr<Layer> AddMerge::clone() const {
-  return std::make_unique<AddMerge>(arity_, relu_);
+  return std::make_unique<AddMerge>(arity_);
 }
 
 void AddMerge::bind_workspace(tensor::Arena& arena,
                               const WorkspaceShape& shape) {
-  if (shape.training && relu_) {
+  if (shape.training) {
     sum_cache_.bind(arena, shape.batch * shape.steps, shape.features);
   }
 }
@@ -46,11 +45,11 @@ void AddMerge::forward_into(std::span<const Tensor3* const> inputs,
     }
   }
   // One pass over memory: block by block (each block stays in L1), the
-  // inputs are summed in input order, then (with ReLU) the sum is cached
-  // for the backward mask and rectified.
+  // inputs are summed in input order, then the sum is cached for the
+  // backward mask (training only) and rectified.
   const std::size_t n = first.size();
   double* op = out.flat().data();
-  double* cache = relu_ && training ? sum_cache_.flat().data() : nullptr;
+  double* cache = training ? sum_cache_.flat().data() : nullptr;
   for (std::size_t b = 0; b < n; b += kBlock) {
     const std::size_t len = std::min(kBlock, n - b);
     double* o = op + b;
@@ -59,7 +58,6 @@ void AddMerge::forward_into(std::span<const Tensor3* const> inputs,
       const double* in = inputs[i]->flat().data() + b;
       for (std::size_t k = 0; k < len; ++k) o[k] += in[k];
     }
-    if (!relu_) continue;
     if (cache != nullptr) std::copy_n(o, len, cache + b);
     for (std::size_t k = 0; k < len; ++k) o[k] = relu(o[k]);
   }
@@ -70,10 +68,10 @@ void AddMerge::backward_into(const Tensor3& grad_output,
   if (input_grads.size() != arity_ || input_grads[0] == nullptr) {
     throw std::invalid_argument("AddMerge::backward: wrong gradient count");
   }
-  // d(sum)/d(input_i) = 1 for every input: one pass writes the (possibly
-  // ReLU-masked) sum gradient into every slot.
+  // d(sum)/d(input_i) = 1 for every input: one pass writes the
+  // ReLU-masked sum gradient into every slot.
   const std::size_t n = grad_output.size();
-  if (input_grads[0]->size() != n || (relu_ && n > sum_cache_.size())) {
+  if (input_grads[0]->size() != n || n > sum_cache_.size()) {
     throw std::invalid_argument("AddMerge::backward: shape mismatch");
   }
   for (std::size_t i = 1; i < input_grads.size(); ++i) {
@@ -81,19 +79,17 @@ void AddMerge::backward_into(const Tensor3& grad_output,
       throw std::invalid_argument("AddMerge::backward: null gradient slot");
     }
   }
-  // One pass over memory: block by block, the (possibly ReLU-masked)
-  // gradient lands in the first slot and is copied to the others.
+  // One pass over memory: block by block, the ReLU-masked gradient
+  // lands in the first slot and is copied to the others.
   const double* g = grad_output.flat().data();
-  const double* sum = relu_ ? sum_cache_.flat().data() : nullptr;
+  const double* sum = sum_cache_.flat().data();
   double* d0 = input_grads[0]->flat().data();
   for (std::size_t b = 0; b < n; b += kBlock) {
     const std::size_t len = std::min(kBlock, n - b);
     double* d = d0 + b;
     std::copy_n(g + b, len, d);
-    if (sum != nullptr) {
-      const double* s = sum + b;
-      for (std::size_t k = 0; k < len; ++k) d[k] *= relu_grad_from_input(s[k]);
-    }
+    const double* s = sum + b;
+    for (std::size_t k = 0; k < len; ++k) d[k] *= relu_grad_from_input(s[k]);
     for (std::size_t i = 1; i < input_grads.size(); ++i) {
       std::copy_n(d, len, input_grads[i]->flat().data() + b);
     }
@@ -101,8 +97,7 @@ void AddMerge::backward_into(const Tensor3& grad_output,
 }
 
 std::string AddMerge::name() const {
-  return std::string("Add[") + std::to_string(arity_) + "]" +
-         (relu_ ? "+ReLU" : "");
+  return std::string("Add[") + std::to_string(arity_) + "]+ReLU";
 }
 
 void Identity::forward_into(std::span<const Tensor3* const> inputs,

@@ -15,10 +15,10 @@
 
 namespace geonas::nn {
 
-/// Sums N same-shaped inputs, optionally applying ReLU to the result.
+/// Sums N same-shaped inputs and applies ReLU to the result.
 class AddMerge final : public Layer {
  public:
-  explicit AddMerge(std::size_t arity, bool relu_after = true);
+  explicit AddMerge(std::size_t arity);
 
   [[nodiscard]] std::size_t arity() const override { return arity_; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
@@ -33,7 +33,6 @@ class AddMerge final : public Layer {
                       const WorkspaceShape& shape) override;
 
   std::size_t arity_;
-  bool relu_;
   // Pre-ReLU sum, for the backward mask; carved by a training bind, and
   // a forward at batch b uses its first b*T rows.
   tensor::ArenaMatrix sum_cache_;  // [B*T, features]

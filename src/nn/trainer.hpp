@@ -29,7 +29,6 @@ struct TrainConfig {
   std::size_t epochs = 20;       // paper: 20 during search, 100 posttraining
   std::size_t batch_size = 64;   // paper: 64
   double learning_rate = 1e-3;   // paper: 0.001 (Adam)
-  double grad_clip_norm = 10.0;  // stabilizes deep skip-heavy stacks
   /// Learning rate decays by this factor at 1/2 and 3/4 of the epoch
   /// budget (1.0 = constant LR).
   double lr_step_decay = 1.0;

@@ -129,7 +129,7 @@ nn::GraphNetwork StackedLSTMSpace::build(const Architecture& arch) const {
     }
     if (merge_inputs.size() > 1) {
       cur_id = net.add_node(
-          std::make_unique<nn::AddMerge>(merge_inputs.size(), /*relu=*/true),
+          std::make_unique<nn::AddMerge>(merge_inputs.size()),
           merge_inputs);
     }
 

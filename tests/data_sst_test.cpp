@@ -88,9 +88,9 @@ TEST(SST, SeasonalPeriodicity) {
 TEST(SST, TrendIsSecular) {
   const SyntheticSST sst;
   EXPECT_GT(sst.trend(0.0, 1900.0), sst.trend(0.0, 0.0));
-  // Roughly trend_per_decade at the equator over a decade.
+  // Roughly kTrendPerDecade at the equator over a decade.
   const double decade = sst.trend(0.0, 10.0 * kWeeksPerYear) - sst.trend(0.0, 0.0);
-  EXPECT_NEAR(decade, sst.options().trend_per_decade, 0.05);
+  EXPECT_NEAR(decade, kTrendPerDecade, 0.05);
 }
 
 TEST(SST, EnsoPatternLocalizedInEasternPacific) {
@@ -257,6 +257,29 @@ TEST(Comparators, SnapshotShapes) {
   EXPECT_EQ(s.cols(), 3u);
 }
 
+TEST(Comparators, FieldBytesPinned) {
+  // CRC-32 of both comparators' full-grid fields in HYCOM's first
+  // available week and 100 weeks later, one chain per comparator. The
+  // comparators recompose the truth's components with their own error
+  // constants, so these bytes hold every one of those constants and the
+  // component calls they feed (Table I, Figs 5-7).
+  const Grid grid{20, 40};
+  const SyntheticSST sst;
+  const CESMSurrogate cesm(sst);
+  const HYCOMSurrogate hycom(sst);
+  const std::size_t w0 = HYCOMSurrogate::first_available_week();
+  std::uint32_t cesm_crc = 0, hycom_crc = 0;
+  for (const std::size_t week : {w0, w0 + 100}) {
+    const std::vector<double> c = cesm.field(grid, week);
+    cesm_crc = io::crc32_update(cesm_crc, c.data(), c.size() * sizeof(double));
+    const std::vector<double> h = hycom.field(grid, week);
+    hycom_crc =
+        io::crc32_update(hycom_crc, h.data(), h.size() * sizeof(double));
+  }
+  EXPECT_EQ(cesm_crc, 0xccc237c8u);
+  EXPECT_EQ(hycom_crc, 0x946e11d0u);
+}
+
 TEST(Windowing, CountFormula) {
   EXPECT_EQ(window_count(427, {.window = 8, .stride = 1}), 412u);
   EXPECT_EQ(window_count(16, {.window = 8, .stride = 1}), 1u);
@@ -273,14 +296,15 @@ TEST(Windowing, InputOutputAlignment) {
       coeffs(m, t) = 100.0 * static_cast<double>(m) + static_cast<double>(t);
     }
   }
-  const WindowedDataset set = make_windows(coeffs, {.window = k, .stride = 1});
+  const WindowedDataset set =
+      WindowView(coeffs, {.window = k, .stride = 1}).materialize();
   EXPECT_EQ(set.size(), ns - 2 * k + 1);
   // Example e, step t, mode m: input = coeffs(m, e + t).
   EXPECT_DOUBLE_EQ(set.x(2, 1, 1), 103.0);
   // Output shifts by K.
   EXPECT_DOUBLE_EQ(set.y(2, 1, 1), 107.0);
-  EXPECT_THROW((void)make_windows(Matrix(2, 5), {.window = 8}),
-               std::invalid_argument);
+  const Matrix too_short(2, 5);
+  EXPECT_THROW(WindowView(too_short, {.window = 8}), std::invalid_argument);
 }
 
 TEST(Windowing, SplitSizesAndDisjointness) {
@@ -289,20 +313,22 @@ TEST(Windowing, SplitSizesAndDisjointness) {
     coeffs(0, t) = static_cast<double>(t);
     coeffs(1, t) = static_cast<double>(t) * 2.0;
   }
-  const WindowedDataset set = make_windows(coeffs, {.window = 5, .stride = 1});
-  const SplitDataset split = train_val_split(set, 0.8, 99);
-  EXPECT_EQ(split.train.size() + split.val.size(), set.size());
+  const WindowView view(coeffs, {.window = 5, .stride = 1});
+  const SplitIndices split = train_val_split_indices(view.size(), 0.8, 99);
+  EXPECT_EQ(split.train.size() + split.val.size(), view.size());
   const auto expected_train =
-      static_cast<std::size_t>(0.8 * static_cast<double>(set.size()) + 0.5);
+      static_cast<std::size_t>(0.8 * static_cast<double>(view.size()) + 0.5);
   EXPECT_EQ(split.train.size(), expected_train);
 
-  // Every example must appear exactly once; identify them by x(.,0,0).
+  // Every example must appear exactly once; identify each by its first
+  // input value.
+  std::vector<double> x(view.window() * view.features());
   std::vector<double> seen;
-  for (std::size_t i = 0; i < split.train.size(); ++i) {
-    seen.push_back(split.train.x(i, 0, 0));
-  }
-  for (std::size_t i = 0; i < split.val.size(); ++i) {
-    seen.push_back(split.val.x(i, 0, 0));
+  for (const auto* side : {&split.train, &split.val}) {
+    for (const std::size_t e : *side) {
+      view.gather_x(e, x);
+      seen.push_back(x[0]);
+    }
   }
   std::sort(seen.begin(), seen.end());
   for (std::size_t i = 0; i < seen.size(); ++i) {
@@ -311,8 +337,8 @@ TEST(Windowing, SplitSizesAndDisjointness) {
 }
 
 TEST(Windowing, StrideZeroRejected) {
-  // Regression: window_count used to normalize stride 0 to 1 while
-  // make_windows multiplied by the raw stride, silently producing N
+  // Regression: window_count used to normalize stride 0 to 1 while the
+  // window extraction multiplied by the raw stride, silently producing N
   // identical windows all starting at column 0.
   EXPECT_THROW((void)window_count(427, {.window = 8, .stride = 0}),
                std::invalid_argument);
@@ -321,7 +347,7 @@ TEST(Windowing, StrideZeroRejected) {
     coeffs(0, t) = static_cast<double>(t);
     coeffs(1, t) = static_cast<double>(t) * 2.0;
   }
-  EXPECT_THROW((void)make_windows(coeffs, {.window = 4, .stride = 0}),
+  EXPECT_THROW(WindowView(coeffs, {.window = 4, .stride = 0}),
                std::invalid_argument);
   // Window 0 is refused by name, not reported as a too-short series.
   try {
@@ -332,7 +358,7 @@ TEST(Windowing, StrideZeroRejected) {
               std::string::npos)
         << e.what();
   }
-  EXPECT_THROW((void)make_windows(coeffs, {.window = 0, .stride = 1}),
+  EXPECT_THROW(WindowView(coeffs, {.window = 0, .stride = 1}),
                std::invalid_argument);
 }
 
@@ -342,11 +368,15 @@ TEST(Windowing, SplitRejectsFractionExtremes) {
   // evaluation divides by.
   Matrix coeffs(1, 30, 0.0);
   for (std::size_t t = 0; t < 30; ++t) coeffs(0, t) = static_cast<double>(t);
-  const WindowedDataset set = make_windows(coeffs, {.window = 3});
-  EXPECT_THROW((void)train_val_split(set, 1.0, 7), std::invalid_argument);
-  EXPECT_THROW((void)train_val_split(set, 0.0, 7), std::invalid_argument);
-  EXPECT_THROW((void)train_val_split(set, 1.5, 7), std::invalid_argument);
-  EXPECT_THROW((void)train_val_split(set, -0.2, 7), std::invalid_argument);
+  const std::size_t n = WindowView(coeffs, {.window = 3}).size();
+  EXPECT_THROW((void)train_val_split_indices(n, 1.0, 7),
+               std::invalid_argument);
+  EXPECT_THROW((void)train_val_split_indices(n, 0.0, 7),
+               std::invalid_argument);
+  EXPECT_THROW((void)train_val_split_indices(n, 1.5, 7),
+               std::invalid_argument);
+  EXPECT_THROW((void)train_val_split_indices(n, -0.2, 7),
+               std::invalid_argument);
 }
 
 TEST(Windowing, SplitClampsToNonEmptySides) {
@@ -354,29 +384,30 @@ TEST(Windowing, SplitClampsToNonEmptySides) {
   // the clamp keeps one example on each side.
   Matrix coeffs(1, 12, 0.0);
   for (std::size_t t = 0; t < 12; ++t) coeffs(0, t) = static_cast<double>(t);
-  const WindowedDataset set = make_windows(coeffs, {.window = 3});  // n = 7
-  const SplitDataset high = train_val_split(set, 0.99, 7);
-  EXPECT_EQ(high.train.size(), set.size() - 1);
+  const std::size_t n = WindowView(coeffs, {.window = 3}).size();  // 7
+  const SplitIndices high = train_val_split_indices(n, 0.99, 7);
+  EXPECT_EQ(high.train.size(), n - 1);
   EXPECT_EQ(high.val.size(), 1u);
-  const SplitDataset low = train_val_split(set, 0.01, 7);
+  const SplitIndices low = train_val_split_indices(n, 0.01, 7);
   EXPECT_EQ(low.train.size(), 1u);
-  EXPECT_EQ(low.val.size(), set.size() - 1);
+  EXPECT_EQ(low.val.size(), n - 1);
 
   // Fewer than 2 windows cannot produce two non-empty splits.
   Matrix tiny(1, 6, 0.0);
-  const WindowedDataset one = make_windows(tiny, {.window = 3});  // n = 1
-  EXPECT_THROW((void)train_val_split(one, 0.8, 7), std::invalid_argument);
+  const std::size_t one = WindowView(tiny, {.window = 3}).size();  // 1
+  EXPECT_THROW((void)train_val_split_indices(one, 0.8, 7),
+               std::invalid_argument);
 }
 
 TEST(Windowing, SplitDeterministicBySeed) {
   Matrix coeffs(1, 30, 0.0);
   for (std::size_t t = 0; t < 30; ++t) coeffs(0, t) = static_cast<double>(t);
-  const WindowedDataset set = make_windows(coeffs, {.window = 3});
-  const SplitDataset a = train_val_split(set, 0.8, 5);
-  const SplitDataset b = train_val_split(set, 0.8, 5);
-  EXPECT_EQ(a.train.x, b.train.x);
-  const SplitDataset c = train_val_split(set, 0.8, 6);
-  EXPECT_NE(a.train.x, c.train.x);
+  const std::size_t n = WindowView(coeffs, {.window = 3}).size();
+  const SplitIndices a = train_val_split_indices(n, 0.8, 5);
+  const SplitIndices b = train_val_split_indices(n, 0.8, 5);
+  EXPECT_EQ(a.train, b.train);
+  const SplitIndices c = train_val_split_indices(n, 0.8, 6);
+  EXPECT_NE(a.train, c.train);
 }
 
 }  // namespace

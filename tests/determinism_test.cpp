@@ -137,9 +137,10 @@ TEST(Determinism, LstmTrainStepBitwiseIdenticalAcrossThreadCounts) {
 
 TEST(Determinism, VmathSpansBitwiseIdenticalAcrossThreadCounts) {
   // 200k elements is far above the span parallel threshold, so thread
-  // counts > 1 genuinely split the range at arbitrary boundaries. The
-  // portable-fma scalar tail mirrors the SIMD lanes bitwise (vmath.hpp),
-  // which is exactly what this pins down.
+  // counts > 1 genuinely split the range. The chunks are multiples of the
+  // grain, 4, and 200k is one too, so every element stays in a SIMD lane
+  // at every count: this pins the split, not the lane/tail mirror, which
+  // Vmath.LaneAndTailAgreeBitwise covers.
   constexpr std::size_t kN = 200000;
   Rng rng(31);
   std::vector<double> x(kN);

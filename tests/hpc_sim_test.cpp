@@ -3,8 +3,11 @@
 // SimResult analysis helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/surrogate.hpp"
 #include "hpc/cluster_sim.hpp"
+#include "io/binary.hpp"
 #include "search/aging_evolution.hpp"
 #include "search/random_search.hpp"
 #include "tied_campaign.hpp"
@@ -134,6 +137,29 @@ TEST(ClusterSim, RLTiedCompletionsKeepLaunchOrder) {
     out_of_order += r.evals[i].reward != tied_reward(cfg, i) ? 1 : 0;
   }
   EXPECT_EQ(out_of_order, 0u);
+}
+
+TEST(ClusterSim, RlCampaignPinned) {
+  // CRC-32 of a one-hour synchronous PPO campaign on 33 nodes: each
+  // evaluation's (completed_at, reward), then the utilization and the
+  // round count. The round clock (gradient and all-reduce time per
+  // round), the coordinator and launch model, and the surrogate's
+  // rewards and durations all feed these bytes (Table III's RL row).
+  const StackedLSTMSpace space;
+  SurrogateEvaluator oracle(space);
+  ClusterConfig cfg = small_cluster(33, 11);
+  cfg.wall_time_seconds = 3600.0;
+  const SimResult r = simulate_rl(space, {.seed = 3}, oracle, cfg);
+  ASSERT_EQ(r.num_evaluations(), 307u);
+  EXPECT_EQ(r.rounds, 14u);
+  std::uint32_t crc = 0;
+  for (const CompletedEval& e : r.evals) {
+    const double fields[] = {e.completed_at, e.reward};
+    crc = io::crc32_update(crc, fields, sizeof(fields));
+  }
+  const double totals[] = {r.utilization, static_cast<double>(r.rounds)};
+  crc = io::crc32_update(crc, totals, sizeof(totals));
+  EXPECT_EQ(crc, 0xcd858feeu);
 }
 
 TEST(SimResult, TrajectoryAndHelpers) {

@@ -31,7 +31,7 @@ TEST(AddMerge, SumsAndRelus) {
   Tensor3 b(1, 1, 2);
   b(0, 0, 0) = 2.0;
   b(0, 0, 1) = 1.0;
-  AddMerge merge(2, /*relu=*/true);
+  AddMerge merge(2);
   const Tensor3* ins[2] = {&a, &b};
   const Tensor3 y = LayerDriver(merge).forward({ins, 2}, false);
   EXPECT_DOUBLE_EQ(y(0, 0, 0), 3.0);
@@ -44,7 +44,7 @@ TEST(AddMerge, BackwardSplitsGradient) {
   a(0, 0, 1) = -3.0;
   b(0, 0, 0) = 1.0;
   b(0, 0, 1) = 1.0;
-  AddMerge merge(2, true);
+  AddMerge merge(2);
   const Tensor3* ins[2] = {&a, &b};
   LayerDriver driver(merge);
   (void)driver.forward({ins, 2}, true);
@@ -59,7 +59,7 @@ TEST(AddMerge, BackwardSplitsGradient) {
 
 TEST(AddMerge, ShapeMismatchThrows) {
   Tensor3 a(1, 1, 2), b(1, 2, 2);
-  AddMerge merge(2, true);
+  AddMerge merge(2);
   const Tensor3* ins[2] = {&a, &b};
   EXPECT_THROW((void)LayerDriver(merge).forward({ins, 2}, false),
                std::invalid_argument);
@@ -112,7 +112,7 @@ TEST(GraphNetwork, SkipConnectionTopology) {
   const auto proj =
       net.add_node(std::make_unique<Dense>(3, 4), {GraphNetwork::input_id()});
   const auto merge =
-      net.add_node(std::make_unique<AddMerge>(2, true), {main, proj});
+      net.add_node(std::make_unique<AddMerge>(2), {main, proj});
   net.add_node(std::make_unique<Dense>(4, 2), {merge});
   net.init_params(7);
 
@@ -132,7 +132,7 @@ TEST(GraphNetwork, GradientThroughSkipGraph) {
   const auto proj =
       net.add_node(std::make_unique<Dense>(2, 3), {GraphNetwork::input_id()});
   const auto merge =
-      net.add_node(std::make_unique<AddMerge>(2, true), {main, proj});
+      net.add_node(std::make_unique<AddMerge>(2), {main, proj});
   net.add_node(std::make_unique<LSTM>(3, 2), {merge});
   net.init_params(11);
 
@@ -200,7 +200,7 @@ TEST(GraphNetwork, ToDotRendersNodesAndEdges) {
   const auto proj =
       net.add_node(std::make_unique<Dense>(5, 16), {GraphNetwork::input_id()});
   const auto merge =
-      net.add_node(std::make_unique<AddMerge>(2, true), {l1, proj});
+      net.add_node(std::make_unique<AddMerge>(2), {l1, proj});
   net.add_node(std::make_unique<LSTM>(16, 5), {merge});
   const std::string dot = net.to_dot("fig4");
   EXPECT_NE(dot.find("digraph fig4"), std::string::npos);
@@ -216,7 +216,7 @@ TEST(GraphNetwork, BindRejectsInputsOfDifferentWidths) {
       net.add_node(std::make_unique<Dense>(3, 4), {GraphNetwork::input_id()});
   const auto b =
       net.add_node(std::make_unique<Dense>(3, 5), {GraphNetwork::input_id()});
-  net.add_node(std::make_unique<AddMerge>(2, true), {a, b});
+  net.add_node(std::make_unique<AddMerge>(2), {a, b});
   const Tensor3 x(2, 2, 3);
   try {
     (void)net.forward(x);
@@ -239,7 +239,7 @@ GraphNetwork prefix_net() {
   const auto proj =
       net.add_node(std::make_unique<Dense>(3, 5, Activation::kTanh), {in});
   const auto merge =
-      net.add_node(std::make_unique<AddMerge>(2, true), {lstm2, proj});
+      net.add_node(std::make_unique<AddMerge>(2), {lstm2, proj});
   net.add_node(std::make_unique<Dense>(5, 2, Activation::kTanh), {merge});
   net.init_params(31);
   return net;

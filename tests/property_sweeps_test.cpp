@@ -125,10 +125,10 @@ TEST_P(WindowSweep, CountAndAlignment) {
   const data::WindowConfig cfg{.window = param.k, .stride = param.stride};
   const std::size_t expected = data::window_count(param.ns, cfg);
   if (expected == 0) {
-    EXPECT_THROW((void)data::make_windows(coeffs, cfg), std::invalid_argument);
+    EXPECT_THROW(data::WindowView(coeffs, cfg), std::invalid_argument);
     return;
   }
-  const auto set = data::make_windows(coeffs, cfg);
+  const auto set = data::WindowView(coeffs, cfg).materialize();
   ASSERT_EQ(set.size(), expected);
   // Spot-check alignment for every example: y window immediately follows x.
   for (std::size_t e = 0; e < set.size(); ++e) {

@@ -53,7 +53,7 @@ nn::GraphNetwork residual_mixed() {
   const auto proj =
       net.add_node(std::make_unique<nn::Dense>(kModes, 16), {in});
   const auto merge =
-      net.add_node(std::make_unique<nn::AddMerge>(2, true), {l1, proj});
+      net.add_node(std::make_unique<nn::AddMerge>(2), {l1, proj});
   const auto l2 = net.add_node(std::make_unique<nn::LSTM>(16, 12), {merge});
   const auto id = net.add_node(std::make_unique<nn::Identity>(), {l2});
   net.add_node(

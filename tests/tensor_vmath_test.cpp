@@ -186,6 +186,39 @@ TEST(Vmath, SpanSizeMismatchThrows) {
                std::invalid_argument);
 }
 
+TEST(Vmath, LaneAndTailAgreeBitwise) {
+  // vmath.hpp promises that an element computed in a loop tail (the
+  // portable-fma mirror) has the bits the same element gets in a SIMD
+  // lane. The whole 4,096-element span runs every input in a lane: its
+  // length is a multiple of 4, and a kernel-pool split cuts it only at
+  // multiples of the grain, 4. Each input alone, as a 1-element span,
+  // runs in the tail. The inputs are seeded values on [-45, 45] plus the
+  // edge cases: signed zeros, a denormal, infinities, NaN, and +-710 and
+  // +-746 (past exp's overflow and underflow limits).
+  std::vector<double> x = {0.0,   -0.0,  4.9e-324, kInf,   -kInf,
+                           kNaN,  710.0, -710.0,   746.0, -746.0};
+  Rng rng(43);
+  while (x.size() < 4096) x.push_back(rng.uniform(-45.0, 45.0));
+  const SweepCase cases[] = {{"vexp", &vexp, &fn_exp},
+                             {"vtanh", &vtanh, &fn_tanh},
+                             {"vsigmoid", &vsigmoid, &fn_sigmoid}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<double> lanes = apply_span(c.vec, x);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      double tail = 0.0;
+      c.vec(std::span<const double>(&x[i], 1), std::span<double>(&tail, 1));
+      if (std::bit_cast<std::uint64_t>(tail) !=
+          std::bit_cast<std::uint64_t>(lanes[i])) {
+        if (mismatches == 0) expect_bits(tail, lanes[i], "first mismatch");
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Fused LSTM pointwise kernels.
 // ---------------------------------------------------------------------
@@ -237,6 +270,55 @@ TEST(VmathLstm, FusedForwardMatchesReferenceLoop) {
                   fx.h_new[r * u + i], "h_out scatter");
     }
   }
+}
+
+TEST(VmathLstm, LaneAndTailAgreeBitwise) {
+  // With 5 units the AVX2 kernels run columns 0-3 of each row in SIMD
+  // lanes and column 4 in the scalar tail. Column 4 gets column 0's
+  // inputs, so both stages must write column 0's bits there.
+  constexpr std::size_t kRows = 64, kUnits = 5, kTail = 4;
+  Rng rng(44);
+  std::vector<double> z(kRows * 4 * kUnits), c_prev(kRows * kUnits);
+  std::vector<double> grad_out(kRows * kUnits), dh(kRows * kUnits);
+  std::vector<double> dc(kRows * kUnits);
+  for (double& v : z) v = rng.uniform(-6.0, 6.0);
+  for (double& v : c_prev) v = rng.uniform(-3.0, 3.0);
+  for (double& v : grad_out) v = rng.uniform(-1.0, 1.0);
+  for (double& v : dh) v = rng.uniform(-1.0, 1.0);
+  for (double& v : dc) v = rng.uniform(-1.0, 1.0);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t gate = 0; gate < 4; ++gate) {
+      double* zr = z.data() + r * 4 * kUnits + gate * kUnits;
+      zr[kTail] = zr[0];
+    }
+    for (auto* slab : {&c_prev, &grad_out, &dh, &dc}) {
+      (*slab)[r * kUnits + kTail] = (*slab)[r * kUnits];
+    }
+  }
+  std::vector<double> c_new(kRows * kUnits), h_new(kRows * kUnits);
+  std::vector<double> h_out(kRows * kUnits);
+  lstm_pointwise_forward(kRows, kUnits, z.data(), c_prev.data(), c_new.data(),
+                         h_new.data(), h_out.data(), kUnits);
+  std::vector<double> dz(kRows * 4 * kUnits);
+  lstm_pointwise_backward(kRows, kUnits, z.data(), c_prev.data(),
+                          c_new.data(), grad_out.data(), kUnits, dh.data(),
+                          dc.data(), dz.data());
+  const auto same = [](const std::vector<double>& v, std::size_t base) {
+    return std::bit_cast<std::uint64_t>(v[base + kTail]) ==
+           std::bit_cast<std::uint64_t>(v[base]);
+  };
+  std::size_t mismatches = 0;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (const auto* slab : {&c_new, &h_new, &h_out, &dc}) {
+      if (!same(*slab, r * kUnits)) ++mismatches;
+    }
+    for (std::size_t gate = 0; gate < 4; ++gate) {
+      const std::size_t base = r * 4 * kUnits + gate * kUnits;
+      if (!same(z, base)) ++mismatches;
+      if (!same(dz, base)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(VmathLstm, FusedBackwardMatchesFiniteDifferences) {

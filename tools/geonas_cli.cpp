@@ -93,6 +93,7 @@
 #include "core/reporting.hpp"
 #include "core/surrogate.hpp"
 #include "core/training_eval.hpp"
+#include "core/window_source.hpp"
 #include "data/landmask.hpp"
 #include "data/snapshot_io.hpp"
 #include "data/sst.hpp"
@@ -530,10 +531,13 @@ int cmd_train(const Args& args) {
     }
   }
 
-  const auto set = data::make_windows(coeffs, {.window = window});
-  const auto split = data::train_val_split(set, 0.8, seed);
-  std::printf("windows: %zu train / %zu val (K=%zu, Nr=%zu)\n",
-              split.train.size(), split.val.size(), window, modes);
+  const data::WindowView view(coeffs, {.window = window});
+  const data::SplitIndices split =
+      data::train_val_split_indices(view.size(), 0.8, seed);
+  const core::WindowExampleSource train(view, split.train);
+  const core::WindowExampleSource val(view, split.val);
+  std::printf("windows: %zu train / %zu val (K=%zu, Nr=%zu)\n", train.size(),
+              val.size(), window, modes);
 
   const searchspace::StackedLSTMSpace space(
       {.input_features = modes, .output_features = modes});
@@ -557,7 +561,7 @@ int cmd_train(const Args& args) {
   const auto history =
       nn::Trainer({.epochs = epochs, .batch_size = 64, .learning_rate = 2e-3,
                    .lr_step_decay = 0.4, .seed = seed})
-          .fit(net, split.train.x, split.train.y, split.val.x, split.val.y);
+          .fit(net, train, &val);
   std::printf("final validation R2: %.4f (best %.4f)\n",
               history.val_r2.back(), history.best_val_r2());
 

@@ -4,7 +4,11 @@
 #   tools/run_checks.sh            full rig: lint, bench-gate dry run,
 #                                  release alloc audit, ASan+UBSan ctest,
 #                                  TSan ctest, thread-safety analyze
-#                                  build, release build + clang-tidy
+#                                  build, release build + the 11 paper
+#                                  table/figure/ablation benches (each
+#                                  exits 1 on a shape-check MISMATCH;
+#                                  minutes, so not in --quick) +
+#                                  clang-tidy
 #   tools/run_checks.sh --quick    pre-merge gate: lint + bench-gate dry
 #                                  run + release alloc audit + ASan+UBSan
 #                                  tier-1 suite + TSan over the threaded
@@ -38,7 +42,7 @@ while [[ $# -gt 0 ]]; do
     --quick) quick=1 ;;
     --analyze) analyze_only=1 ;;
     --jobs) jobs="$2"; shift ;;
-    -h|--help) sed -n '2,20p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,24p' "$0"; exit 0 ;;
     *) echo "run_checks: unknown argument: $1" >&2; exit 2 ;;
   esac
   shift
@@ -114,6 +118,25 @@ run_analyze_smoke() {
        -Wthread-safety -Werror=thread-safety src/hpc/thread_pool.cpp; then
     failures+=(analyze-smoke)
   fi
+}
+
+# The paper's tables, figures and ablations from the release tree. Each
+# prints its measured-vs-paper numbers and exits 1 when a shape check
+# reads MISMATCH. Not in --quick: the set takes minutes on a 4-vCPU host
+# (table2 trains for about 3).
+run_paper_benches() {
+  step "paper benches [release]"
+  local name
+  for name in table1_rmse_weekly table2_r2_comparison table3_scaling \
+              fig3_search_trajectories fig4_best_architecture \
+              fig5_posttrain_forecast fig6_field_forecast \
+              fig7_point_probes fig8_high_performing fig9_variability \
+              ablation_search; do
+    echo "-- $name"
+    if ! "build-release/bench/$name"; then
+      failures+=("bench:$name")
+    fi
+  done
 }
 
 # Prints the skipped and failed stages; exits 1 on any failure. A rig
@@ -202,9 +225,10 @@ else
   run_flavor tsan
   run_analyze
 
-  step "configure+build [release] (clang-tidy compilation database)"
+  step "configure+build [release] (paper benches, clang-tidy compilation database)"
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$jobs"
+  run_paper_benches
 
   step "clang-tidy"
   if command -v clang-tidy >/dev/null 2>&1; then
