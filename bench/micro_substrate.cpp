@@ -19,6 +19,7 @@
 
 #include "core/scale.hpp"
 #include "core/surrogate.hpp"
+#include "data/comparators.hpp"
 #include "data/landmask.hpp"
 #include "data/sst.hpp"
 #include "hpc/parallel_for.hpp"
@@ -649,6 +650,27 @@ void BM_SyntheticRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticRecord)->Unit(benchmark::kMillisecond);
 
+// One quick-grid week of a comparator surrogate, from HYCOM's first
+// available week on: /0 CESM, /1 HYCOM. Both read the truth's components
+// through the grid overloads (one week half, one share per row and
+// column per call).
+void BM_ComparatorField(benchmark::State& state) {
+  const data::Grid grid = data::Grid::reduced();
+  const data::SyntheticSST sst;
+  const data::CESMSurrogate cesm(sst);
+  const data::HYCOMSurrogate hycom(sst);
+  const bool is_hycom = state.range(0) == 1;
+  std::size_t week = data::HYCOMSurrogate::first_available_week();
+  for (auto _ : state) {
+    auto field =
+        is_hycom ? hycom.field(grid, week++) : cesm.field(grid, week++);
+    benchmark::DoNotOptimize(field.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(grid.cells()));
+}
+BENCHMARK(BM_ComparatorField)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_SpaceMutate(benchmark::State& state) {
   const searchspace::StackedLSTMSpace space;
   Rng rng(8);
@@ -705,6 +727,8 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("geonas_build_type", GEONAS_BENCH_BUILD_TYPE);
   benchmark::AddCustomContext("geonas_vmath_backend",
                               geonas::tensor::vmath_backend());
+  benchmark::AddCustomContext("geonas_gemm_kernel",
+                              geonas::tensor::gemm_kernel());
   geonas::benchutil::add_host_context();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

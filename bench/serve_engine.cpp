@@ -27,6 +27,7 @@
 #include "nn/lstm.hpp"
 #include "serve/engine.hpp"
 #include "serve/frozen_plan.hpp"
+#include "tensor/blas.hpp"
 #include "tensor/random.hpp"
 #include "tensor/vmath.hpp"
 
@@ -169,6 +170,8 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("geonas_build_type", GEONAS_BENCH_BUILD_TYPE);
   benchmark::AddCustomContext("geonas_vmath_backend",
                               geonas::tensor::vmath_backend());
+  benchmark::AddCustomContext("geonas_gemm_kernel",
+                              geonas::tensor::gemm_kernel());
   geonas::benchutil::add_host_context();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

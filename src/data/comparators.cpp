@@ -70,36 +70,51 @@ double CESMSurrogate::bias(double lat, double lon) const noexcept {
          1.0;
 }
 
-double CESMSurrogate::value(double lat, double lon, std::size_t week) const {
-  const auto t = static_cast<double>(week);
-  const SyntheticSST& truth = *truth_;
-  const double enso_own =
-      cesm::kEnsoDamping * kEnsoAmplitude *
-      truth.enso_index(t + cesm::kEnsoPhaseOffset) *
-      truth.enso_pattern(lat, lon);
+CESMSurrogate::Modes CESMSurrogate::modes(std::size_t week) const {
   // The climate run's internal variability modes evolve on their own
   // (time-offset) trajectories, damped as coupled models typically are.
-  const double tele_own =
-      cesm::kEnsoDamping * kTeleAmplitude *
-      truth.tele_index(t + cesm::kEnsoPhaseOffset) *
-      truth.tele_pattern(lat, lon);
-  double temp = truth.climatology(lat) +
-                truth.seasonal(lat, lon, t, cesm::kSeasonalPhaseErrorWeeks) +
-                truth.trend(lat, t) + enso_own + tele_own +
-                truth.eddy(lat, lon, t, cesm::kSeed) + bias(lat, lon);
+  const double t = static_cast<double>(week) + cesm::kEnsoPhaseOffset;
+  return {.enso = cesm::kEnsoDamping * kEnsoAmplitude * truth_->enso_index(t),
+          .tele = cesm::kEnsoDamping * kTeleAmplitude * truth_->tele_index(t)};
+}
+
+double CESMSurrogate::compose(double lat, double lon, std::size_t week,
+                              const Modes& modes, double seasonal,
+                              double eddy) const {
+  const auto t = static_cast<double>(week);
+  const SyntheticSST& truth = *truth_;
+  const double enso_own = modes.enso * truth.enso_pattern(lat, lon);
+  const double tele_own = modes.tele * truth.tele_pattern(lat, lon);
+  double temp = truth.climatology(lat) + seasonal + truth.trend(lat, t) +
+                enso_own + tele_own + eddy + bias(lat, lon);
   const auto qlat = static_cast<std::uint64_t>((lat + 90.0) * 16.0);
   const auto qlon = static_cast<std::uint64_t>(lon * 16.0);
   temp += cesm::kNoiseSigma * hash_normal(cesm::kSeed, week, qlat, qlon);
   return std::max(temp, -1.9);
 }
 
+double CESMSurrogate::value(double lat, double lon, std::size_t week) const {
+  const auto t = static_cast<double>(week);
+  return compose(
+      lat, lon, week, modes(week),
+      truth_->seasonal(lat, lon, t, cesm::kSeasonalPhaseErrorWeeks),
+      truth_->eddy(lat, lon, t, cesm::kSeed));
+}
+
 std::vector<double> CESMSurrogate::field(const Grid& grid,
                                          std::size_t week) const {
+  const auto t = static_cast<double>(week);
+  const Modes week_modes = modes(week);
+  const std::vector<double> seasonal =
+      truth_->seasonal(grid, t, cesm::kSeasonalPhaseErrorWeeks);
+  const std::vector<double> eddy = truth_->eddy(grid, t, cesm::kSeed);
   std::vector<double> out(grid.cells());
   for (std::size_t i = 0; i < grid.nlat; ++i) {
     const double lat = grid.lat_of(i);
     for (std::size_t j = 0; j < grid.nlon; ++j) {
-      out[grid.index(i, j)] = value(lat, grid.lon_of(j), week);
+      const std::size_t cell = grid.index(i, j);
+      out[cell] = compose(lat, grid.lon_of(j), week, week_modes,
+                          seasonal[cell], eddy[cell]);
     }
   }
   return out;
@@ -112,14 +127,13 @@ Matrix CESMSurrogate::snapshots(const LandMask& mask, std::size_t week0,
 
 HYCOMSurrogate::HYCOMSurrogate(const SyntheticSST& truth) : truth_(&truth) {}
 
-double HYCOMSurrogate::forecast(double truth, double lat, double lon,
-                                std::size_t week) const {
+double HYCOMSurrogate::forecast(double truth, double eddy, double lat,
+                                double lon, std::size_t week) const {
   const auto t = static_cast<double>(week);
   // Forecast error: an independent smooth wave field (position/timing
   // errors in the mesoscale forecast) plus interpolation noise and a small
   // systematic bias.
-  const double err = truth_->eddy(lat, lon, t, hycom::kSeed) *
-                     (hycom::kErrorWaveAmplitude / kEddyAmplitude);
+  const double err = eddy * (hycom::kErrorWaveAmplitude / kEddyAmplitude);
   // Climate-mode mistiming: the forecast tracks the chaotic indices with a
   // lag (its data assimilation trails the real evolution).
   const double enso_err =
@@ -138,18 +152,23 @@ double HYCOMSurrogate::forecast(double truth, double lat, double lon,
 }
 
 double HYCOMSurrogate::value(double lat, double lon, std::size_t week) const {
-  return forecast(truth_->value(lat, lon, week), lat, lon, week);
+  const auto t = static_cast<double>(week);
+  return forecast(truth_->value(lat, lon, week),
+                  truth_->eddy(lat, lon, t, hycom::kSeed), lat, lon, week);
 }
 
 std::vector<double> HYCOMSurrogate::field(const Grid& grid,
                                           std::size_t week) const {
-  // The truth for the whole grid at once; its entries equal value()'s.
+  // The truth and the error waves for the whole grid at once; their
+  // entries equal value()'s.
   std::vector<double> out = truth_->field(grid, week);
+  const std::vector<double> eddy =
+      truth_->eddy(grid, static_cast<double>(week), hycom::kSeed);
   for (std::size_t i = 0; i < grid.nlat; ++i) {
     const double lat = grid.lat_of(i);
     for (std::size_t j = 0; j < grid.nlon; ++j) {
-      double& cell = out[grid.index(i, j)];
-      cell = forecast(cell, lat, grid.lon_of(j), week);
+      const std::size_t cell = grid.index(i, j);
+      out[cell] = forecast(out[cell], eddy[cell], lat, grid.lon_of(j), week);
     }
   }
   return out;

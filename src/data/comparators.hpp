@@ -29,6 +29,9 @@ class CESMSurrogate {
   explicit CESMSurrogate(const SyntheticSST& truth);
 
   [[nodiscard]] double value(double lat, double lon, std::size_t week) const;
+  /// Full-grid run at `week`; each entry is bitwise equal to value() at
+  /// that cell's centre. Reads the week's modes once and the truth's
+  /// seasonal and eddy terms through their grid overloads.
   [[nodiscard]] std::vector<double> field(const Grid& grid,
                                           std::size_t week) const;
   /// Ocean-flattened snapshots, same layout as SyntheticSST::snapshots.
@@ -36,7 +39,19 @@ class CESMSurrogate {
                                  std::size_t count) const;
 
  private:
+  /// The run's own climate modes at a week: the damped amplitude times
+  /// the time-offset ENSO and teleconnection indices.
+  struct Modes {
+    double enso, tele;
+  };
+
   [[nodiscard]] double bias(double lat, double lon) const noexcept;
+  [[nodiscard]] Modes modes(std::size_t week) const;
+  /// The run at a cell, from its week's modes and the truth's seasonal
+  /// and eddy terms there (field() reads those for the whole grid).
+  [[nodiscard]] double compose(double lat, double lon, std::size_t week,
+                               const Modes& modes, double seasonal,
+                               double eddy) const;
 
   const SyntheticSST* truth_;
 };
@@ -48,7 +63,8 @@ class HYCOMSurrogate {
   [[nodiscard]] double value(double lat, double lon, std::size_t week) const;
   /// Full-grid forecast at `week`; each entry is bitwise equal to value()
   /// at that cell's centre. Reads the truth once, through
-  /// SyntheticSST::field(), so it runs that call's kernel-pool split.
+  /// SyntheticSST::field(), so it runs that call's kernel-pool split, and
+  /// its error waves once, through SyntheticSST::eddy(grid, ...).
   [[nodiscard]] std::vector<double> field(const Grid& grid,
                                           std::size_t week) const;
   [[nodiscard]] Matrix snapshots(const LandMask& mask, std::size_t week0,
@@ -60,9 +76,10 @@ class HYCOMSurrogate {
   [[nodiscard]] static std::size_t last_available_week();
 
  private:
-  /// The forecast at a cell whose truth reads `truth` in `week`.
-  [[nodiscard]] double forecast(double truth, double lat, double lon,
-                                std::size_t week) const;
+  /// The forecast at a cell whose truth reads `truth` and whose
+  /// error-wave realization reads `eddy` in `week`.
+  [[nodiscard]] double forecast(double truth, double eddy, double lat,
+                                double lon, std::size_t week) const;
 
   const SyntheticSST* truth_;
 };

@@ -220,6 +220,30 @@ double SyntheticSST::seasonal(double lat, double lon, double week_time,
   return out;
 }
 
+std::vector<double> SyntheticSST::seasonal(const Grid& grid, double week_time,
+                                           double phase_shift_weeks) const {
+  std::array<double, kSeasonalTerms> cell{}, week{};
+  seasonal_week_half(week_time + phase_shift_weeks, week.data(), 1);
+  std::vector<LatTerms> lats;
+  std::vector<LonTerms> lons;
+  lats.reserve(grid.nlat);
+  lons.reserve(grid.nlon);
+  for (std::size_t i = 0; i < grid.nlat; ++i) {
+    lats.push_back(lat_terms(grid.lat_of(i)));
+  }
+  for (std::size_t j = 0; j < grid.nlon; ++j) {
+    lons.push_back(lon_terms(grid.lon_of(j)));
+  }
+  std::vector<double> out(grid.cells());
+  for (std::size_t i = 0; i < grid.nlat; ++i) {
+    for (std::size_t j = 0; j < grid.nlon; ++j) {
+      seasonal_cell_half(lats[i], lons[j], cell);
+      dot(cell, week.data(), {&out[grid.index(i, j)], 1});
+    }
+  }
+  return out;
+}
+
 double SyntheticSST::trend(double lat, double week_time) const noexcept {
   return trend_scale(week_time) * trend_weight(lat);
 }
@@ -476,6 +500,36 @@ double SyntheticSST::eddy(double lat, double lon, double week_time,
   eddy_cell_half(lat_half, lon_half, cell);
   double out = 0.0;
   dot(cell, week.data(), {&out, 1});
+  return out;
+}
+
+std::vector<double> SyntheticSST::eddy(const Grid& grid, double week_time,
+                                       std::uint64_t realization_seed) const {
+  const WaveBank& bank = waves_for(realization_seed);
+  std::array<double, kEddyTerms> week{}, cell{};
+  eddy_week_half(bank, week_time, week.data(), 1);
+  std::vector<double> lat_shares(grid.nlat * kEddyTerms);
+  std::vector<double> lon_shares(grid.nlon * kEddyTerms);
+  const auto lat_share = [&](std::size_t i) {
+    return std::span(lat_shares).subspan(i * kEddyTerms, kEddyTerms);
+  };
+  const auto lon_share = [&](std::size_t j) {
+    return std::span(lon_shares).subspan(j * kEddyTerms, kEddyTerms);
+  };
+  for (std::size_t i = 0; i < grid.nlat; ++i) {
+    const double lat = grid.lat_of(i);
+    eddy_lat_half(bank, lat, eddy_envelope(lat), lat_share(i));
+  }
+  for (std::size_t j = 0; j < grid.nlon; ++j) {
+    eddy_lon_half(bank, grid.lon_of(j), lon_share(j));
+  }
+  std::vector<double> out(grid.cells());
+  for (std::size_t i = 0; i < grid.nlat; ++i) {
+    for (std::size_t j = 0; j < grid.nlon; ++j) {
+      eddy_cell_half(lat_share(i), lon_share(j), cell);
+      dot(cell, week.data(), {&out[grid.index(i, j)], 1});
+    }
+  }
   return out;
 }
 

@@ -100,6 +100,12 @@ class SyntheticSST {
   /// `phase_shift_weeks` lets comparators model phase error.
   [[nodiscard]] double seasonal(double lat, double lon, double week_time,
                                 double phase_shift_weeks = 0.0) const noexcept;
+  /// seasonal() at every cell centre of `grid`, row-major [nlat x nlon],
+  /// each entry bitwise equal to seasonal() there: the week half is built
+  /// once and each row's and column's share once, then each cell runs
+  /// the cell half and the dot.
+  [[nodiscard]] std::vector<double> seasonal(
+      const Grid& grid, double week_time, double phase_shift_weeks) const;
   /// Secular warming trend.
   [[nodiscard]] double trend(double lat, double week_time) const noexcept;
   /// ENSO index (dimensionless, O(1)): the x-component of a slowed
@@ -119,6 +125,10 @@ class SyntheticSST {
   /// own realizations); the truth's own seed gives the truth realization.
   [[nodiscard]] double eddy(double lat, double lon, double week_time,
                             std::uint64_t realization_seed) const;
+  /// eddy() at every cell centre of `grid`, row-major [nlat x nlon], each
+  /// entry bitwise equal to eddy() there, built as seasonal(grid, ...) is.
+  [[nodiscard]] std::vector<double> eddy(const Grid& grid, double week_time,
+                                         std::uint64_t realization_seed) const;
   /// Hash-based white noise for a given cell/week (truth realization).
   [[nodiscard]] double noise(double lat, double lon, std::size_t week) const;
 

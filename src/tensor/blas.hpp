@@ -2,14 +2,14 @@
 //
 // All kernels are written against contiguous row-major storage. The
 // matrix products run through a shared cache-blocked, register-tiled
-// GEMM (see tensor/gemm_kernel.hpp) with a runtime-dispatched AVX2+FMA
-// micro-kernel on x86-64 and an autovectorized portable fallback; the M
-// dimension is split across the geonas::hpc kernel pool above a flops
-// threshold, so POD correlation matrices (Ns x Ns with Ns ~ 500) and
-// whole-sequence LSTM projections parallelize while tiny NAS-cell
-// matmuls stay serial. gemm_raw exposes the strided (leading-dimension)
-// form so recurrent layers can run per-timestep slab updates in place
-// with zero allocation.
+// GEMM (see tensor/gemm_kernel.hpp) with runtime-dispatched AVX-512F and
+// AVX2+FMA micro-kernels on x86-64 and an autovectorized portable
+// fallback; the M dimension is split across the geonas::hpc kernel pool
+// above a flops threshold, so POD correlation matrices (Ns x Ns with
+// Ns ~ 500) and whole-sequence LSTM projections parallelize while tiny
+// NAS-cell matmuls stay serial. gemm_raw exposes the strided
+// (leading-dimension) form so recurrent layers can run per-timestep slab
+// updates in place with zero allocation.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +20,11 @@ namespace geonas {
 
 namespace tensor {
 class PackedPanels;
+
+/// The GEMM micro-kernel set this host runs, picked once from its CPU:
+/// "avx512f-8x16", "avx2-fma-4x8" or "portable-4x8" (see
+/// tensor/gemm_blocked.cpp).
+[[nodiscard]] const char* gemm_kernel() noexcept;
 }  // namespace tensor
 
 /// Transpose selector for gemm_raw (op(X) = X or X^T).

@@ -13,11 +13,18 @@
 //       or read in place from a pack_b_full panel
 //       for ic over M in steps of kMC:        L2-resident A block
 //         pack A(ic:ic+mc, pc:pc+kc) into MR-row slivers
-//         for jr, ir over the block: kMR x kNR register micro-kernel
+//         for jr, ir over the block: register micro-kernels, a
+//         2kMR x 2kNR super-tile per pair of full A and B slivers where
+//         the host has one, kMR x kNR tiles elsewhere
 //
-// The micro-kernel keeps a kMR x kNR accumulator tile in registers for
-// the whole K-block; an AVX2+FMA variant is selected once at runtime on
-// x86-64 (the portable variant autovectorizes under the default flags).
+// A micro-kernel keeps its accumulator tile in registers for the whole
+// K-block. The set is selected once at runtime from the CPU
+// (tensor::gemm_kernel() names it): on x86-64 an AVX-512F 8x16
+// super-tile with AVX2+FMA 4x8 edge tiles, or AVX2+FMA 4x8 tiles; else
+// the portable 4x8 tile, which autovectorizes under the default flags.
+// Every kernel gives each C element the same K-ordered chain, and with
+// alpha 1 and beta 0 or 1 (every product in src/) it writes full tiles
+// into C in place.
 // Packing reads through the (lda, transposed?) source view, so the same
 // kernel serves A*B, A^T*B and A*B^T without materialized transposes.
 // The M dimension is split across geonas::hpc::parallel_for above its
@@ -32,7 +39,8 @@ namespace geonas::detail {
 
 // Register tile (micro-kernel) footprint: 4 x 8 doubles = 8 YMM
 // accumulators under AVX2, and a shape GCC autovectorizes well for the
-// portable build.
+// portable build. The AVX-512F super-tile is 2 x 2 of these tiles: 16
+// ZMM accumulators.
 inline constexpr std::size_t kMR = 4;
 inline constexpr std::size_t kNR = 8;
 // Cache blocking: the packed A block (kMC x kKC doubles = 192 KiB) and

@@ -209,6 +209,26 @@ TEST(Comparators, HycomFieldMatchesValue) {
   EXPECT_EQ(bits(field), bits(expected));
 }
 
+TEST(Comparators, CesmFieldMatchesValue) {
+  // field() reads the week's modes once and the truth's seasonal and eddy
+  // terms through their grid overloads (one week half, one share per row
+  // and column); every entry must still be value() at that cell, bit for
+  // bit.
+  const Grid grid{30, 60};
+  const SyntheticSST sst;
+  const CESMSurrogate cesm(sst);
+  const std::size_t week = HYCOMSurrogate::first_available_week();
+  const std::vector<double> field = cesm.field(grid, week);
+  ASSERT_EQ(field.size(), grid.cells());
+  std::vector<double> expected;
+  for (std::size_t i = 0; i < grid.nlat; ++i) {
+    for (std::size_t j = 0; j < grid.nlon; ++j) {
+      expected.push_back(cesm.value(grid.lat_of(i), grid.lon_of(j), week));
+    }
+  }
+  EXPECT_EQ(bits(field), bits(expected));
+}
+
 TEST(Comparators, HycomTracksTruthCloselyInEasternPacific) {
   const SyntheticSST sst;
   const HYCOMSurrogate hycom(sst);

@@ -4,12 +4,16 @@
 // naive triple-loop reference over adversarial shapes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <iostream>
 #include <thread>
 #include <vector>
 
 #include "hpc/parallel_for.hpp"
 #include "tensor/blas.hpp"
+#include "tensor/prepack.hpp"
 #include "tensor/random.hpp"
 
 namespace geonas {
@@ -166,6 +170,91 @@ TEST(BlockedGemm, IdenticalResultsAcrossThreadCounts) {
     // The M-split never changes any element's summation order, so the
     // result is bitwise identical, not merely close.
     ASSERT_EQ(c, reference);
+  }
+}
+
+TEST(BlockedGemm, TilePathsAgreeBitwise) {
+  // M 24 x N 40 is three row pairs by two column pairs of full slivers,
+  // which an AVX-512F host runs as 8x16 super-tiles, and one lone
+  // 8-column sliver of 4x8 tiles. A product of one 4x8 block never forms
+  // a super-tile, and a 3x7 product is an edge tile through the scratch
+  // tile and write_tile. With alpha 1 and beta 0 or 1 the full tiles are
+  // written in place; (0.75, -0.5) keeps write_tile for every tile. The
+  // whole product, its 4x8 blocks and the corner agree bit for bit only
+  // if every write path gives each element the same arithmetic. K = 300
+  // spans two kKC blocks, so the later block's accumulate runs too. Every
+  // product here stays under the parallel_for threshold, so the pass at
+  // 4 kernel threads runs the same single stripe as the pass at 1.
+  std::cout << "[ info ] gemm kernel: " << tensor::gemm_kernel() << "\n";
+  constexpr std::size_t m = 24, n = 40;
+  struct Scale {
+    double alpha, beta;
+  };
+  const Scale scales[] = {{1.0, 0.0}, {1.0, 1.0}, {0.75, -0.5}};
+  const std::size_t depths[] = {1, 5, 96, 300};
+  const auto expect_bits = [](const Matrix& got, const Matrix& want,
+                              std::size_t i0, std::size_t j0,
+                              std::size_t rows, std::size_t cols) {
+    for (std::size_t i = i0; i < i0 + rows; ++i) {
+      for (std::size_t j = j0; j < j0 + cols; ++j) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                  std::bit_cast<std::uint64_t>(want(i, j)))
+            << "at " << i << "," << j;
+      }
+    }
+  };
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    KernelThreadsGuard guard(threads);
+    for (const std::size_t k : depths) {
+      Rng rng(300 + k);
+      const Matrix a = random_matrix(m, k, rng);
+      const Matrix b = random_matrix(k, n, rng);
+      const Matrix c0 = random_matrix(m, n, rng);
+      for (const bool packed : {false, true}) {
+        for (const Scale s : scales) {
+          SCOPED_TRACE(::testing::Message()
+                       << "threads=" << threads << " k=" << k
+                       << " packed=" << packed << " alpha=" << s.alpha
+                       << " beta=" << s.beta);
+          // C(i0:i0+rows, j0:j0+cols) as its own product, through
+          // strided A and C and a strided raw B or a panel of B's
+          // columns.
+          const auto product = [&](Matrix& c, std::size_t i0, std::size_t j0,
+                                   std::size_t rows, std::size_t cols) {
+            const double* a_rows = a.flat().data() + i0 * k;
+            double* c_block = c.flat().data() + i0 * n + j0;
+            if (!packed) {
+              gemm_raw(Trans::kNone, Trans::kNone, rows, cols, k, s.alpha,
+                       a_rows, k, b.flat().data() + j0, n, s.beta, c_block,
+                       n);
+              return;
+            }
+            Matrix b_cols(k, cols);
+            for (std::size_t p = 0; p < k; ++p) {
+              for (std::size_t j = 0; j < cols; ++j) {
+                b_cols(p, j) = b(p, j0 + j);
+              }
+            }
+            tensor::PackedPanels panel;
+            panel.ensure(b_cols, Trans::kNone);
+            gemm_raw(Trans::kNone, rows, s.alpha, a_rows, k, panel, s.beta,
+                     c_block, n);
+          };
+          Matrix whole = c0;
+          product(whole, 0, 0, m, n);
+          Matrix tiles = c0;
+          for (std::size_t i0 = 0; i0 < m; i0 += 4) {
+            for (std::size_t j0 = 0; j0 < n; j0 += 8) {
+              product(tiles, i0, j0, 4, 8);
+            }
+          }
+          expect_bits(tiles, whole, 0, 0, m, n);
+          Matrix corner = c0;
+          product(corner, m - 3, n - 7, 3, 7);
+          expect_bits(corner, whole, m - 3, n - 7, 3, 7);
+        }
+      }
+    }
   }
 }
 

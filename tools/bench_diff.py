@@ -65,11 +65,13 @@ from pathlib import Path
 Stats = dict[str, tuple[float, float]]
 
 # Host-shape context fields stamped by the bench mains
-# (bench/bench_host_context.hpp). Two captures are only comparable when
-# these agree: medians move with core count, kernel thread pinning, and
-# the -march the kernels were tuned for.
+# (bench/bench_host_context.hpp, and the kernel names beside the build
+# type). Two captures are only comparable when these agree: medians move
+# with core count, kernel thread pinning, the -march the kernels were
+# tuned for, and the vmath backend and GEMM micro-kernels the CPU picked.
 HOST_KEYS = ("geonas_host_cpus", "geonas_kernel_threads",
-             "geonas_native_arch")
+             "geonas_native_arch", "geonas_vmath_backend",
+             "geonas_gemm_kernel")
 
 
 def load_capture(path: Path) -> tuple[Stats, dict[str, str]]:
@@ -193,6 +195,17 @@ def self_check() -> list[str]:
            "identical hosts reported as mismatched")
     expect(host_mismatches({}, this_host) == [],
            "unstamped baseline blocked by host check")
+    # The kernel names: a capture from another GEMM kernel set flags; one
+    # from before the stamp (the field missing) does not.
+    avx512 = dict(this_host, geonas_vmath_backend="avx2-fma",
+                  geonas_gemm_kernel="avx512f-8x16")
+    avx2 = dict(avx512, geonas_gemm_kernel="avx2-fma-4x8")
+    expect([m[0] for m in host_mismatches(avx512, avx2)]
+           == ["geonas_gemm_kernel"],
+           "GEMM kernel mismatch not detected")
+    unstamped = {k: v for k, v in avx512.items() if k != "geonas_gemm_kernel"}
+    expect(host_mismatches(unstamped, avx2) == [],
+           "capture without a GEMM kernel stamp blocked by host check")
     return failures
 
 

@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Correctness gate for geonas (see DESIGN.md "Correctness tooling").
 #
-#   tools/run_checks.sh            full rig: lint, bench-gate dry run,
-#                                  release alloc audit, ASan+UBSan ctest,
+#   tools/run_checks.sh            full rig: kernel names, lint, bench-
+#                                  gate dry run, release alloc audit,
+#                                  ASan+UBSan ctest,
 #                                  TSan ctest, thread-safety analyze
 #                                  build, release build + the 11 paper
 #                                  table/figure/ablation benches (each
 #                                  exits 1 on a shape-check MISMATCH;
 #                                  minutes, so not in --quick) +
 #                                  clang-tidy
-#   tools/run_checks.sh --quick    pre-merge gate: lint + bench-gate dry
-#                                  run + release alloc audit + ASan+UBSan
+#   tools/run_checks.sh --quick    pre-merge gate: kernel names + lint +
+#                                  bench-gate dry run + release alloc
+#                                  audit + ASan+UBSan
 #                                  tier-1 suite + TSan over the threaded
 #                                  kernel layer (determinism + blocked
 #                                  GEMM + vmath + kernel team + pool
@@ -42,7 +44,7 @@ while [[ $# -gt 0 ]]; do
     --quick) quick=1 ;;
     --analyze) analyze_only=1 ;;
     --jobs) jobs="$2"; shift ;;
-    -h|--help) sed -n '2,24p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,26p' "$0"; exit 0 ;;
     *) echo "run_checks: unknown argument: $1" >&2; exit 2 ;;
   esac
   shift
@@ -163,6 +165,19 @@ if [[ $analyze_only -eq 1 ]]; then
   summarize analyze
 fi
 
+# Header: the vmath backend and GEMM micro-kernels this host's CPU
+# picks, as every bench capture stamps them, read from a release bench
+# binary. The release tree also serves the alloc audit below.
+step "kernels [release]"
+cmake --preset release >/dev/null
+cmake --build --preset release -j "$jobs" --target alloc_audit_tests \
+  micro_substrate
+if ! build-release/bench/micro_substrate \
+     --benchmark_filter='^BM_ObsDisabledSite$' --benchmark_min_time=0.01 \
+     2>&1 | grep -E '^geonas_(vmath_backend|gemm_kernel): '; then
+  failures+=(kernels)
+fi
+
 step "geonas_lint"
 if ! python3 tools/geonas_lint.py; then
   failures+=(geonas_lint)
@@ -181,8 +196,6 @@ done
 # The zero-allocation audit needs the counting operator new, which the
 # sanitizer presets compile out — run it from the release tree.
 step "alloc audit [release]"
-cmake --preset release >/dev/null
-cmake --build --preset release -j "$jobs" --target alloc_audit_tests
 if ! build-release/tests/alloc_audit_tests; then
   failures+=(alloc_audit)
 fi
